@@ -62,16 +62,15 @@ def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:
                         r.sample_rate)
 
 
-def plateau_from_event(event: FrameEvent, lag: int = 16, window: int | None = None
-                       ) -> tuple[int, int]:
+def plateau_from_event(event: FrameEvent, lag: int = 16) -> tuple[int, int]:
     """Shrink a detection run to indices whose windows lie inside the STS.
 
     The detection metric stays above threshold a little past the short
     training because partially overlapping windows still correlate; those
     trailing points mix in guard-interval content and would bias the phase
-    average, so the right edge is pulled in by one full correlation span.
+    average, so the right edge is pulled in by one full correlation span
+    (``2*lag - 1`` samples).
     """
-    window = lag if window is None else window
-    stop = event.end_index - (lag + window - 1) + 1
+    stop = event.end_index - (2 * lag - 1) + 1
     start = event.start_index
     return start, max(stop, start + 1)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import __version__
 from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import ChannelConfig, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
-from .errors import ConfigError, IqFormatError
+from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
 from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics,
                            detect_frames)
 from .harness import emit_report, load_plan, preamble_train, run_trials
@@ -40,6 +39,13 @@ EXIT_NOT_DETECTED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# Looked up along the exception's MRO; OfdmSyncError catches future subclasses.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG, SizingError: EXIT_CONFIG, OfdmSyncError: EXIT_CONFIG,
+    IqFormatError: EXIT_IO, OSError: EXIT_IO,
+    EstimationError: EXIT_NOT_DETECTED,
+}
+
 
 def _parse_snr(text: str) -> float | None:
     if text.lower() in ("none", "noiseless"):
@@ -48,6 +54,19 @@ def _parse_snr(text: str) -> float | None:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -76,7 +95,7 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
                      help="read IQ samples from FILE instead of generating a frame")
     sub.add_argument("--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE,
                      help="sample rate in Hz for file input (default %(default)s)")
-    sub.add_argument("--gap-len", type=int, default=400, metavar="N",
+    sub.add_argument("--gap-len", type=_at_least(0), default=400, metavar="N",
                      help="idle samples after each generated frame (default %(default)s)")
     _add_channel_args(sub)
 
@@ -94,28 +113,22 @@ def _input_buffer(args) -> SampleBuffer:
     return transmit(pre, _channel_config(args), tail_len=args.gap_len)
 
 
-def _write_output(buf: SampleBuffer, path, fmt: str) -> int:
-    if fmt == "csv":
-        write_csv(buf, path)
-        return len(buf)
-    write_iq(buf, path)
-    return len(buf)
+def _write_output(buf: SampleBuffer, path, fmt: str) -> None:
+    (write_csv if fmt == "csv" else write_iq)(buf, path)
 
 
 def cmd_preamble(args) -> int:
     buf = generate_preamble(PreambleSpec())
-    count = _write_output(buf, args.out, args.format)
-    print(f"wrote {count} samples to {args.out} ({args.format}), "
+    _write_output(buf, args.out, args.format)
+    print(f"wrote {len(buf)} samples to {args.out} ({args.format}), "
           f"average power {buf.average_power:.9f}, duration {buf.duration * 1e6:.1f} us")
     return EXIT_OK
 
 
 def cmd_channel(args) -> int:
-    if args.infile:
-        buf = read_iq(args.infile, args.sample_rate)
-        out = transmit(buf, _channel_config(args), tail_len=args.gap_len)
-    else:
-        out = _input_buffer(args)
+    source = (read_iq(args.infile, args.sample_rate) if args.infile
+              else generate_preamble(PreambleSpec()))
+    out = transmit(source, _channel_config(args), tail_len=args.gap_len)
     _write_output(out, args.out, args.format)
     snr = "noiseless" if args.snr_db is None else f"{args.snr_db} dB"
     print(f"wrote {len(out)} impaired samples to {args.out} "
@@ -129,7 +142,7 @@ def cmd_detect(args) -> int:
     else:
         pre = generate_preamble(PreambleSpec())
         frame = (pre if args.frames == 1 else
-                 preamble_train(pre, args.frames, (args.gap_len, "zeros")))
+                 preamble_train(pre, args.frames, args.gap_len))
         buf = transmit(frame, _channel_config(args), tail_len=args.gap_len)
     cfg = FrameDetectConfig(lag=args.lag, threshold=args.threshold,
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
@@ -167,15 +180,15 @@ def cmd_timesync(args) -> int:
         window = (start + args.timing_offset, length)
     cfg = TimeSyncConfig(template=args.template, search_window=window)
     est = estimate_timing(buf, cfg, spec)
+    error = ""
     if not args.infile:
         # generated input: the true delay is known, so report the error too
         truth = default_expected_peak(spec, args.template) + args.timing_offset
-        est = replace(est, offset_error=est.n_xc_max - truth)
+        error = f", error {est.n_xc_max - truth:+d}"
     if args.trace:
         mag = cross_correlate(buf, training_template(spec, args.template))
         lines = ["n,lambda_abs"] + [f"{n},{float(v)!r}" for n, v in enumerate(mag)]
         Path(args.trace).write_text("\n".join(lines) + "\n")
-    error = "" if est.offset_error is None else f", error {est.offset_error:+d}"
     print(f"timing: n_xc_max {est.n_xc_max}, peak magnitude {est.peak_magnitude:.6f} "
           f"({args.template} template{error})")
     return EXIT_OK
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run frame detection")
     _add_input_args(p)
-    p.add_argument("--frames", type=int, default=1,
+    p.add_argument("--frames", type=_at_least(1), default=1,
                    help="number of repeated frames when generating input (default 1)")
     p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
     p.add_argument("--threshold", type=float, default=0.5,
@@ -279,15 +292,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (OfdmSyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IqFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

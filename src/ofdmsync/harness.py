@@ -20,28 +20,27 @@ from .core import SampleBuffer
 from .errors import ConfigError, EstimationError
 from .frame_detect import FrameDetectConfig, detect_frames
 from .preamble import PreambleSpec, generate_preamble
-from .time_sync import (TimeSyncConfig, default_expected_peak,
-                        default_search_window, estimate_timing)
+from .time_sync import TimeSyncConfig, default_search_window, estimate_timing
 
 STAGES = ("frame", "time_sts", "time_lts", "cfo")
-GAP_FILLS = ("zeros", "noise")
 
 
 @dataclass(frozen=True)
 class TrialPlan:
     """What to run: trial count, channel template, stages, and seeding.
 
-    Trial i reuses ``channel`` with seed ``base_seed + i``. ``gap`` is the
-    (length, fill) of the idle stretch that follows each transmitted
-    preamble; the received buffer keeps capturing through it, which is also
-    what gives the long-template correlator room to search past the frame.
+    Trial i reuses ``channel`` with seed ``base_seed + i``. ``gap_len`` is
+    the length of the idle stretch that follows each transmitted preamble;
+    the received buffer keeps capturing through it, so it carries the
+    channel noise, which also gives the long-template correlator room to
+    search past the frame.
     """
 
     n_trials: int = 300
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     stages: tuple[str, ...] = ("time_sts", "time_lts")
     base_seed: int = 0
-    gap: tuple[int, str] = (400, "noise")
+    gap_len: int = 400
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -52,13 +51,10 @@ class TrialPlan:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
         if not stages:
             raise ConfigError("at least one stage is required")
-        gap_len, gap_fill = self.gap
-        if gap_len < 0:
+        if self.gap_len < 0:
             raise ConfigError("gap length cannot be negative")
-        if gap_fill not in GAP_FILLS:
-            raise ConfigError(f"gap fill must be one of {GAP_FILLS}")
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "gap", (int(gap_len), gap_fill))
+        object.__setattr__(self, "gap_len", int(self.gap_len))
 
 
 @dataclass
@@ -96,32 +92,15 @@ def _statistics(values: list[float], indices: list[int], failures: int) -> Trial
                            _histogram(values), failures)
 
 
-def preamble_train(preamble: SampleBuffer, count: int, gap: tuple[int, str] = (400, "zeros"),
-                   snr_db: float | None = None, seed: int = 0) -> SampleBuffer:
-    """``count`` copies of the frame separated by idle gaps, mirroring a
-    transmitter that repeats the preamble back-to-back.
+def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> SampleBuffer:
+    """``count`` copies of the frame, each followed by ``gap_len`` zeros,
+    mirroring a transmitter that repeats the preamble back-to-back.
 
-    With ``fill='noise'`` (requires a finite snr_db) the gaps carry noise at
-    the corresponding floor even before any channel AWGN is added.
+    The gaps are silent at the transmitter; they pick up noise in the
+    channel like the rest of the stream.
     """
-    gap_len, fill = gap
-    if fill not in GAP_FILLS:
-        raise ConfigError(f"gap fill must be one of {GAP_FILLS}")
-    rng = np.random.default_rng(seed)
-    x = preamble.samples
-    if fill == "noise":
-        if snr_db is None:
-            raise ConfigError("gap fill 'noise' needs a finite snr_db")
-        power = float(np.mean(np.abs(x) ** 2)) / 10 ** (snr_db / 10)
-        gaps = [np.sqrt(power / 2) * (rng.standard_normal(gap_len)
-                                      + 1j * rng.standard_normal(gap_len))
-                for _ in range(count)]
-    else:
-        gaps = [np.zeros(gap_len, np.complex128)] * count
-    parts = []
-    for i in range(count):
-        parts += [x, gaps[i]]
-    return SampleBuffer(np.concatenate(parts), preamble.sample_rate)
+    gap = np.zeros(gap_len, np.complex128)
+    return SampleBuffer(np.concatenate([preamble.samples, gap] * count), preamble.sample_rate)
 
 
 def _sts_plateau(cfg: ChannelConfig, spec: PreambleSpec, lag: int) -> tuple[int, int]:
@@ -160,7 +139,7 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
 
     for i in range(plan.n_trials):
         cfg = replace(plan.channel, seed=plan.base_seed + i)
-        rx = transmit(pre, cfg, tail_len=plan.gap[0])
+        rx = transmit(pre, cfg, tail_len=plan.gap_len)
         events = None
         for stage in plan.stages:
             values, indices, failures = results[stage]
@@ -190,18 +169,6 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
 
     return {stage: _statistics(values, indices, failures)
             for stage, (values, indices, failures) in results.items()}
-
-
-def detection_error(stage: str, value: float, plan: TrialPlan,
-                    spec: PreambleSpec = PreambleSpec()) -> float:
-    """Detected value minus ground truth (landmark + delay, or injected Hz)."""
-    if stage == "time_sts":
-        return value - default_expected_peak(spec, "sts") - plan.channel.timing_offset
-    if stage == "time_lts":
-        return value - default_expected_peak(spec, "lts") - plan.channel.timing_offset
-    if stage == "cfo":
-        return value - plan.channel.cfo_hz
-    return value - plan.channel.timing_offset  # frame: run starts where the frame does
 
 
 def emit_report(results: dict[str, TrialStatistics], out_dir,
@@ -246,7 +213,7 @@ def emit_report(results: dict[str, TrialStatistics], out_dir,
 
 
 _PLAN_KEYS = ("n_trials", "base_seed", "stages", "snr_db", "cfo_hz",
-              "timing_offset", "taps", "gap_len", "gap_fill")
+              "timing_offset", "taps", "gap_len")
 
 
 def load_plan(path) -> TrialPlan:
@@ -254,7 +221,8 @@ def load_plan(path) -> TrialPlan:
 
     Keys: n_trials, base_seed, stages (comma list), snr_db (number or
     'none'/'noiseless'), cfo_hz, timing_offset, taps (profile name or path,
-    relative to the plan file), gap_len, gap_fill (zeros|noise).
+    relative to the plan file), gap_len (idle samples after the frame; they
+    carry the channel noise).
     """
     path = Path(path)
     if not path.is_file():
@@ -280,7 +248,6 @@ def load_plan(path) -> TrialPlan:
             snr_db=None if snr in ("none", "noiseless") else float(snr),
             taps=_plan_taps(raw.get("taps"), path.parent),
             timing_offset=int(raw.get("timing_offset", "0")),
-            seed=int(raw.get("base_seed", "0")),
         )
         stages = tuple(s.strip() for s in raw.get("stages", "time_sts,time_lts").split(","))
         return TrialPlan(
@@ -288,7 +255,7 @@ def load_plan(path) -> TrialPlan:
             channel=channel,
             stages=stages,
             base_seed=int(raw.get("base_seed", "0")),
-            gap=(int(raw.get("gap_len", "400")), raw.get("gap_fill", "noise")),
+            gap_len=int(raw.get("gap_len", "400")),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

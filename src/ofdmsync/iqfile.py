@@ -18,6 +18,15 @@ from .errors import IqFormatError
 _SAMPLE_BYTES = 8  # two float32 per complex sample
 
 
+def _require_finite(words: np.ndarray, source) -> None:
+    """Raise IqFormatError naming the first sample with a non-finite I or Q word."""
+    words = words.reshape(-1)
+    # min/max propagate NaN and surface +-inf without a buffer-sized temporary
+    if words.size and not (np.isfinite(words.min()) and np.isfinite(words.max())):
+        first = int(np.argmin(np.isfinite(words)))
+        raise IqFormatError(f"{source}: sample {first // 2} is not finite")
+
+
 def write_iq(buf: SampleBuffer, destination) -> int:
     """Write interleaved float32 IQ; returns the byte count (8 per sample)."""
     x = buf.samples
@@ -38,6 +47,7 @@ def read_iq(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
             f"{source}: length {len(data)} is not a multiple of {_SAMPLE_BYTES}; "
             f"trailing {extra} bytes start at offset {len(data) - extra}")
     interleaved = np.frombuffer(data, dtype="<f4")
+    _require_finite(interleaved, source)
     samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(np.float64)
     return SampleBuffer(samples, sample_rate)
 
@@ -57,13 +67,14 @@ def read_csv(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != "index,re,im":
         raise IqFormatError(f"{source}: expected 'index,re,im' header")
-    samples = np.zeros(len(lines) - 1, np.complex128)
+    words = np.zeros((len(lines) - 1, 2))  # (re, im) rows, viewed as complex below
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 3:
             raise IqFormatError(f"{source}:{lineno}: expected 3 columns, got {len(fields)}")
         try:
-            samples[lineno - 2] = complex(float(fields[1]), float(fields[2]))
+            words[lineno - 2] = float(fields[1]), float(fields[2])
         except ValueError as exc:
             raise IqFormatError(f"{source}:{lineno}: {exc}") from exc
-    return SampleBuffer(samples, sample_rate)
+    _require_finite(words, source)
+    return SampleBuffer(words.view(np.complex128).reshape(-1), sample_rate)

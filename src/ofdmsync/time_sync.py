@@ -33,7 +33,6 @@ class TimeSyncConfig:
 
     template: str = "lts"
     search_window: tuple[int, int] | None = None
-    expected_peak: int | None = None
 
     def __post_init__(self):
         if self.template not in TEMPLATES:
@@ -47,15 +46,10 @@ class TimeSyncConfig:
 
 @dataclass(frozen=True)
 class TimingEstimate:
-    """Argmax result: boundary sample index and the peak magnitude there.
-
-    ``offset_error`` is filled by the evaluation harness (estimate minus
-    expected landmark minus the true channel delay); None until then.
-    """
+    """Argmax result: boundary sample index and the peak magnitude there."""
 
     n_xc_max: int
     peak_magnitude: float
-    offset_error: int | None = None
 
 
 def cross_correlate(r, template) -> np.ndarray:
@@ -85,12 +79,10 @@ def default_expected_peak(spec: PreambleSpec, template: str) -> int:
     return spec.sts_len if template == "sts" else spec.total_len
 
 
-def default_search_window(spec: PreambleSpec, template: str,
-                          expected_peak: int | None = None) -> tuple[int, int]:
+def default_search_window(spec: PreambleSpec, template: str) -> tuple[int, int]:
     """(start, length) covering +-1 symbol of displacement around the landmark."""
     sym = spec.short_symbol_len if template == "sts" else spec.long_symbol_len
-    expected = default_expected_peak(spec, template) if expected_peak is None else expected_peak
-    return expected - sym, 2 * sym
+    return default_expected_peak(spec, template) - sym, 2 * sym
 
 
 def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig(),
@@ -105,7 +97,7 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig(),
     magnitude = cross_correlate(r, template)
     window = cfg.search_window
     if window is None:
-        window = default_search_window(spec, cfg.template, cfg.expected_peak)
+        window = default_search_window(spec, cfg.template)
     start, length = window
     if start < 0 or start + length > len(magnitude):
         raise SizingError(

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ofdmsync
 from ofdmsync import read_iq
 from ofdmsync.cli import main
 
@@ -121,6 +127,30 @@ def test_cfo_without_frame_exits_one(tmp_path, capsys):
     write_iq(noise, path)
     code, stdout, _ = run(capsys, "cfo", "--in", str(path))
     assert code == 1
+
+
+# Raw float32 words written to IN: 100 samples (too short for the timing search
+# window), and 400 samples whose sample 150 has a NaN imaginary part.
+SHORT_IQ = np.ones(200, "<f4")
+NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
+
+
+@pytest.mark.parametrize("argv, words, expected", [
+    (["timesync", "--in", "IN"], SHORT_IQ, 2),
+    (["detect", "--frames", "0"], None, 2),
+    (["channel", "--gap-len", "-1"], None, 2),
+    (["detect", "--in", "IN"], NAN_IQ, 3),
+], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input"])
+def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
+    if words is not None:
+        (tmp_path / "IN").write_bytes(words.tobytes())
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if words is NAN_IQ:
+        assert "sample 150 is not finite" in proc.stderr
 
 
 def test_bad_taps_reference_is_config_error(capsys):

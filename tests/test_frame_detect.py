@@ -152,7 +152,7 @@ def test_min_plateau_suppresses_short_runs(preamble):
 
 def test_pulse_train_k_events(preamble):
     # five preambles with 400-sample gaps at 20 dB: five distinct detections
-    train = preamble_train(preamble, 5, (400, "zeros"))
+    train = preamble_train(preamble, 5, 400)
     rx = add_awgn(train, 20.0, seed=99)
     events = detect_frames(rx)
     assert len(events) == 5

@@ -73,3 +73,10 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("index,re,im\n0,1.0\n")
     with pytest.raises(IqFormatError, match="3 columns"):
         read_csv(path)
+
+
+def test_csv_rejects_non_finite_sample(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("index,re,im\n0,1.0,2.0\n1,1.0,inf\n")
+    with pytest.raises(IqFormatError, match="sample 1 is not finite"):
+        read_csv(path)
