@@ -9,6 +9,8 @@ regardless of how much silence surrounds the frame.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -19,6 +21,12 @@ from .core import SampleBuffer
 from .errors import ConfigError
 
 BUILTIN_PROFILES = ("etsi_a", "etsi_c")
+# Far past any physical SNR; keeps the noise power, and the squared sums the
+# detectors form from it, finite (10 ** (snr_db / 10) overflows near 3083 dB).
+MAX_ABS_SNR_DB = 300
+# A phase of 2**52 cycles has no fractional part left in float64.
+MAX_ROTATION_CYCLES = 2.0 ** 52
+MAX_SHARED_ROTATION_LEN = 8192  # 128 KiB
 
 
 @dataclass(frozen=True)
@@ -43,32 +51,69 @@ class ChannelConfig:
         delays = [d for d, _ in taps]
         if delays[0] < 0 or any(b <= a for a, b in zip(delays, delays[1:])):
             raise ConfigError("tap delays must be non-negative and strictly increasing")
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ConfigError("snr_db must be finite or None (noiseless)")
+        if self.snr_db is not None and not -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB:
+            raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
+                              "or be None (noiseless)")
         if not np.isfinite(self.cfo_hz):
             raise ConfigError("cfo_hz must be finite")
         if self.timing_offset < 0:
             raise ConfigError("timing_offset cannot be negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
         object.__setattr__(self, "taps", taps)
+
+
+def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
+    """exp(+j*2*pi*cfo_hz*n*Ts) for n < length."""
+    cycles = abs(cfo_hz) * length / sample_rate
+    if not cycles < MAX_ROTATION_CYCLES:
+        raise ConfigError(f"cfo_hz {cfo_hz} turns {cycles:.3g} cycles over {length} samples "
+                          f"at {sample_rate} Hz; float64 keeps no phase past 2**52")
+    n = np.arange(length)
+    return np.exp(2j * np.pi * cfo_hz * n / sample_rate)
+
+
+# One slot: a Monte Carlo run rotates every trial by the same (length, cfo_hz,
+# sample_rate).
+@functools.lru_cache(maxsize=1)
+def _shared_rotation(length: int, cfo_hz: float, sample_rate: float, sign: float) -> np.ndarray:
+    """:func:`_rotation`, built once per key and read-only.
+
+    ``sign`` is ``copysign(1, cfo_hz)``. It only keys the cache: 0.0 == -0.0,
+    yet their rotations may differ in the sign of a zero.
+    """
+    rotation = _rotation(length, cfo_hz, sample_rate)
+    rotation.flags.writeable = False
+    return rotation
+
+
+def _rotate(x: np.ndarray, cfo_hz: float, sample_rate: float) -> np.ndarray:
+    # From 256 KiB up, numpy multiplies into a fresh temporary operand in place
+    # (operands swapped), which can change the last bit of a complex product.
+    # A fresh rotation gets that treatment and a shared one never does, so only
+    # rotations below that size are shared; results never depend on the cache.
+    if len(x) > MAX_SHARED_ROTATION_LEN:
+        return x * _rotation(len(x), cfo_hz, sample_rate)
+    return x * _shared_rotation(len(x), cfo_hz, sample_rate, math.copysign(1.0, cfo_hz))
+
+
+def _delay_sum(x: np.ndarray, taps) -> np.ndarray:
+    max_delay = max(d for d, _ in taps)
+    out = np.zeros(len(x) + max_delay, dtype=np.complex128)
+    for delay, gain in taps:
+        out[delay:delay + len(x)] += gain * x
+    return out
 
 
 def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
     """Rotate by exp(+j*2*pi*cfo_hz*n*Ts); magnitudes are preserved."""
-    x = signal.samples
-    n = np.arange(len(x))
-    rotated = x * np.exp(2j * np.pi * cfo_hz * n / signal.sample_rate)
-    return SampleBuffer(rotated, signal.sample_rate)
+    return SampleBuffer(_rotate(signal.samples, cfo_hz, signal.sample_rate), signal.sample_rate)
 
 
 def apply_multipath(signal: SampleBuffer, taps) -> SampleBuffer:
     """Sum of delayed, complex-weighted copies; output grows by the max delay."""
     taps = tuple((int(d), complex(g)) for d, g in taps)
-    x = signal.samples
-    max_delay = max(d for d, _ in taps)
-    out = np.zeros(len(x) + max_delay, dtype=np.complex128)
-    for delay, gain in taps:
-        out[delay:delay + len(x)] += gain * x
-    return SampleBuffer(out, signal.sample_rate)
+    return SampleBuffer(_delay_sum(signal.samples, taps), signal.sample_rate)
 
 
 def _noise(rng: np.random.Generator, count: int, power: float) -> np.ndarray:
@@ -107,17 +152,15 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> S
         x,
         np.zeros(tail_len, np.complex128),
     ])
-    out = apply_multipath(SampleBuffer(padded, preamble.sample_rate), cfg.taps)
-    out = apply_cfo(out, cfg.cfo_hz)
-    if cfg.snr_db is None:
-        return out
-    frame_power = float(np.mean(np.abs(x) ** 2))
-    if frame_power == 0.0:
-        raise ConfigError("cannot set an SNR on a zero-power frame")
-    rng = np.random.default_rng(cfg.seed)
-    noise_power = frame_power / 10 ** (cfg.snr_db / 10)
-    noisy = out.samples + _noise(rng, len(out), noise_power)
-    return SampleBuffer(noisy, out.sample_rate)
+    out = _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate)
+    if cfg.snr_db is not None:
+        frame_power = preamble.average_power
+        if frame_power == 0.0:
+            raise ConfigError("cannot set an SNR on a zero-power frame")
+        rng = np.random.default_rng(cfg.seed)
+        noise_power = frame_power / 10 ** (cfg.snr_db / 10)
+        out += _noise(rng, len(out), noise_power)
+    return SampleBuffer(out, preamble.sample_rate)
 
 
 def load_taps(path) -> tuple[tuple[int, complex], ...]:

@@ -33,6 +33,10 @@ from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
 
 DEFAULT_SEED = 0
+# Sample rates a file may be read at. Outside this range the 1/rate and
+# f*n/rate terms of the CFO rotations overflow float64.
+MIN_SAMPLE_RATE = 1.0
+MAX_SAMPLE_RATE = 1e15
 
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
@@ -69,6 +73,18 @@ def _at_least(minimum: int):
     return parse
 
 
+def _sample_rate(text: str) -> float:
+    """argparse type: a sample rate in [MIN_SAMPLE_RATE, MAX_SAMPLE_RATE] Hz."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not MIN_SAMPLE_RATE <= value <= MAX_SAMPLE_RATE:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{MIN_SAMPLE_RATE:g}, {MAX_SAMPLE_RATE:g}] Hz, got {value}")
+    return value
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         start, length = text.split(":")
@@ -93,7 +109,7 @@ def _add_channel_args(sub: argparse.ArgumentParser) -> None:
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--in", dest="infile", default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
-    sub.add_argument("--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE,
+    sub.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE,
                      help="sample rate in Hz for file input (default %(default)s)")
     sub.add_argument("--gap-len", type=_at_least(0), default=400, metavar="N",
                      help="idle samples after each generated frame (default %(default)s)")

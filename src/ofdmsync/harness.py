@@ -132,10 +132,13 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
     detect_cfg = FrameDetectConfig()
     results: dict[str, tuple[list[float], list[int], int]] = {
         stage: ([], [], 0) for stage in plan.stages}
-    windows = {
-        "time_sts": default_search_window(spec, "sts"),
-        "time_lts": default_search_window(spec, "lts"),
-    }
+    sync_cfgs = {}
+    for stage, template in (("time_sts", "sts"), ("time_lts", "lts")):
+        start, length = default_search_window(spec, template)
+        sync_cfgs[stage] = TimeSyncConfig(
+            template=template,
+            search_window=(start + plan.channel.timing_offset, length))
+    cfo_span = _sts_plateau(plan.channel, spec, detect_cfg.lag)
 
     for i in range(plan.n_trials):
         cfg = replace(plan.channel, seed=plan.base_seed + i)
@@ -150,17 +153,10 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
                     if not events:
                         raise _TrialFailure
                     value = float(events[0].start_index)
-                elif stage in ("time_sts", "time_lts"):
-                    template = "sts" if stage == "time_sts" else "lts"
-                    start, length = windows[stage]
-                    sync_cfg = TimeSyncConfig(
-                        template=template,
-                        search_window=(start + cfg.timing_offset, length))
-                    est = estimate_timing(rx, sync_cfg, spec)
-                    value = float(est.n_xc_max)
+                elif stage in sync_cfgs:
+                    value = float(estimate_timing(rx, sync_cfgs[stage], spec).n_xc_max)
                 else:  # cfo
-                    span = _sts_plateau(cfg, spec, detect_cfg.lag)
-                    value = estimate_cfo(rx, detect_cfg.lag, span).delta_f_hz
+                    value = estimate_cfo(rx, detect_cfg.lag, cfo_span).delta_f_hz
             except (_TrialFailure, EstimationError):
                 results[stage] = (values, indices, failures + 1)
                 continue

@@ -128,8 +128,30 @@ def generate_lts(spec: PreambleSpec = PreambleSpec()) -> SampleBuffer:
     return SampleBuffer(np.concatenate(parts), spec.sample_rate)
 
 
+# The last built preamble, as (spec content key, buffer); a miss replaces it.
+_memo: tuple[tuple, SampleBuffer] | None = None
+
+
+def _content_key(spec: PreambleSpec) -> tuple:
+    # Every field of PreambleSpec, arrays by their bytes (a spec's arrays
+    # can be edited in place, so the key is taken on each call).
+    return (spec.fft_size, spec.short_symbol_len, spec.short_repeats, spec.guard_len,
+            spec.long_symbol_len, spec.long_repeats, spec.sample_rate,
+            spec.short_freq.tobytes(), spec.long_freq.tobytes())
+
+
 def generate_preamble(spec: PreambleSpec = PreambleSpec()) -> SampleBuffer:
-    """Full training preamble (STS then LTS), scaled to unit average power."""
-    raw = np.concatenate([generate_sts(spec).samples, generate_lts(spec).samples])
-    rms = np.sqrt(np.mean(np.abs(raw) ** 2))
-    return SampleBuffer(raw / rms, spec.sample_rate)
+    """Full training preamble (STS then LTS), scaled to unit average power.
+
+    The last build is kept: a spec equal in content to the previous call's
+    gets the same buffer, whose samples are read-only. Copy them before editing.
+    """
+    global _memo
+    key = _content_key(spec)
+    if _memo is None or _memo[0] != key:
+        raw = np.concatenate([generate_sts(spec).samples, generate_lts(spec).samples])
+        rms = np.sqrt(np.mean(np.abs(raw) ** 2))
+        buf = SampleBuffer(raw / rms, spec.sample_rate)
+        buf.samples.flags.writeable = False
+        _memo = (key, buf)
+    return _memo[1]

@@ -52,14 +52,20 @@ class TimingEstimate:
     peak_magnitude: float
 
 
-def cross_correlate(r, template) -> np.ndarray:
-    """|Lambda[n]| with Lambda[n] = sum_m conj(c[m]) * r[n+m]."""
-    x = as_samples(r)
-    c = as_samples(template)
+def _output_length(x: np.ndarray, c: np.ndarray) -> int:
+    """Number of full-overlap alignments of template ``c`` on ``x``."""
     if len(c) < 1:
         raise SizingError("template is empty")
     if len(x) < len(c):
         raise SizingError(f"signal of {len(x)} samples is shorter than the {len(c)}-sample template")
+    return len(x) - len(c) + 1
+
+
+def cross_correlate(r, template) -> np.ndarray:
+    """|Lambda[n]| with Lambda[n] = sum_m conj(c[m]) * r[n+m]."""
+    x = as_samples(r)
+    c = as_samples(template)
+    _output_length(x, c)
     # np.correlate(x, c, 'valid')[n] == sum_m x[n+m] * conj(c[m])
     return np.abs(np.correlate(x, c, mode="valid"))
 
@@ -91,19 +97,22 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig(),
 
     Ties break to the lowest index. The returned ``n_xc_max`` is the
     alignment index plus the template length (the first sample after the
-    matched symbol).
+    matched symbol). Only the samples the window's alignments touch are
+    correlated; each output is the same dot product over the same memory as
+    in the full correlation, so the result is bit-identical to it.
     """
     template = training_template(spec, cfg.template)
-    magnitude = cross_correlate(r, template)
+    x = as_samples(r)
+    n_out = _output_length(x, template)
     window = cfg.search_window
     if window is None:
         window = default_search_window(spec, cfg.template)
     start, length = window
-    if start < 0 or start + length > len(magnitude):
+    if start < 0 or start + length > n_out:
         raise SizingError(
             f"search window [{start}, {start + length}) outside correlator output "
-            f"of length {len(magnitude)}")
-    local = int(np.argmax(magnitude[start:start + length]))
-    alignment = start + local
-    return TimingEstimate(n_xc_max=alignment + len(template),
-                          peak_magnitude=float(magnitude[alignment]))
+            f"of length {n_out}")
+    magnitude = cross_correlate(x[start:start + length + len(template) - 1], template)
+    local = int(np.argmax(magnitude))
+    return TimingEstimate(n_xc_max=start + local + len(template),
+                          peak_magnitude=float(magnitude[local]))

@@ -127,6 +127,41 @@ def test_transmit_tail_noise_floor(preamble):
         assert np.mean(np.abs(region) ** 2) == pytest.approx(0.1, rel=0.15)
 
 
+@pytest.mark.parametrize("taps", ["clean", "etsi_a", "etsi_c"])
+@pytest.mark.parametrize("snr_db", [None, 7.5])
+@pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3, -250e3])
+def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz):
+    from ofdmsync.channel import _noise
+    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17, seed=31,
+                        taps=((0, 1 + 0j),) if taps == "clean" else resolve_taps(taps))
+    padded = SampleBuffer(np.concatenate([np.zeros(17), preamble.samples, np.zeros(90)]),
+                          preamble.sample_rate)
+    faded = apply_multipath(padded, cfg.taps)
+    n = np.arange(len(faded))
+    rotated = faded.samples * np.exp(2j * np.pi * cfo_hz * n / faded.sample_rate)
+    want = apply_cfo(faded, cfo_hz).samples
+    assert np.array_equal(want.view(np.uint64), rotated.view(np.uint64))
+    if snr_db is not None:
+        power = preamble.average_power / 10 ** (snr_db / 10)
+        want = want + _noise(np.random.default_rng(31), len(want), power)
+    for _ in range(2):  # the second call reuses the cached rotation
+        got = transmit(preamble, cfg, tail_len=90).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("extra", [0, 1, 20000])
+def test_apply_cfo_matches_one_expression_at_any_length(rng, extra):
+    # x * exp(...) in one expression, as numpy evaluates it when the
+    # exponential is a temporary (in place from 256 KiB up).
+    from ofdmsync.channel import MAX_SHARED_ROTATION_LEN
+    buf = random_buffer(rng, MAX_SHARED_ROTATION_LEN + extra)
+    n = np.arange(len(buf))
+    want = buf.samples * np.exp(2j * np.pi * 51e3 * n / buf.sample_rate)
+    for _ in range(2):
+        got = apply_cfo(buf, 51e3).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_transmit_noiseless_tail_is_zeros(preamble):
     out = transmit(preamble, ChannelConfig(), tail_len=100).samples
     assert np.array_equal(out[320:], np.zeros(100))
@@ -145,6 +180,10 @@ def test_channel_config_validation():
         ChannelConfig(timing_offset=-4)
     with pytest.raises(ConfigError):
         ChannelConfig(snr_db=float("inf"))
+    with pytest.raises(ConfigError):
+        ChannelConfig(snr_db=3083.0)   # 10 ** 308.3 overflows
+    with pytest.raises(ConfigError):
+        ChannelConfig(seed=-1)         # default_rng takes no negative seed
 
 
 def test_load_taps_roundtrip(tmp_path):

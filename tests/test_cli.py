@@ -1,10 +1,15 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofdmsync
 from ofdmsync import read_iq
@@ -140,7 +145,8 @@ NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
     (["detect", "--frames", "0"], None, 2),
     (["channel", "--gap-len", "-1"], None, 2),
     (["detect", "--in", "IN"], NAN_IQ, 3),
-], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input"])
+    (["channel", "--snr-db", "3083"], None, 2),
+], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(words.tobytes())
@@ -206,3 +212,94 @@ def test_trials_byte_identical_reruns(tmp_path, capsys):
     for name in ("summary.csv", "time_sts_trials.csv", "time_lts_trials.csv",
                  "time_sts_histogram.csv", "time_lts_histogram.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+# --- exit-code fuzzing -------------------------------------------------------------
+
+def _number(draw, low, high, edges=()):
+    """An integer argument as text: mostly in [low, high], sometimes an edge value."""
+    return str(draw(st.sampled_from(edges) | st.integers(low, high) if edges
+                    else st.integers(low, high)))
+
+
+def _real(draw, low, high):
+    """A float argument as text, from [low, high] or anywhere (nan and inf included)."""
+    return repr(draw(st.floats(low, high) | st.floats()))
+
+
+def _fuzz_argv(draw, tmp: Path) -> list[str]:
+    """A random command line for one receiver stage, with its input files in ``tmp``.
+
+    Lengths and counts stay small enough to keep each run cheap; inputs
+    that would allocate gigabytes are not drawn. Values are joined to their
+    flags with ``=`` so that argparse reads ``-1e-05`` as a value, not a flag.
+    """
+    sub = draw(st.sampled_from(("detect", "timesync", "cfo", "channel")))
+    argv = [sub]
+    if draw(st.booleans()):
+        path = tmp / "in.iq"
+        n = draw(st.integers(0, 400))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        words = rng.standard_normal(2 * n).astype("<f4").tobytes()
+        if draw(st.booleans()):  # a capture that holds a frame
+            frame = ofdmsync.generate_preamble().samples[:n]
+            lead = draw(st.integers(0, max(n - len(frame), 0)))
+            samples = np.zeros(n, complex)
+            samples[lead:lead + len(frame)] = frame
+            interleaved = np.empty(2 * n, "<f4")
+            interleaved[0::2], interleaved[1::2] = samples.real, samples.imag
+            words = interleaved.tobytes()
+        if draw(st.booleans()):  # a torn final sample
+            words += bytes(draw(st.integers(1, 7)))
+        path.write_bytes(words)
+        argv.append(f"--in={path}")
+        if draw(st.booleans()):
+            argv.append("--sample-rate=" + _real(draw, 1e3, 1e9))
+    else:
+        argv.append("--gap-len=" + _number(draw, -3, 1200, (0, -1)))
+        argv.append("--timing-offset=" + _number(draw, -3, 1200, (0, -1)))
+    if draw(st.booleans()):
+        argv.append("--snr-db=" + draw(st.sampled_from(("none", "noiseless"))
+                                       | st.floats(-30, 60).map(repr) | st.floats().map(repr)))
+    if draw(st.booleans()):
+        argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5))
+    if draw(st.booleans()):
+        argv.append("--taps=" + draw(st.sampled_from(("etsi_a", "etsi_c", str(tmp / "no.taps")))))
+    argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1)))
+    if sub == "detect":
+        if not any(arg.startswith("--in=") for arg in argv):
+            argv.append("--frames=" + _number(draw, -1, 4, (0,)))
+        argv += ["--lag=" + _number(draw, -1, 600, (0, 1, 16)),
+                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32)),
+                 "--threshold=" + _real(draw, -0.5, 1.5),
+                 "--metric-mode=" + draw(st.sampled_from(("exact", "l1_approx")))]
+    elif sub == "timesync":
+        argv.append("--template=" + draw(st.sampled_from(("sts", "lts"))))
+        if draw(st.booleans()):
+            argv.append(f"--window={_number(draw, -50, 1500)}:{_number(draw, -2, 1500)}")
+            if draw(st.booleans()):
+                argv.append("--shift-window")
+    elif sub == "cfo":
+        argv.append("--lag=" + _number(draw, -1, 600, (0, 1, 16)))
+        if draw(st.booleans()):
+            argv.append(f"--out={tmp / 'fixed.iq'}")
+    else:
+        argv += [f"--out={tmp / 'rx.iq'}", "--format=" + draw(st.sampled_from(("iq", "csv")))]
+    if sub != "channel" and draw(st.booleans()):
+        argv.append(f"--trace={tmp / 'trace.csv'}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _fuzz_argv(data.draw, Path(tmp))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the arguments
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,12 @@ MULTIPATH_FOUR_STAGE = {
     "time_lts": (0, 0.029899999999999993),
     "cfo": (0, 10452457.03330435),
 }
+
+# sha256 over the emit_report files (sorted by name; name, NUL, bytes, NUL)
+# for the plan above and for a noiseless single-tap plan, written down before
+# the per-trial path was optimised: every report byte must stay the same.
+REPORT_SHA256_FOUR_STAGE = "c2152f6526f8ef26402b74314bb4b700b1e2a31618c722211dd75daa2f31b402"
+REPORT_SHA256_CLEAN = "65a5b5199c4384740d60807b36d74b61439ab0b39fb001deb4e3c3dcd7c5f5d2"
 
 
 def two_pass_variance(values):
@@ -151,6 +158,26 @@ def test_multipath_four_stage_regression():
         assert res[stage].variance == pytest.approx(sigma2, rel=1e-9)
 
 
+def report_sha256(plan, out_dir):
+    h = hashlib.sha256()
+    for path in sorted(emit_report(run_trials(plan), out_dir, plan)):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("plan, digest", [
+    (TrialPlan(n_trials=200, stages=("frame", "time_sts", "time_lts", "cfo"),
+               channel=ChannelConfig(snr_db=10.0, cfo_hz=100e3, timing_offset=30,
+                                     taps=resolve_taps("etsi_c"))),
+     REPORT_SHA256_FOUR_STAGE),
+    (TrialPlan(n_trials=50, stages=("frame", "time_sts", "time_lts", "cfo"),
+               channel=ChannelConfig(cfo_hz=-75e3, timing_offset=13)),
+     REPORT_SHA256_CLEAN),
+], ids=["etsi_c-four-stage", "clean-noiseless"])
+def test_report_bytes_pinned(plan, digest, tmp_path):
+    assert report_sha256(plan, tmp_path) == digest
+
+
 def test_frame_stage_counts_failures_when_nothing_detected():
     # at 0 dB the exact metric plateaus near 0.25, below the 0.5 threshold
     plan = TrialPlan(n_trials=20, channel=ChannelConfig(snr_db=0.0),
@@ -168,6 +195,8 @@ def test_plan_validation():
         TrialPlan(stages=("nope",))
     with pytest.raises(ConfigError):
         TrialPlan(gap_len=-1)
+    with pytest.raises(ConfigError, match="seed cannot be negative"):
+        run_trials(TrialPlan(n_trials=1, base_seed=-1))
 
 
 # --- preamble_train ---------------------------------------------------------------

@@ -106,3 +106,72 @@ def test_default_lengths_sum_to_320(spec):
     assert spec.short_repeats * spec.short_symbol_len + spec.guard_len \
         + spec.long_repeats * spec.long_symbol_len == 320
     assert spec.total_len == 320
+
+
+# --- memoised build ------------------------------------------------------------
+
+def test_preamble_samples_are_read_only(spec):
+    samples = generate_preamble(spec).samples
+    with pytest.raises(ValueError):
+        samples[0] = 0
+    with pytest.raises(ValueError):
+        samples *= 2
+
+
+def test_equal_specs_share_one_build(spec):
+    a = generate_preamble(spec)
+    b = generate_preamble(PreambleSpec())
+    assert b is a
+    assert np.array_equal(a.samples.view(np.uint64), b.samples.view(np.uint64))
+
+
+def test_cached_preamble_equals_a_fresh_build(spec):
+    raw = np.concatenate([generate_sts(spec).samples, generate_lts(spec).samples])
+    fresh = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
+    for _ in range(2):  # the first call may build, the second is served from the memo
+        cached = generate_preamble(spec).samples
+        assert np.array_equal(cached.view(np.uint64), fresh.view(np.uint64))
+
+
+def _flipped(freq, index):
+    out = np.array(freq)
+    out[index] = -out[index]
+    return out
+
+
+@pytest.mark.parametrize("changes", [
+    {"fft_size": 128, "short_freq": np.pad(SHORT_TRAINING_FREQ, 32),
+     "long_freq": np.pad(LONG_TRAINING_FREQ, 32)},
+    {"guard_len": 16},
+    {"sample_rate": 10e6},
+    {"long_freq": _flipped(LONG_TRAINING_FREQ, 6)},
+    {"short_freq": _flipped(SHORT_TRAINING_FREQ, 8)},
+    {"short_symbol_len": 32},
+    {"short_repeats": 5},
+    {"long_symbol_len": 32},
+    {"long_repeats": 3},
+], ids=lambda changes: next(iter(changes)))
+def test_spec_differing_in_one_field_gets_its_own_build(spec, changes):
+    other = PreambleSpec(**changes)
+    built = generate_preamble(other)
+    assert built is not generate_preamble(spec)
+    raw = np.concatenate([generate_sts(other).samples, generate_lts(other).samples])
+    assert np.array_equal(built.samples, raw / np.sqrt(np.mean(np.abs(raw) ** 2)))
+    assert built.sample_rate == other.sample_rate
+
+
+def test_spec_edited_in_place_is_rebuilt():
+    spec = PreambleSpec()
+    before = generate_preamble(spec).samples
+    spec.long_freq[6] = -spec.long_freq[6]
+    after = generate_preamble(spec).samples
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, generate_preamble(PreambleSpec(long_freq=spec.long_freq)).samples)
+
+
+def test_a_different_spec_replaces_the_memo(spec):
+    first = generate_preamble(spec)
+    generate_preamble(PreambleSpec(sample_rate=10e6))
+    again = generate_preamble(spec)
+    assert again is not first  # rebuilt, not kept beside the other spec
+    assert again.samples.tobytes() == first.samples.tobytes()

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import (SampleBuffer, SizingError, TimeSyncConfig, cross_correlate,
                       estimate_timing, training_template)
@@ -134,3 +138,64 @@ def test_tie_break_lowest_index(spec, preamble):
     full = (0, len(buf) - sym + 1)
     est = estimate_timing(buf, TimeSyncConfig(template="sts", search_window=full), spec)
     assert est.n_xc_max == sym  # alignment 0 + template length
+
+
+# --- windowed correlation equals the full correlation -------------------------
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_windowed_estimate_matches_full_correlation(spec, preamble, data):
+    template = data.draw(st.sampled_from(("sts", "lts")), label="template")
+    sym = len(training_template(spec, template))
+    n = data.draw(st.integers(sym, 900), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = data.draw(st.floats(0, 2), label="noise") * (rng.standard_normal(n)
+                                                       + 1j * rng.standard_normal(n))
+    offset = data.draw(st.integers(0, n), label="frame_offset")
+    frame = preamble.samples[: n - offset]
+    x[offset: offset + len(frame)] += frame
+    n_out = n - sym + 1
+    start = data.draw(st.sampled_from((0, n_out - 1)) | st.integers(0, n_out - 1),
+                      label="start")
+    length = data.draw(st.sampled_from((n_out - start,)) | st.integers(1, n_out - start),
+                       label="length")
+    signal = SampleBuffer(x) if data.draw(st.booleans(), label="buffer") else x
+
+    est = estimate_timing(signal, TimeSyncConfig(template=template,
+                                                 search_window=(start, length)), spec)
+    full = cross_correlate(x, training_template(spec, template))[start:start + length]
+    local = int(np.argmax(full))
+    assert est.n_xc_max == start + local + sym
+    assert _bits(est.peak_magnitude) == _bits(full[local])
+
+
+@pytest.mark.parametrize("template", ["sts", "lts"])
+@pytest.mark.parametrize("n, start_of, length", [
+    (400, lambda n_out: -1, 10),
+    (400, lambda n_out: n_out - 5, 6),
+    (400, lambda n_out: 0, 1000),
+    (400, lambda n_out: n_out, 1),
+])
+def test_window_out_of_range_message(spec, template, n, start_of, length):
+    sym = len(training_template(spec, template))
+    n_out = n - sym + 1
+    start = start_of(n_out)
+    cfg = TimeSyncConfig(template=template, search_window=(start, length))
+    message = (f"search window [{start}, {start + length}) outside correlator output "
+               f"of length {n_out}")
+    with pytest.raises(SizingError, match=re.escape(message)):
+        estimate_timing(np.zeros(n, complex), cfg, spec)
+
+
+@pytest.mark.parametrize("template", ["sts", "lts"])
+def test_signal_shorter_than_template_message(spec, template):
+    sym = len(training_template(spec, template))
+    message = f"signal of {sym - 1} samples is shorter than the {sym}-sample template"
+    for window in (None, (0, 1)):
+        cfg = TimeSyncConfig(template=template, search_window=window)
+        with pytest.raises(SizingError, match=re.escape(message)):
+            estimate_timing(np.ones(sym - 1, complex), cfg, spec)
