@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import apply_cfo
 from .core import SampleBuffer
 from .errors import EstimationError, SizingError
 from .frame_detect import FrameEvent, autocorrelation
@@ -56,10 +57,7 @@ def estimate_cfo(r: SampleBuffer, lag: int = 16,
 
 def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:
     """De-rotate: out[n] = in[n] * exp(-j*2*pi*delta_f_hz*n*Ts)."""
-    x = r.samples
-    n = np.arange(len(x))
-    return SampleBuffer(x * np.exp(-2j * np.pi * delta_f_hz * n / r.sample_rate),
-                        r.sample_rate)
+    return apply_cfo(r, -delta_f_hz)
 
 
 def plateau_from_event(event: FrameEvent, lag: int = 16) -> tuple[int, int]:

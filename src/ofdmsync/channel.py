@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SampleBuffer
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError
 
 BUILTIN_PROFILES = ("etsi_a", "etsi_c")
@@ -56,8 +56,9 @@ class ChannelConfig:
                               "or be None (noiseless)")
         if not np.isfinite(self.cfo_hz):
             raise ConfigError("cfo_hz must be finite")
-        if self.timing_offset < 0:
-            raise ConfigError("timing_offset cannot be negative")
+        if not 0 <= self.timing_offset <= MAX_GENERATED_SAMPLES:
+            raise ConfigError(f"timing_offset must lie in [0, {MAX_GENERATED_SAMPLES}], "
+                              f"got {self.timing_offset}")
         if self.seed < 0:
             raise ConfigError(f"seed cannot be negative, got {self.seed}")
         object.__setattr__(self, "taps", taps)
@@ -121,6 +122,14 @@ def _noise(rng: np.random.Generator, count: int, power: float) -> np.ndarray:
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
 
 
+def _add_noise(x: np.ndarray, reference_power: float, snr_db: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """x plus noise at ``snr_db`` below ``reference_power``."""
+    if reference_power == 0.0:
+        raise ConfigError("cannot set an SNR on a zero-power signal")
+    return x + _noise(rng, len(x), reference_power / 10 ** (snr_db / 10))
+
+
 def add_awgn(signal: SampleBuffer, snr_db: float | None, seed=0) -> SampleBuffer:
     """Add circularly-symmetric Gaussian noise at the requested SNR.
 
@@ -129,13 +138,9 @@ def add_awgn(signal: SampleBuffer, snr_db: float | None, seed=0) -> SampleBuffer
     """
     if snr_db is None:
         return signal
-    x = signal.samples
-    sig_power = float(np.mean(np.abs(x) ** 2)) if len(x) else 0.0
-    if sig_power == 0.0:
-        raise ConfigError("cannot set an SNR on a zero-power signal")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise_power = sig_power / 10 ** (snr_db / 10)
-    return SampleBuffer(x + _noise(rng, len(x), noise_power), signal.sample_rate)
+    return SampleBuffer(_add_noise(signal.samples, signal.average_power, snr_db, rng),
+                        signal.sample_rate)
 
 
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> SampleBuffer:
@@ -154,12 +159,8 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> S
     ])
     out = _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate)
     if cfg.snr_db is not None:
-        frame_power = preamble.average_power
-        if frame_power == 0.0:
-            raise ConfigError("cannot set an SNR on a zero-power frame")
-        rng = np.random.default_rng(cfg.seed)
-        noise_power = frame_power / 10 ** (cfg.snr_db / 10)
-        out += _noise(rng, len(out), noise_power)
+        out = _add_noise(out, preamble.average_power, cfg.snr_db,
+                         np.random.default_rng(cfg.seed))
     return SampleBuffer(out, preamble.sample_rate)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import ChannelConfig, resolve_taps, transmit
-from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
+from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
 from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics,
                            detect_frames)
@@ -60,15 +60,16 @@ def _parse_snr(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _count(minimum: int):
+    """argparse type: an integer in [minimum, MAX_GENERATED_SAMPLES]."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if not minimum <= value <= MAX_GENERATED_SAMPLES:
+            raise argparse.ArgumentTypeError(
+                f"must lie in [{minimum}, {MAX_GENERATED_SAMPLES}], got {value}")
         return value
     return parse
 
@@ -102,7 +103,7 @@ def _add_channel_args(sub: argparse.ArgumentParser) -> None:
                      help="carrier frequency offset in Hz (default %(default)s)")
     sub.add_argument("--taps", default=None, metavar="FILE|NAME",
                      help="tap profile file, or built-in name (etsi_a, etsi_c)")
-    sub.add_argument("--timing-offset", type=int, default=0, metavar="N",
+    sub.add_argument("--timing-offset", type=_count(0), default=0, metavar="N",
                      help="lead samples before the frame (default %(default)s)")
 
 
@@ -111,7 +112,7 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
                      help="read IQ samples from FILE instead of generating a frame")
     sub.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE,
                      help="sample rate in Hz for file input (default %(default)s)")
-    sub.add_argument("--gap-len", type=_at_least(0), default=400, metavar="N",
+    sub.add_argument("--gap-len", type=_count(0), default=400, metavar="N",
                      help="idle samples after each generated frame (default %(default)s)")
     _add_channel_args(sub)
 
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run frame detection")
     _add_input_args(p)
-    p.add_argument("--frames", type=_at_least(1), default=1,
+    p.add_argument("--frames", type=_count(1), default=1,
                    help="number of repeated frames when generating input (default 1)")
     p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
     p.add_argument("--threshold", type=float, default=0.5,

@@ -9,6 +9,9 @@ import numpy as np
 from .errors import ConfigError
 
 DEFAULT_SAMPLE_RATE = 20e6  # Hz
+# Upper bound on each generated stretch (lead, gap, frame train): 256 MiB of
+# complex128. Larger requests are rejected before anything is allocated.
+MAX_GENERATED_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cfo import estimate_cfo
 from .channel import ChannelConfig, resolve_taps, transmit
-from .core import SampleBuffer
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError
 from .frame_detect import FrameDetectConfig, detect_frames
 from .preamble import PreambleSpec, generate_preamble
@@ -51,8 +51,9 @@ class TrialPlan:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
         if not stages:
             raise ConfigError("at least one stage is required")
-        if self.gap_len < 0:
-            raise ConfigError("gap length cannot be negative")
+        if not 0 <= self.gap_len <= MAX_GENERATED_SAMPLES:
+            raise ConfigError(f"gap_len must lie in [0, {MAX_GENERATED_SAMPLES}], "
+                              f"got {self.gap_len}")
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "gap_len", int(self.gap_len))
 
@@ -99,6 +100,10 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> Sa
     The gaps are silent at the transmitter; they pick up noise in the
     channel like the rest of the stream.
     """
+    total = count * (len(preamble) + gap_len)
+    if total > MAX_GENERATED_SAMPLES:
+        raise ConfigError(f"{count} frames with {gap_len}-sample gaps make {total} samples, "
+                          f"more than {MAX_GENERATED_SAMPLES}")
     gap = np.zeros(gap_len, np.complex128)
     return SampleBuffer(np.concatenate([preamble.samples, gap] * count), preamble.sample_rate)
 

@@ -72,6 +72,18 @@ def test_correct_inverts_apply(rng):
     assert np.max(np.abs(back.samples - buf.samples)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1, 8192, 28192])
+@pytest.mark.parametrize("delta_f_hz", [0.0, -0.0, 99e3, -625e3, 5e-300])
+def test_correct_matches_one_expression(rng, n, delta_f_hz):
+    # x * exp(-j*2*pi*f*n*Ts) as one expression: the de-rotation as documented
+    buf = random_buffer(rng, n)
+    k = np.arange(n)
+    want = buf.samples * np.exp(-2j * np.pi * delta_f_hz * k / buf.sample_rate)
+    for _ in range(2):  # the second call may reuse a cached rotation
+        got = correct_cfo(buf, delta_f_hz).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_correct_preserves_magnitudes(rng):
     buf = random_buffer(rng, 256)
     out = correct_cfo(buf, 99e3)

@@ -5,6 +5,7 @@ from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, add_awgn,
                       apply_cfo, apply_multipath, generate_preamble, load_taps,
                       transmit)
 from ofdmsync.channel import BUILTIN_PROFILES, profile_path, resolve_taps
+from ofdmsync.core import MAX_GENERATED_SAMPLES
 
 from conftest import random_buffer
 
@@ -178,6 +179,8 @@ def test_channel_config_validation():
         ChannelConfig(taps=((-1, 1.0),))
     with pytest.raises(ConfigError):
         ChannelConfig(timing_offset=-4)
+    with pytest.raises(ConfigError):
+        ChannelConfig(timing_offset=MAX_GENERATED_SAMPLES + 1)
     with pytest.raises(ConfigError):
         ChannelConfig(snr_db=float("inf"))
     with pytest.raises(ConfigError):

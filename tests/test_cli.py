@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ofdmsync
 from ofdmsync import read_iq
 from ofdmsync.cli import main
+from ofdmsync.core import MAX_GENERATED_SAMPLES
 
 SUBCOMMANDS = ("preamble", "channel", "detect", "timesync", "cfo", "trials")
 
@@ -146,7 +147,11 @@ NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
     (["channel", "--gap-len", "-1"], None, 2),
     (["detect", "--in", "IN"], NAN_IQ, 3),
     (["channel", "--snr-db", "3083"], None, 2),
-], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr"])
+    (["detect", "--timing-offset", str(10**15)], None, 2),
+    (["detect", "--frames", "60000"], None, 2),
+    (["timesync", "--gap-len", str(10**15)], None, 2),
+], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
+        "huge-offset", "huge-train", "huge-gap"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(words.tobytes())
@@ -222,6 +227,16 @@ def _number(draw, low, high, edges=()):
                     else st.integers(low, high)))
 
 
+def _size(draw, low, high, edges=(), huge_from=MAX_GENERATED_SAMPLES + 1):
+    """A length or count as text: small, or from ``huge_from`` up to 10**15.
+
+    Sizes in between would allocate hundreds of megabytes, so they are not drawn.
+    """
+    if draw(st.booleans()):
+        return _number(draw, low, high, edges)
+    return str(draw(st.integers(huge_from, 10**15)))
+
+
 def _real(draw, low, high):
     """A float argument as text, from [low, high] or anywhere (nan and inf included)."""
     return repr(draw(st.floats(low, high) | st.floats()))
@@ -230,9 +245,10 @@ def _real(draw, low, high):
 def _fuzz_argv(draw, tmp: Path) -> list[str]:
     """A random command line for one receiver stage, with its input files in ``tmp``.
 
-    Lengths and counts stay small enough to keep each run cheap; inputs
-    that would allocate gigabytes are not drawn. Values are joined to their
-    flags with ``=`` so that argparse reads ``-1e-05`` as a value, not a flag.
+    Lengths and counts are either small, which keeps each run cheap, or too
+    large to generate, which must be rejected before anything is allocated.
+    Values are joined to their flags with ``=`` so that argparse reads
+    ``-1e-05`` as a value, not a flag.
     """
     sub = draw(st.sampled_from(("detect", "timesync", "cfo", "channel")))
     argv = [sub]
@@ -256,8 +272,8 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
         if draw(st.booleans()):
             argv.append("--sample-rate=" + _real(draw, 1e3, 1e9))
     else:
-        argv.append("--gap-len=" + _number(draw, -3, 1200, (0, -1)))
-        argv.append("--timing-offset=" + _number(draw, -3, 1200, (0, -1)))
+        argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1)))
+        argv.append("--timing-offset=" + _size(draw, -3, 1200, (0, -1)))
     if draw(st.booleans()):
         argv.append("--snr-db=" + draw(st.sampled_from(("none", "noiseless"))
                                        | st.floats(-30, 60).map(repr) | st.floats().map(repr)))
@@ -268,7 +284,9 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
     argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1)))
     if sub == "detect":
         if not any(arg.startswith("--in=") for arg in argv):
-            argv.append("--frames=" + _number(draw, -1, 4, (0,)))
+            # from MAX // 320 + 1 frames up, even a gapless train is too long
+            argv.append("--frames=" + _size(draw, -1, 4, (0,),
+                                            huge_from=MAX_GENERATED_SAMPLES // 320 + 1))
         argv += ["--lag=" + _number(draw, -1, 600, (0, 1, 16)),
                  "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32)),
                  "--threshold=" + _real(draw, -0.5, 1.5),

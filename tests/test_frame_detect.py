@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import (FrameDetectConfig, SampleBuffer, SizingError, add_awgn,
                       autocorrelation, detect_frames, detection_metric,
@@ -19,6 +21,21 @@ def direct_autocorrelation(x, lag, window):
             acc += x[n + m] * np.conj(x[n + m + lag])
         out[n] = acc
     return out
+
+
+def scan_runs(metric, threshold, min_plateau):
+    """Per-sample run scan: every maximal run above threshold of at least min_plateau."""
+    events, start = [], None
+    for n, value in enumerate(list(metric) + [-np.inf]):
+        if value > threshold:
+            if start is None:
+                start, peak = n, value
+            peak = max(peak, value)
+        elif start is not None:
+            if n - start >= min_plateau:
+                events.append((start, n - 1, float(peak)))
+            start = None
+    return events
 
 
 def direct_power(x, lag, window):
@@ -194,3 +211,96 @@ def test_streaming_matches_batch(preamble, chunk_len):
         [(e.start_index, e.end_index) for e in batch]
     for a, b in zip(got, batch):
         assert a.peak_metric == pytest.approx(b.peak_metric, rel=1e-12)
+
+
+# Complex values whose magnitudes are integers (np.abs rounds through hypot
+# otherwise), so that |x|^2 and every product x[n] * conj(x[n + lag]) are exact.
+EXACT_VALUES = np.array([0, 1, -1, 2, -2, 1j, -1j, 2j, -2j, 3 + 4j, 4 - 3j, -3 - 4j, -4 + 3j])
+
+
+@st.composite
+def exact_signals(draw):
+    """Noise overwritten by pieces of a period-16 tone at random gains, from EXACT_VALUES.
+
+    Every window sum of such a signal is an exact float64 integer wherever
+    its cumulative sum starts, so any chunking computes the metric of the
+    whole stream bit for bit and the events must match exactly.
+    """
+    n = draw(st.integers(0, 1500))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from((0, 1, 2))) * gen.choice(EXACT_VALUES[:7], n)
+    tone = np.tile(gen.choice(EXACT_VALUES, 16), 10)
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(1, len(tone)))
+        at = draw(st.integers(0, max(n - length, 0)))
+        piece = tone[:min(length, n - at)]
+        x[at:at + len(piece)] = draw(st.sampled_from((1, 4, 30))) * piece
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=exact_signals(), scale=st.floats(1e-3, 1e3), min_plateau=st.integers(1, 100),
+       metric_mode=st.sampled_from(("exact", "l1_approx")))
+def test_detect_frames_equals_a_per_sample_run_scan(x, scale, min_plateau, metric_mode):
+    x = scale * x
+    cfg = FrameDetectConfig(min_plateau=min_plateau, metric_mode=metric_mode)
+    got = [(e.start_index, e.end_index, e.peak_metric) for e in detect_frames(x, cfg)]
+    if len(x) < cfg.lag + cfg.window:
+        assert got == []
+        return
+    _, _, metric = compute_metrics(x, cfg)
+    assert got == scan_runs(metric, cfg.threshold, min_plateau)
+
+
+def _stream(x, sizes, cfg=FrameDetectConfig()):
+    """Events per process call, cycling through chunk ``sizes``, and the events of flush."""
+    detector = StreamingFrameDetector(cfg)
+    calls, at, k = [], 0, 0
+    while at < len(x):
+        size = sizes[k % len(sizes)]
+        calls.append(detector.process(x[at:at + size]))
+        at, k = at + size, k + 1
+    return calls, detector.flush()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=exact_signals(), min_plateau=st.integers(1, 100), data=st.data())
+def test_any_chunking_finds_the_batch_events(x, min_plateau, data):
+    cfg = FrameDetectConfig(min_plateau=min_plateau)
+    sizes = data.draw(st.lists(st.integers(1, max(len(x), 1)), min_size=1, max_size=60))
+    calls, flushed = _stream(x, sizes, cfg)
+    assert [e for found in calls for e in found] + flushed == detect_frames(x, cfg)
+
+
+def _tone(periods):
+    return np.tile(EXACT_VALUES[[1, 9, 6, 3] * 4], periods)
+
+
+def test_run_crossing_chunk_edges_is_reported_once():
+    x = np.concatenate([np.zeros(200), _tone(10), np.zeros(300)])
+    [event] = detect_frames(x)
+    calls, flushed = _stream(x, [7])
+    assert event.end_index // 7 - event.start_index // 7 > 10
+    assert [e for found in calls for e in found] == [event]
+    assert flushed == []
+
+
+def test_run_open_at_end_of_stream_is_closed_by_flush():
+    x = np.concatenate([np.zeros(100), _tone(10)])
+    [event] = detect_frames(x)
+    assert event.end_index == len(x) - 32  # the last metric index
+    calls, flushed = _stream(x, [9])
+    assert all(found == [] for found in calls)
+    assert flushed == [event]
+
+
+def test_short_run_split_across_chunks_is_dropped():
+    x = np.concatenate([_tone(2), np.zeros(400)])
+    [short] = detect_frames(x, FrameDetectConfig(min_plateau=1))
+    length = short.end_index - short.start_index + 1
+    assert 1 < length < 32
+    for size in (1, 3, length // 2):
+        calls, flushed = _stream(x, [size], FrameDetectConfig(min_plateau=length + 1))
+        assert [e for found in calls for e in found] + flushed == []
+        calls, flushed = _stream(x, [size], FrameDetectConfig(min_plateau=length))
+        assert [e for found in calls for e in found] + flushed == [short]

@@ -7,6 +7,7 @@ import pytest
 from ofdmsync import (ChannelConfig, ConfigError, TrialPlan, emit_report,
                       load_plan, preamble_train, run_trials, variance)
 from ofdmsync.channel import resolve_taps
+from ofdmsync.core import MAX_GENERATED_SAMPLES
 
 # Frozen regression values for the seeded Monte Carlo runs below (numpy
 # Generator streams are stability-guaranteed, so these reproduce bit-for-bit
@@ -195,6 +196,8 @@ def test_plan_validation():
         TrialPlan(stages=("nope",))
     with pytest.raises(ConfigError):
         TrialPlan(gap_len=-1)
+    with pytest.raises(ConfigError, match="gap_len must lie in"):
+        TrialPlan(gap_len=MAX_GENERATED_SAMPLES + 1)
     with pytest.raises(ConfigError, match="seed cannot be negative"):
         run_trials(TrialPlan(n_trials=1, base_seed=-1))
 
@@ -206,6 +209,8 @@ def test_preamble_train_layout(preamble):
     assert len(train) == 3 * 420
     assert np.array_equal(train.samples[:320], preamble.samples)
     assert np.array_equal(train.samples[320:420], np.zeros(100))
+    with pytest.raises(ConfigError, match="more than"):
+        preamble_train(preamble, MAX_GENERATED_SAMPLES // 420 + 1, 100)
 
 
 # --- reports and plan files ---------------------------------------------------------
@@ -289,3 +294,7 @@ def test_load_plan_errors(tmp_path):
     bad.write_text("n_trials five\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_plan(bad)
+    for key in ("timing_offset", "gap_len"):
+        bad.write_text(f"{key} = {10**15}\n")
+        with pytest.raises(ConfigError, match=f"{key} must lie in"):
+            load_plan(bad)
