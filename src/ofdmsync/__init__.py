@@ -19,15 +19,15 @@ from .frame_detect import (FrameDetectConfig, FrameEvent, StreamingFrameDetector
 from .harness import (TrialPlan, TrialStatistics, emit_report, load_plan,
                       preamble_train, run_trials, variance)
 from .iqfile import read_csv, read_iq, write_csv, write_iq
-from .preamble import (LONG_TRAINING_FREQ, SHORT_TRAINING_FREQ, PreambleSpec,
-                       generate_lts, generate_preamble, generate_sts, inverse_dft)
+from .preamble import (LONG_TRAINING_FREQ, SHORT_TRAINING_FREQ, generate_lts,
+                       generate_preamble, generate_sts, inverse_dft)
 from .time_sync import (TimeSyncConfig, TimingEstimate, cross_correlate,
                         estimate_timing, training_template)
 
 __all__ = [
     "CfoEstimate", "ChannelConfig", "ConfigError", "DEFAULT_SAMPLE_RATE",
     "EstimationError", "FrameDetectConfig", "FrameEvent", "IqFormatError",
-    "LONG_TRAINING_FREQ", "OfdmSyncError", "PreambleSpec", "SHORT_TRAINING_FREQ",
+    "LONG_TRAINING_FREQ", "OfdmSyncError", "SHORT_TRAINING_FREQ",
     "SampleBuffer", "SizingError", "StreamingFrameDetector", "TimeSyncConfig",
     "TimingEstimate", "TrialPlan", "TrialStatistics", "add_awgn", "apply_cfo",
     "apply_multipath", "autocorrelation", "correct_cfo", "cross_correlate",

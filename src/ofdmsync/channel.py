@@ -112,8 +112,12 @@ def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
 
 
 def apply_multipath(signal: SampleBuffer, taps) -> SampleBuffer:
-    """Sum of delayed, complex-weighted copies; output grows by the max delay."""
-    taps = tuple((int(d), complex(g)) for d, g in taps)
+    """Sum of delayed, complex-weighted copies; output grows by the max delay.
+
+    ``taps`` follows the :class:`ChannelConfig` rule: at least one tap, delays
+    non-negative and strictly increasing.
+    """
+    taps = ChannelConfig(taps=taps).taps
     return SampleBuffer(_delay_sum(signal.samples, taps), signal.sample_rate)
 
 

@@ -28,7 +28,7 @@ from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics,
                            detect_frames)
 from .harness import emit_report, load_plan, preamble_train, run_trials
 from .iqfile import read_iq, write_csv, write_iq
-from .preamble import PreambleSpec, generate_preamble
+from .preamble import generate_preamble
 from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
 
@@ -126,7 +126,7 @@ def _channel_config(args) -> ChannelConfig:
 def _input_buffer(args) -> SampleBuffer:
     if args.infile:
         return read_iq(args.infile, args.sample_rate)
-    pre = generate_preamble(PreambleSpec())
+    pre = generate_preamble()
     return transmit(pre, _channel_config(args), tail_len=args.gap_len)
 
 
@@ -135,7 +135,7 @@ def _write_output(buf: SampleBuffer, path, fmt: str) -> None:
 
 
 def cmd_preamble(args) -> int:
-    buf = generate_preamble(PreambleSpec())
+    buf = generate_preamble()
     _write_output(buf, args.out, args.format)
     print(f"wrote {len(buf)} samples to {args.out} ({args.format}), "
           f"average power {buf.average_power:.9f}, duration {buf.duration * 1e6:.1f} us")
@@ -144,7 +144,7 @@ def cmd_preamble(args) -> int:
 
 def cmd_channel(args) -> int:
     source = (read_iq(args.infile, args.sample_rate) if args.infile
-              else generate_preamble(PreambleSpec()))
+              else generate_preamble())
     out = transmit(source, _channel_config(args), tail_len=args.gap_len)
     _write_output(out, args.out, args.format)
     snr = "noiseless" if args.snr_db is None else f"{args.snr_db} dB"
@@ -157,7 +157,7 @@ def cmd_detect(args) -> int:
     if args.infile:
         buf = _input_buffer(args)
     else:
-        pre = generate_preamble(PreambleSpec())
+        pre = generate_preamble()
         frame = (pre if args.frames == 1 else
                  preamble_train(pre, args.frames, args.gap_len))
         buf = transmit(frame, _channel_config(args), tail_len=args.gap_len)
@@ -188,22 +188,21 @@ def _write_detect_trace(buf, cfg, path) -> None:
 
 def cmd_timesync(args) -> int:
     buf = _input_buffer(args)
-    spec = PreambleSpec()
     window = args.window
     if window is not None:
         window = (window[0] + args.timing_offset, window[1]) if args.shift_window else window
     elif args.timing_offset and not args.infile:
-        start, length = default_search_window(spec, args.template)
+        start, length = default_search_window(args.template)
         window = (start + args.timing_offset, length)
     cfg = TimeSyncConfig(template=args.template, search_window=window)
-    est = estimate_timing(buf, cfg, spec)
+    est = estimate_timing(buf, cfg)
     error = ""
     if not args.infile:
         # generated input: the true delay is known, so report the error too
-        truth = default_expected_peak(spec, args.template) + args.timing_offset
+        truth = default_expected_peak(args.template) + args.timing_offset
         error = f", error {est.n_xc_max - truth:+d}"
     if args.trace:
-        mag = cross_correlate(buf, training_template(spec, args.template))
+        mag = cross_correlate(buf, training_template(args.template))
         lines = ["n,lambda_abs"] + [f"{n},{float(v)!r}" for n, v in enumerate(mag)]
         Path(args.trace).write_text("\n".join(lines) + "\n")
     print(f"timing: n_xc_max {est.n_xc_max}, peak magnitude {est.peak_magnitude:.6f} "

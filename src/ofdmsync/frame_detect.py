@@ -87,7 +87,7 @@ def signal_power(r, lag: int = 16, window: int = 16) -> np.ndarray:
     if len(x) < lag + window:
         raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
     magnitudes = np.abs(x[lag:]) ** 2
-    return sliding_sum(magnitudes, window)[: len(x) - lag - window + 1]
+    return sliding_sum(magnitudes, window)
 
 
 def detection_metric(R: np.ndarray, P: np.ndarray, mode: str = "exact") -> np.ndarray:

@@ -19,7 +19,7 @@ from .channel import ChannelConfig, resolve_taps, transmit
 from .core import MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError
 from .frame_detect import FrameDetectConfig, detect_frames
-from .preamble import PreambleSpec, generate_preamble
+from .preamble import STS_LEN, generate_preamble
 from .time_sync import TimeSyncConfig, default_search_window, estimate_timing
 
 STAGES = ("frame", "time_sts", "time_lts", "cfo")
@@ -108,18 +108,17 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> Sa
     return SampleBuffer(np.concatenate([preamble.samples, gap] * count), preamble.sample_rate)
 
 
-def _sts_plateau(cfg: ChannelConfig, spec: PreambleSpec, lag: int) -> tuple[int, int]:
+def _sts_plateau(cfg: ChannelConfig, lag: int) -> tuple[int, int]:
     # Every index whose correlation windows sit fully inside the short training.
     start = cfg.timing_offset
-    return start, start + spec.sts_len - 2 * lag + 1
+    return start, start + STS_LEN - 2 * lag + 1
 
 
 class _TrialFailure(Exception):
     """Internal: the stage produced no detection for this trial."""
 
 
-def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
-               ) -> dict[str, TrialStatistics]:
+def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     """Run the plan and return statistics per requested stage.
 
     Per trial: transmit the preamble through the channel (seed base_seed+i),
@@ -133,17 +132,17 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
     Trials with nothing to record count as failures for that stage, and the
     statistics cover the successes only.
     """
-    pre = generate_preamble(spec)
+    pre = generate_preamble()
     detect_cfg = FrameDetectConfig()
     results: dict[str, tuple[list[float], list[int], int]] = {
         stage: ([], [], 0) for stage in plan.stages}
     sync_cfgs = {}
     for stage, template in (("time_sts", "sts"), ("time_lts", "lts")):
-        start, length = default_search_window(spec, template)
+        start, length = default_search_window(template)
         sync_cfgs[stage] = TimeSyncConfig(
             template=template,
             search_window=(start + plan.channel.timing_offset, length))
-    cfo_span = _sts_plateau(plan.channel, spec, detect_cfg.lag)
+    cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
 
     for i in range(plan.n_trials):
         cfg = replace(plan.channel, seed=plan.base_seed + i)
@@ -159,7 +158,7 @@ def run_trials(plan: TrialPlan, spec: PreambleSpec = PreambleSpec()
                         raise _TrialFailure
                     value = float(events[0].start_index)
                 elif stage in sync_cfgs:
-                    value = float(estimate_timing(rx, sync_cfgs[stage], spec).n_xc_max)
+                    value = float(estimate_timing(rx, sync_cfgs[stage]).n_xc_max)
                 else:  # cfo
                     value = estimate_cfo(rx, detect_cfg.lag, cfo_span).delta_f_hz
             except (_TrialFailure, EstimationError):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import as_samples
 from .errors import ConfigError, SizingError
-from .preamble import PreambleSpec, generate_preamble
+from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, STS_LEN,
+                       generate_preamble)
 
 TEMPLATES = ("sts", "lts")
 
@@ -70,29 +71,28 @@ def cross_correlate(r, template) -> np.ndarray:
     return np.abs(np.correlate(x, c, mode="valid"))
 
 
-def training_template(spec: PreambleSpec, template: str) -> np.ndarray:
+def training_template(template: str) -> np.ndarray:
     """One short period or one long symbol, cut from the unit-power preamble."""
-    p = generate_preamble(spec).samples
+    p = generate_preamble().samples
     if template == "sts":
-        return p[: spec.short_symbol_len]
+        return p[:SHORT_PERIOD]
     if template == "lts":
-        start = spec.sts_len + spec.guard_len
-        return p[start: start + spec.long_symbol_len]
+        start = STS_LEN + GUARD_LEN
+        return p[start: start + LONG_SYMBOL_LEN]
     raise ConfigError(f"template must be one of {TEMPLATES}")
 
 
-def default_expected_peak(spec: PreambleSpec, template: str) -> int:
-    return spec.sts_len if template == "sts" else spec.total_len
+def default_expected_peak(template: str) -> int:
+    return STS_LEN if template == "sts" else PREAMBLE_LEN
 
 
-def default_search_window(spec: PreambleSpec, template: str) -> tuple[int, int]:
+def default_search_window(template: str) -> tuple[int, int]:
     """(start, length) covering +-1 symbol of displacement around the landmark."""
-    sym = spec.short_symbol_len if template == "sts" else spec.long_symbol_len
-    return default_expected_peak(spec, template) - sym, 2 * sym
+    sym = SHORT_PERIOD if template == "sts" else LONG_SYMBOL_LEN
+    return default_expected_peak(template) - sym, 2 * sym
 
 
-def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig(),
-                    spec: PreambleSpec = PreambleSpec()) -> TimingEstimate:
+def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate:
     """Windowed argmax of the template cross-correlation.
 
     Ties break to the lowest index. The returned ``n_xc_max`` is the
@@ -101,12 +101,12 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig(),
     correlated; each output is the same dot product over the same memory as
     in the full correlation, so the result is bit-identical to it.
     """
-    template = training_template(spec, cfg.template)
+    template = training_template(cfg.template)
     x = as_samples(r)
     n_out = _output_length(x, template)
     window = cfg.search_window
     if window is None:
-        window = default_search_window(spec, cfg.template)
+        window = default_search_window(cfg.template)
     start, length = window
     if start < 0 or start + length > n_out:
         raise SizingError(

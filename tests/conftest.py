@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from ofdmsync import PreambleSpec, SampleBuffer, generate_preamble
+from ofdmsync import SampleBuffer, generate_preamble
 
 
 @pytest.fixture(scope="session")
-def spec():
-    return PreambleSpec()
-
-
-@pytest.fixture(scope="session")
-def preamble(spec):
-    return generate_preamble(spec)
+def preamble():
+    return generate_preamble()
 
 
 @pytest.fixture()

@@ -26,9 +26,9 @@ def _pass(criterion, message):
     print(f"[acceptance] criterion {criterion}: PASS - {message}")
 
 
-def test_criterion_1_preamble_structure(spec):
+def test_criterion_1_preamble_structure():
     t0 = time.perf_counter()
-    p = generate_preamble(spec).samples
+    p = generate_preamble().samples
     elapsed = time.perf_counter() - t0
     assert len(p) == 320
     assert np.array_equal(p[:144], p[16:160])      # period 16, indices 0..143
@@ -71,16 +71,15 @@ def test_criterion_3_frame_detection_loopback(preamble):
              f"{100 - alarms}/100 noise seeds event-free")
 
 
-def test_criterion_4_timing_exactness(spec, preamble):
+def test_criterion_4_timing_exactness(preamble):
     for template in ("sts", "lts"):
-        start, length = default_search_window(spec, template)
-        expected = default_expected_peak(spec, template)
+        start, length = default_search_window(template)
+        expected = default_expected_peak(template)
         for d in (0, 7, 33, 100):
             rx = SampleBuffer(np.concatenate([np.zeros(d), preamble.samples,
                                               np.zeros(200)]), preamble.sample_rate)
             est = estimate_timing(
-                rx, TimeSyncConfig(template=template, search_window=(start + d, length)),
-                spec)
+                rx, TimeSyncConfig(template=template, search_window=(start + d, length)))
             assert est.n_xc_max - expected - d == 0
     _pass(4, "position error exactly 0 for offsets {0, 7, 33, 100}, both templates")
 

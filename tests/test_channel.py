@@ -187,6 +187,11 @@ def test_channel_config_validation():
         ChannelConfig(snr_db=3083.0)   # 10 ** 308.3 overflows
     with pytest.raises(ConfigError):
         ChannelConfig(seed=-1)         # default_rng takes no negative seed
+    # apply_multipath checks its taps with the same rule
+    buf = SampleBuffer(np.ones(8))
+    for taps in ([], [(-1, 1.0)], [(3, 1.0), (1, 0.5)], [(2, 1.0), (2, 0.5)]):
+        with pytest.raises(ConfigError):
+            apply_multipath(buf, taps)
 
 
 def test_load_taps_roundtrip(tmp_path):

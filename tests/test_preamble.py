@@ -1,10 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from ofdmsync import ConfigError, PreambleSpec, SizingError
-from ofdmsync.preamble import (LONG_TRAINING_FREQ, SHORT_TRAINING_FREQ,
+from ofdmsync import SizingError
+from ofdmsync.preamble import (GUARD_LEN, LONG_REPEATS, LONG_SYMBOL_LEN,
+                               LONG_TRAINING_FREQ, PREAMBLE_LEN, SHORT_PERIOD,
+                               SHORT_REPEATS, SHORT_TRAINING_FREQ, STS_LEN,
                                generate_lts, generate_preamble, generate_sts,
                                inverse_dft)
+
+# sha256 of generate_preamble().samples.tobytes(). Any change to how the
+# preamble is built must keep these bytes.
+PREAMBLE_SHA256 = "28301a44a8ebe69dd33afac94a07939d9832c8839cd663876f9719e8ff303099"
 
 
 def direct_inverse_dft(freq):
@@ -59,21 +67,21 @@ def test_frequency_definitions_tone_counts():
     assert np.count_nonzero(LONG_TRAINING_FREQ) == 52
 
 
-def test_sts_length_and_exact_periodicity(spec):
-    sts = generate_sts(spec).samples
+def test_sts_length_and_exact_periodicity():
+    sts = generate_sts().samples
     assert len(sts) == 160
     assert np.array_equal(sts[:144], sts[16:160])  # bitwise, by construction
     assert np.mean(np.abs(sts) ** 2) > 0
 
 
-def test_lts_structure(spec):
-    lts = generate_lts(spec).samples
+def test_lts_structure():
+    lts = generate_lts().samples
     assert len(lts) == 160
     assert np.array_equal(lts[32:96], lts[96:160])  # two identical symbols
     assert np.array_equal(lts[0:32], lts[128:160])  # CP equals symbol tail
 
 
-def test_preamble_concatenation(spec, preamble):
+def test_preamble_concatenation(preamble):
     p = preamble.samples
     assert len(p) == 320
     assert np.array_equal(p[:144], p[16:160])       # STS periodicity survives scaling
@@ -83,95 +91,53 @@ def test_preamble_concatenation(spec, preamble):
     assert preamble.duration == pytest.approx(16e-6, rel=1e-12)
 
 
-def test_preamble_is_sts_then_lts(spec, preamble):
-    sts = generate_sts(spec).samples
-    lts = generate_lts(spec).samples
+def test_preamble_is_sts_then_lts(preamble):
+    sts = generate_sts().samples
+    lts = generate_lts().samples
     raw = np.concatenate([sts, lts])
     scaled = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
     assert np.array_equal(preamble.samples, scaled)
 
 
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        PreambleSpec(fft_size=60)
-    with pytest.raises(ConfigError):
-        PreambleSpec(short_repeats=0)
-    with pytest.raises(ConfigError):
-        PreambleSpec(short_freq=np.zeros(64))   # no tones
-    with pytest.raises(ConfigError):
-        PreambleSpec(long_freq=np.ones(64))     # 64 tones, not 52
+def test_default_lengths_sum_to_320():
+    assert SHORT_REPEATS * SHORT_PERIOD + GUARD_LEN + LONG_REPEATS * LONG_SYMBOL_LEN == 320
+    assert STS_LEN == 160
+    assert PREAMBLE_LEN == 320
 
 
-def test_default_lengths_sum_to_320(spec):
-    assert spec.short_repeats * spec.short_symbol_len + spec.guard_len \
-        + spec.long_repeats * spec.long_symbol_len == 320
-    assert spec.total_len == 320
+def test_preamble_bytes_pinned():
+    digest = hashlib.sha256(generate_preamble().samples.tobytes()).hexdigest()
+    assert digest == PREAMBLE_SHA256
 
 
-# --- memoised build ------------------------------------------------------------
+# --- one shared build ----------------------------------------------------------
 
-def test_preamble_samples_are_read_only(spec):
-    samples = generate_preamble(spec).samples
+def test_preamble_samples_are_read_only():
+    samples = generate_preamble().samples
     with pytest.raises(ValueError):
         samples[0] = 0
     with pytest.raises(ValueError):
         samples *= 2
 
 
-def test_equal_specs_share_one_build(spec):
-    a = generate_preamble(spec)
-    b = generate_preamble(PreambleSpec())
+def test_every_call_shares_one_build():
+    a = generate_preamble()
+    b = generate_preamble()
     assert b is a
-    assert np.array_equal(a.samples.view(np.uint64), b.samples.view(np.uint64))
+    assert a.sample_rate == 20e6
 
 
-def test_cached_preamble_equals_a_fresh_build(spec):
-    raw = np.concatenate([generate_sts(spec).samples, generate_lts(spec).samples])
+def test_cached_preamble_equals_a_fresh_build():
+    raw = np.concatenate([generate_sts().samples, generate_lts().samples])
     fresh = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
-    for _ in range(2):  # the first call may build, the second is served from the memo
-        cached = generate_preamble(spec).samples
+    for _ in range(2):  # the first call may build, the second is served from the cache
+        cached = generate_preamble().samples
         assert np.array_equal(cached.view(np.uint64), fresh.view(np.uint64))
 
 
-def _flipped(freq, index):
-    out = np.array(freq)
-    out[index] = -out[index]
-    return out
-
-
-@pytest.mark.parametrize("changes", [
-    {"fft_size": 128, "short_freq": np.pad(SHORT_TRAINING_FREQ, 32),
-     "long_freq": np.pad(LONG_TRAINING_FREQ, 32)},
-    {"guard_len": 16},
-    {"sample_rate": 10e6},
-    {"long_freq": _flipped(LONG_TRAINING_FREQ, 6)},
-    {"short_freq": _flipped(SHORT_TRAINING_FREQ, 8)},
-    {"short_symbol_len": 32},
-    {"short_repeats": 5},
-    {"long_symbol_len": 32},
-    {"long_repeats": 3},
-], ids=lambda changes: next(iter(changes)))
-def test_spec_differing_in_one_field_gets_its_own_build(spec, changes):
-    other = PreambleSpec(**changes)
-    built = generate_preamble(other)
-    assert built is not generate_preamble(spec)
-    raw = np.concatenate([generate_sts(other).samples, generate_lts(other).samples])
-    assert np.array_equal(built.samples, raw / np.sqrt(np.mean(np.abs(raw) ** 2)))
-    assert built.sample_rate == other.sample_rate
-
-
-def test_spec_edited_in_place_is_rebuilt():
-    spec = PreambleSpec()
-    before = generate_preamble(spec).samples
-    spec.long_freq[6] = -spec.long_freq[6]
-    after = generate_preamble(spec).samples
-    assert not np.array_equal(before, after)
-    assert np.array_equal(after, generate_preamble(PreambleSpec(long_freq=spec.long_freq)).samples)
-
-
-def test_a_different_spec_replaces_the_memo(spec):
-    first = generate_preamble(spec)
-    generate_preamble(PreambleSpec(sample_rate=10e6))
-    again = generate_preamble(spec)
-    assert again is not first  # rebuilt, not kept beside the other spec
-    assert again.samples.tobytes() == first.samples.tobytes()
+def test_training_freq_cannot_be_edited_in_place():
+    for freq in (SHORT_TRAINING_FREQ, LONG_TRAINING_FREQ):
+        with pytest.raises(ValueError):
+            freq[6] = -freq[6]
+        with pytest.raises(ValueError):
+            freq *= 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ofdmsync import (SampleBuffer, SizingError, TimeSyncConfig, cross_correlate,
                       estimate_timing, training_template)
+from ofdmsync.preamble import SHORT_PERIOD
 from ofdmsync.time_sync import default_expected_peak, default_search_window
 
 from conftest import random_buffer
@@ -57,16 +58,16 @@ def test_template_longer_than_signal():
 
 # --- peak geometry on the clean preamble --------------------------------------
 
-def test_sts_template_ten_equal_peaks(spec, preamble):
-    template = training_template(spec, "sts")
+def test_sts_template_ten_equal_peaks(preamble):
+    template = training_template("sts")
     mag = cross_correlate(preamble, template)
     energy = np.sum(np.abs(template) ** 2)
     peaks = np.flatnonzero(np.isclose(mag, energy, rtol=1e-9))
     assert peaks.tolist() == list(range(0, 160, 16))
 
 
-def test_lts_template_two_peaks_and_weaker_ghost(spec, preamble):
-    template = training_template(spec, "lts")
+def test_lts_template_two_peaks_and_weaker_ghost(preamble):
+    template = training_template("lts")
     mag = cross_correlate(preamble, template)
     energy = np.sum(np.abs(template) ** 2)
     peaks = np.flatnonzero(np.isclose(mag, energy, rtol=1e-9))
@@ -76,67 +77,66 @@ def test_lts_template_two_peaks_and_weaker_ghost(spec, preamble):
     assert outside.max() < 0.8 * energy
 
 
-def test_lts_peak_is_stronger_than_sts_peak(spec, preamble):
-    sts_peak = cross_correlate(preamble, training_template(spec, "sts")).max()
-    lts_peak = cross_correlate(preamble, training_template(spec, "lts")).max()
+def test_lts_peak_is_stronger_than_sts_peak(preamble):
+    sts_peak = cross_correlate(preamble, training_template("sts")).max()
+    lts_peak = cross_correlate(preamble, training_template("lts")).max()
     assert lts_peak > sts_peak
 
 
 # --- estimate_timing -----------------------------------------------------------
 
-def test_noiseless_landmarks(spec, preamble):
+def test_noiseless_landmarks(preamble):
     padded = shifted(preamble, 0)
     for template in ("sts", "lts"):
-        est = estimate_timing(padded, TimeSyncConfig(template=template), spec)
-        assert est.n_xc_max == default_expected_peak(spec, template)
+        est = estimate_timing(padded, TimeSyncConfig(template=template))
+        assert est.n_xc_max == default_expected_peak(template)
         assert est.peak_magnitude > 0
 
 
 @pytest.mark.parametrize("d", [0, 7, 33, 100])
 @pytest.mark.parametrize("template", ["sts", "lts"])
-def test_shift_equivariance_is_exact(spec, preamble, template, d):
-    start, length = default_search_window(spec, template)
+def test_shift_equivariance_is_exact(preamble, template, d):
+    start, length = default_search_window(template)
     est = estimate_timing(
         shifted(preamble, d),
-        TimeSyncConfig(template=template, search_window=(start + d, length)),
-        spec)
-    assert est.n_xc_max == default_expected_peak(spec, template) + d
+        TimeSyncConfig(template=template, search_window=(start + d, length)))
+    assert est.n_xc_max == default_expected_peak(template) + d
 
 
-def test_gain_invariance_of_argmax(spec, preamble, rng):
+def test_gain_invariance_of_argmax(preamble, rng):
     noisy = shifted(preamble, 10)
     noisy = SampleBuffer(noisy.samples + 0.05 * (rng.standard_normal(len(noisy))
                                                  + 1j * rng.standard_normal(len(noisy))))
     cfg = TimeSyncConfig(template="lts", search_window=(266, 128))
-    base = estimate_timing(noisy, cfg, spec)
+    base = estimate_timing(noisy, cfg)
     for alpha in (0.01, 5.0, 1000.0):
         scaled = SampleBuffer(alpha * noisy.samples)
-        assert estimate_timing(scaled, cfg, spec).n_xc_max == base.n_xc_max
+        assert estimate_timing(scaled, cfg).n_xc_max == base.n_xc_max
 
 
-def test_full_window_position_is_shift_stable(spec, preamble):
+def test_full_window_position_is_shift_stable(preamble):
     # argmax relative to the frame does not move as zeros are prepended
     for template, relative in (("sts", 16), ("lts", 256)):
-        sym = len(training_template(spec, template))
+        sym = len(training_template(template))
         for d in (0, 11, 60):
             buf = shifted(preamble, d)
             full = (0, len(buf) - sym + 1)
             est = estimate_timing(buf, TimeSyncConfig(template=template,
-                                                      search_window=full), spec)
+                                                      search_window=full))
             assert est.n_xc_max - d == relative
 
 
-def test_window_outside_buffer(spec, preamble):
+def test_window_outside_buffer(preamble):
     with pytest.raises(SizingError):
-        estimate_timing(preamble, TimeSyncConfig(template="lts"), spec)
+        estimate_timing(preamble, TimeSyncConfig(template="lts"))
 
 
-def test_tie_break_lowest_index(spec, preamble):
+def test_tie_break_lowest_index(preamble):
     # full-window STS search: all ten alignments are bitwise equal; lowest wins
     buf = shifted(preamble, 0)
-    sym = spec.short_symbol_len
+    sym = SHORT_PERIOD
     full = (0, len(buf) - sym + 1)
-    est = estimate_timing(buf, TimeSyncConfig(template="sts", search_window=full), spec)
+    est = estimate_timing(buf, TimeSyncConfig(template="sts", search_window=full))
     assert est.n_xc_max == sym  # alignment 0 + template length
 
 
@@ -148,9 +148,9 @@ def _bits(value: float) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_windowed_estimate_matches_full_correlation(spec, preamble, data):
+def test_windowed_estimate_matches_full_correlation(preamble, data):
     template = data.draw(st.sampled_from(("sts", "lts")), label="template")
-    sym = len(training_template(spec, template))
+    sym = len(training_template(template))
     n = data.draw(st.integers(sym, 900), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x = data.draw(st.floats(0, 2), label="noise") * (rng.standard_normal(n)
@@ -166,8 +166,8 @@ def test_windowed_estimate_matches_full_correlation(spec, preamble, data):
     signal = SampleBuffer(x) if data.draw(st.booleans(), label="buffer") else x
 
     est = estimate_timing(signal, TimeSyncConfig(template=template,
-                                                 search_window=(start, length)), spec)
-    full = cross_correlate(x, training_template(spec, template))[start:start + length]
+                                                 search_window=(start, length)))
+    full = cross_correlate(x, training_template(template))[start:start + length]
     local = int(np.argmax(full))
     assert est.n_xc_max == start + local + sym
     assert _bits(est.peak_magnitude) == _bits(full[local])
@@ -180,22 +180,22 @@ def test_windowed_estimate_matches_full_correlation(spec, preamble, data):
     (400, lambda n_out: 0, 1000),
     (400, lambda n_out: n_out, 1),
 ])
-def test_window_out_of_range_message(spec, template, n, start_of, length):
-    sym = len(training_template(spec, template))
+def test_window_out_of_range_message(template, n, start_of, length):
+    sym = len(training_template(template))
     n_out = n - sym + 1
     start = start_of(n_out)
     cfg = TimeSyncConfig(template=template, search_window=(start, length))
     message = (f"search window [{start}, {start + length}) outside correlator output "
                f"of length {n_out}")
     with pytest.raises(SizingError, match=re.escape(message)):
-        estimate_timing(np.zeros(n, complex), cfg, spec)
+        estimate_timing(np.zeros(n, complex), cfg)
 
 
 @pytest.mark.parametrize("template", ["sts", "lts"])
-def test_signal_shorter_than_template_message(spec, template):
-    sym = len(training_template(spec, template))
+def test_signal_shorter_than_template_message(template):
+    sym = len(training_template(template))
     message = f"signal of {sym - 1} samples is shorter than the {sym}-sample template"
     for window in (None, (0, 1)):
         cfg = TimeSyncConfig(template=template, search_window=window)
         with pytest.raises(SizingError, match=re.escape(message)):
-            estimate_timing(np.ones(sym - 1, complex), cfg, spec)
+            estimate_timing(np.ones(sym - 1, complex), cfg)
