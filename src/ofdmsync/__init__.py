@@ -18,7 +18,7 @@ from .frame_detect import (FrameDetectConfig, FrameEvent, StreamingFrameDetector
                            signal_power)
 from .harness import (TrialPlan, TrialStatistics, emit_report, load_plan,
                       preamble_train, run_trials, variance)
-from .iqfile import read_csv, read_iq, write_csv, write_iq
+from .iqfile import read_iq, write_csv, write_iq
 from .preamble import (LONG_TRAINING_FREQ, SHORT_TRAINING_FREQ, generate_lts,
                        generate_preamble, generate_sts, inverse_dft)
 from .time_sync import (TimeSyncConfig, TimingEstimate, cross_correlate,
@@ -34,7 +34,7 @@ __all__ = [
     "detect_frames", "detection_metric", "emit_report", "estimate_cfo",
     "estimate_timing", "generate_lts", "generate_preamble", "generate_sts",
     "inverse_dft", "load_plan", "load_taps", "plateau_from_event",
-    "preamble_train", "profile_path", "read_csv", "read_iq", "run_trials",
+    "preamble_train", "profile_path", "read_iq", "run_trials",
     "signal_power", "training_template", "transmit", "variance", "write_csv",
     "write_iq",
 ]

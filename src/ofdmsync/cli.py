@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, 
 from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics,
                            detect_frames)
 from .harness import emit_report, load_plan, preamble_train, run_trials
-from .iqfile import read_iq, write_csv, write_iq
+from .iqfile import read_iq, write_csv, write_iq, write_table
 from .preamble import generate_preamble
 from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
@@ -178,12 +177,10 @@ def cmd_detect(args) -> int:
 
 def _write_detect_trace(buf, cfg, path) -> None:
     R, P, M = compute_metrics(buf, cfg)
-    lines = ["n,r_abs2,p_squared,metric,above_threshold"]
-    for n in range(len(M)):
-        r2 = float(R[n].real ** 2 + R[n].imag ** 2)
-        lines.append(f"{n},{r2!r},{float(P[n] ** 2)!r},{float(M[n])!r},"
-                     f"{int(M[n] > cfg.threshold)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # the metric's own operands, so that in exact mode each row's metric is
+    # r_abs2 / (p_squared + 1e-30)
+    write_table(path, "n,r_abs2,p_squared,metric,above_threshold",
+                (np.arange(len(M)), R.real**2 + R.imag**2, P**2, M, M > cfg.threshold))
 
 
 def cmd_timesync(args) -> int:
@@ -203,8 +200,7 @@ def cmd_timesync(args) -> int:
         error = f", error {est.n_xc_max - truth:+d}"
     if args.trace:
         mag = cross_correlate(buf, training_template(args.template))
-        lines = ["n,lambda_abs"] + [f"{n},{float(v)!r}" for n, v in enumerate(mag)]
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        write_table(args.trace, "n,lambda_abs", (np.arange(len(mag)), mag))
     print(f"timing: n_xc_max {est.n_xc_max}, peak magnitude {est.peak_magnitude:.6f} "
           f"({args.template} template{error})")
     return EXIT_OK
@@ -215,9 +211,9 @@ def cmd_cfo(args) -> int:
     events = detect_frames(buf, FrameDetectConfig(lag=args.lag))
     if args.trace:
         R = autocorrelation(buf, args.lag, args.lag)
-        lines = ["n,r_abs,r_phase"]
-        lines += [f"{n},{float(abs(v))!r},{float(np.angle(v))!r}" for n, v in enumerate(R)]
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        # hypot, not np.abs: the array abs may differ from it in the last bit
+        write_table(args.trace, "n,r_abs,r_phase",
+                    (np.arange(len(R)), np.hypot(R.real, R.imag), np.angle(R)))
     if not events:
         print("no frame detected; cannot estimate the offset")
         return EXIT_NOT_DETECTED

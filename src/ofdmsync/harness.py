@@ -19,6 +19,7 @@ from .channel import ChannelConfig, resolve_taps, transmit
 from .core import MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError
 from .frame_detect import FrameDetectConfig, detect_frames
+from .iqfile import write_table
 from .preamble import STS_LEN, generate_preamble
 from .time_sync import TimeSyncConfig, default_search_window, estimate_timing
 
@@ -51,6 +52,8 @@ class TrialPlan:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
         if not stages:
             raise ConfigError("at least one stage is required")
+        if len(set(stages)) != len(stages):
+            raise ConfigError(f"each stage may be listed once, got {stages}")
         if not 0 <= self.gap_len <= MAX_GENERATED_SAMPLES:
             raise ConfigError(f"gap_len must lie in [0, {MAX_GENERATED_SAMPLES}], "
                               f"got {self.gap_len}")
@@ -147,13 +150,11 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     for i in range(plan.n_trials):
         cfg = replace(plan.channel, seed=plan.base_seed + i)
         rx = transmit(pre, cfg, tail_len=plan.gap_len)
-        events = None
         for stage in plan.stages:
             values, indices, failures = results[stage]
             try:
                 if stage == "frame":
-                    if events is None:
-                        events = detect_frames(rx, detect_cfg)
+                    events = detect_frames(rx, detect_cfg)
                     if not events:
                         raise _TrialFailure
                     value = float(events[0].start_index)
@@ -185,28 +186,25 @@ def emit_report(results: dict[str, TrialStatistics], out_dir,
     paths = []
 
     summary = out / "summary.csv"
-    lines = ["algorithm,trials,sigma2,failures"]
-    for stage, stats in results.items():
-        n = len(stats.values) + stats.failures
-        lines.append(f"{stage},{n},{stats.variance!r},{stats.failures}")
-    summary.write_text("\n".join(lines) + "\n")
+    stage_stats = results.values()
+    write_table(summary, "algorithm,trials,sigma2,failures",
+                (list(results), [len(s.values) + s.failures for s in stage_stats],
+                 [s.variance for s in stage_stats], [s.failures for s in stage_stats]))
     paths.append(summary)
 
     for stage, stats in results.items():
         trials = out / f"{stage}_trials.csv"
+        columns = [stats.trial_indices, stats.values]
         if stage == "cfo" and plan is not None:
-            header = "trial,value,injected_cfo_hz"
-            rows = [f"{i},{v!r},{plan.channel.cfo_hz!r}"
-                    for i, v in zip(stats.trial_indices, stats.values)]
+            write_table(trials, "trial,value,injected_cfo_hz",
+                        columns + [[plan.channel.cfo_hz] * len(stats.values)])
         else:
-            header = "trial,value"
-            rows = [f"{i},{v!r}" for i, v in zip(stats.trial_indices, stats.values)]
-        trials.write_text("\n".join([header] + rows) + "\n")
+            write_table(trials, "trial,value", columns)
         paths.append(trials)
 
         hist = out / f"{stage}_histogram.csv"
-        rows = [f"{center!r},{count}" for center, count in stats.histogram]
-        hist.write_text("\n".join(["bin_center,count"] + rows) + "\n")
+        write_table(hist, "bin_center,count", ([c for c, _ in stats.histogram],
+                                               [n for _, n in stats.histogram]))
         paths.append(hist)
 
     return paths

@@ -1,9 +1,12 @@
-"""Sample file I/O: raw interleaved float32 IQ and a human-readable CSV.
+"""Sample file I/O: raw interleaved float32 IQ, and the one CSV table writer.
 
 The binary format is the de-facto SDR exchange format: little-endian IEEE-754
 float32 pairs (I0, Q0, I1, Q1, ...), no header; the sample rate travels
-out-of-band. CSV files carry exactly the columns ``index,re,im`` with one
-header line.
+out-of-band. Every CSV the package writes (sample files, ``--trace``
+files, trial reports) goes through :func:`write_table`: one header line,
+then one ``,``-joined row per entry, each field ``str`` of a Python int,
+float (the shortest repr that round-trips) or name. CSV files are not read
+back.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
 from .errors import IqFormatError
 
 _SAMPLE_BYTES = 8  # two float32 per complex sample
+# Rows formatted per write: bounds the text held in memory on long traces.
+ROWS_PER_WRITE = 1 << 16
 
 
 def _require_finite(words: np.ndarray, source) -> None:
@@ -28,12 +33,15 @@ def _require_finite(words: np.ndarray, source) -> None:
 
 
 def write_iq(buf: SampleBuffer, destination) -> int:
-    """Write interleaved float32 IQ; returns the byte count (8 per sample)."""
-    x = buf.samples
-    interleaved = np.empty(2 * len(x), dtype="<f4")
-    interleaved[0::2] = x.real
-    interleaved[1::2] = x.imag
-    data = interleaved.tobytes()
+    """Write interleaved float32 IQ; returns the byte count (8 per sample).
+
+    Raises IqFormatError, before writing anything, when a sample overflows
+    float32, since :func:`read_iq` would reject the file.
+    """
+    with np.errstate(over="ignore"):
+        words = buf.samples.astype("<c8")
+    _require_finite(words.view("<f4"), f"writing {destination} as float32")
+    data = words.tobytes()
     Path(destination).write_bytes(data)
     return len(data)
 
@@ -46,35 +54,31 @@ def read_iq(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
         raise IqFormatError(
             f"{source}: length {len(data)} is not a multiple of {_SAMPLE_BYTES}; "
             f"trailing {extra} bytes start at offset {len(data) - extra}")
-    interleaved = np.frombuffer(data, dtype="<f4")
-    _require_finite(interleaved, source)
-    samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(np.float64)
-    return SampleBuffer(samples, sample_rate)
+    x = np.frombuffer(data, "<c8")
+    _require_finite(x.view("<f4"), source)
+    return SampleBuffer(x.astype(np.complex128), sample_rate)
+
+
+def write_table(destination, header: str, columns) -> int:
+    """Write ``header``, then row i of the i-th entry of each column; returns the row count.
+
+    Columns are equal-length sequences or arrays; boolean columns are
+    written as 0/1.
+    """
+    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(np.uint8) if c.dtype == bool else c for c in columns]
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    with Path(destination).open("w") as f:
+        f.write(header + "\n")
+        for start in range(0, n_rows, ROWS_PER_WRITE):
+            block = [c[start:start + ROWS_PER_WRITE].tolist() for c in columns]
+            f.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
+    return n_rows
 
 
 def write_csv(buf: SampleBuffer, destination) -> int:
     """Write ``index,re,im`` rows (full float precision); returns row count."""
     x = buf.samples
-    lines = ["index,re,im"]
-    lines += [f"{i},{float(v.real)!r},{float(v.imag)!r}" for i, v in enumerate(x)]
-    Path(destination).write_text("\n".join(lines) + "\n")
-    return len(x)
-
-
-def read_csv(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
-    """Read a CSV written by :func:`write_csv`."""
-    path = Path(source)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "index,re,im":
-        raise IqFormatError(f"{source}: expected 'index,re,im' header")
-    words = np.zeros((len(lines) - 1, 2))  # (re, im) rows, viewed as complex below
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise IqFormatError(f"{source}:{lineno}: expected 3 columns, got {len(fields)}")
-        try:
-            words[lineno - 2] = float(fields[1]), float(fields[2])
-        except ValueError as exc:
-            raise IqFormatError(f"{source}:{lineno}: {exc}") from exc
-    _require_finite(words, source)
-    return SampleBuffer(words.view(np.complex128).reshape(-1), sample_rate)
+    return write_table(destination, "index,re,im", (np.arange(len(x)), x.real, x.imag))

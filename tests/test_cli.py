@@ -87,8 +87,14 @@ def test_detect_trace_and_pulse_train(tmp_path, capsys):
                           "--seed", "5", "--trace", str(trace))
     assert code == 0
     assert stdout.count("frame:") == 3
-    header = trace.read_text().splitlines()[0]
-    assert header == "n,r_abs2,p_squared,metric,above_threshold"
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "n,r_abs2,p_squared,metric,above_threshold"
+    # every row's metric is reproduced from the two operands it was formed from
+    for n, line in enumerate(lines[1:]):
+        index, r_abs2, p_squared, metric, above = line.split(",")
+        assert int(index) == n
+        assert float(metric) == float(r_abs2) / (float(p_squared) + 1e-30), line
+        assert above == str(int(float(metric) > 0.5))
 
 
 def test_detect_noise_only_exits_one(tmp_path, capsys):
@@ -136,9 +142,11 @@ def test_cfo_without_frame_exits_one(tmp_path, capsys):
 
 
 # Raw float32 words written to IN: 100 samples (too short for the timing search
-# window), and 400 samples whose sample 150 has a NaN imaginary part.
+# window), and 400 samples whose sample 150 has a NaN imaginary part. HUGE_TAP
+# is a tap file whose gain overflows float32.
 SHORT_IQ = np.ones(200, "<f4")
 NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
+HUGE_TAP = b"0 1e39 0\n"
 
 
 @pytest.mark.parametrize("argv, words, expected", [
@@ -150,11 +158,12 @@ NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
     (["detect", "--timing-offset", str(10**15)], None, 2),
     (["detect", "--frames", "60000"], None, 2),
     (["timesync", "--gap-len", str(10**15)], None, 2),
+    (["channel", "--taps", "IN", "--out", "big.iq"], HUGE_TAP, 3),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
-        "huge-offset", "huge-train", "huge-gap"])
+        "huge-offset", "huge-train", "huge-gap", "float32-overflow-output"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
-        (tmp_path / "IN").write_bytes(words.tobytes())
+        (tmp_path / "IN").write_bytes(bytes(words))
     env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
@@ -162,6 +171,9 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     assert "Traceback" not in proc.stderr
     if words is NAN_IQ:
         assert "sample 150 is not finite" in proc.stderr
+    if words is HUGE_TAP:
+        assert "sample 0 is not finite" in proc.stderr
+        assert not (tmp_path / "big.iq").exists()
 
 
 def test_bad_taps_reference_is_config_error(capsys):

@@ -7,7 +7,9 @@ import pytest
 from ofdmsync import (ChannelConfig, ConfigError, TrialPlan, emit_report,
                       load_plan, preamble_train, run_trials, variance)
 from ofdmsync.channel import resolve_taps
+from ofdmsync.cli import main
 from ofdmsync.core import MAX_GENERATED_SAMPLES
+from ofdmsync.iqfile import ROWS_PER_WRITE
 
 # Frozen regression values for the seeded Monte Carlo runs below (numpy
 # Generator streams are stability-guaranteed, so these reproduce bit-for-bit
@@ -179,6 +181,33 @@ def test_report_bytes_pinned(plan, digest, tmp_path):
     assert report_sha256(plan, tmp_path) == digest
 
 
+# sha256 of CLI output files, written down before the CSV writers were merged
+# into one: every trace and sample-file byte must stay the same. The long cfo
+# trace (70289 rows) spans more than one ROWS_PER_WRITE block.
+@pytest.mark.parametrize("argv, digest", [
+    (["timesync", "--template", "lts", "--snr-db", "15", "--timing-offset", "40",
+      "--seed", "3", "--trace", "OUT"],
+     "cdabe44b4d7f016ff1cd704a980b73e54a3c09c5b600505fe23c8c89ab58bbe1"),
+    (["cfo", "--cfo-hz", "120e3", "--snr-db", "20", "--seed", "4", "--trace", "OUT"],
+     "1d33db36f3443045b8d4d5a6604bdfa01a9c05bb73b62c3e2ffba9fbf3a2cb56"),
+    (["cfo", "--cfo-hz", "120e3", "--snr-db", "20", "--seed", "4", "--gap-len", "70000",
+      "--trace", "OUT"],
+     "8a03d90c8946255231a524ef6135d2ffdca73c97d7e7d274f77b772442e6608c"),
+    (["channel", "--snr-db", "15", "--cfo-hz", "120e3", "--timing-offset", "40",
+      "--taps", "etsi_a", "--seed", "3", "--format", "csv", "--out", "OUT"],
+     "1a0b16841fb14d71a4e2b67d720ca6fc941e37d4d12d6b004d3956aa5f95b61b"),
+    (["preamble", "--format", "csv", "--out", "OUT"],
+     "973b1d546c848ba5386d281e3257c051f324d906d9e9b4b3598a6dc49c4b42ab"),
+], ids=["timesync-trace", "cfo-trace", "cfo-trace-long", "channel-csv", "preamble-csv"])
+def test_cli_output_bytes_pinned(argv, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 0
+    data = out.read_bytes()
+    if "--gap-len" in argv:
+        assert data.count(b"\n") > ROWS_PER_WRITE + 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_frame_stage_counts_failures_when_nothing_detected():
     # at 0 dB the exact metric plateaus near 0.25, below the 0.5 threshold
     plan = TrialPlan(n_trials=20, channel=ChannelConfig(snr_db=0.0),
@@ -194,6 +223,8 @@ def test_plan_validation():
         TrialPlan(n_trials=0)
     with pytest.raises(ConfigError):
         TrialPlan(stages=("nope",))
+    with pytest.raises(ConfigError, match="listed once"):
+        TrialPlan(n_trials=5, stages=("cfo", "cfo"))
     with pytest.raises(ConfigError):
         TrialPlan(gap_len=-1)
     with pytest.raises(ConfigError, match="gap_len must lie in"):
@@ -293,6 +324,9 @@ def test_load_plan_errors(tmp_path):
         load_plan(bad)
     bad.write_text("n_trials five\n")
     with pytest.raises(ConfigError, match="key = value"):
+        load_plan(bad)
+    bad.write_text("stages = cfo, frame, cfo\n")
+    with pytest.raises(ConfigError, match="listed once"):
         load_plan(bad)
     for key in ("timing_offset", "gap_len"):
         bad.write_text(f"{key} = {10**15}\n")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ofdmsync import (IqFormatError, SampleBuffer, generate_preamble, read_csv,
-                      read_iq, write_csv, write_iq)
+from ofdmsync import IqFormatError, SampleBuffer, read_iq, write_csv, write_iq
+from ofdmsync.iqfile import ROWS_PER_WRITE, write_table
 
 from conftest import random_buffer
 
@@ -41,6 +41,14 @@ def test_iq_second_roundtrip_bit_exact(tmp_path, rng):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_iq_roundtrip_keeps_signed_zeros(tmp_path):
+    first = tmp_path / "a.iq"
+    second = tmp_path / "b.iq"
+    first.write_bytes(np.array([-0.0, -0.0, 1.0, -0.0, -0.0, 1.0], "<f4").tobytes())
+    write_iq(read_iq(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_truncated_file_names_offset(tmp_path):
     path = tmp_path / "trunc.iq"
     path.write_bytes(b"\x00" * 21)
@@ -54,6 +62,13 @@ def test_read_iq_sample_count(tmp_path):
     assert len(read_iq(path)) == 320
 
 
+def test_write_iq_rejects_float32_overflow(tmp_path):
+    path = tmp_path / "big.iq"
+    with pytest.raises(IqFormatError, match="sample 1 is not finite"):
+        write_iq(SampleBuffer(np.array([1.0, 1e39j, 0.0])), path)
+    assert not path.exists()
+
+
 def test_csv_roundtrip(tmp_path, rng):
     buf = random_buffer(rng, 50)
     path = tmp_path / "x.csv"
@@ -61,22 +76,25 @@ def test_csv_roundtrip(tmp_path, rng):
     lines = path.read_text().splitlines()
     assert lines[0] == "index,re,im"
     assert len(lines) == 51
-    back = read_csv(path, buf.sample_rate)
-    assert np.array_equal(back.samples, buf.samples)  # repr() round-trips float64
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(i) for i, _, _ in rows] == list(range(50))
+    back = np.array([complex(float(re), float(im)) for _, re, im in rows])
+    assert np.array_equal(back, buf.samples)  # repr() round-trips float64
 
 
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("re,im\n0.0,0.0\n")
-    with pytest.raises(IqFormatError, match="header"):
-        read_csv(path)
-    path.write_text("index,re,im\n0,1.0\n")
-    with pytest.raises(IqFormatError, match="3 columns"):
-        read_csv(path)
+@pytest.mark.parametrize("n_rows", [0, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1])
+def test_write_table_matches_one_string_reference(tmp_path, rng, n_rows):
+    values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    flags = values > 0
+    names = ["frame", "cfo"] * (n_rows // 2) + ["time_lts"] * (n_rows % 2)
+    path = tmp_path / "t.csv"
+    assert write_table(path, "n,value,flag,name",
+                       (np.arange(n_rows), values, flags, names)) == n_rows
+    reference = ["n,value,flag,name"] + [
+        f"{i},{float(v)!r},{int(f)},{name}" for i, (v, f, name) in enumerate(zip(values, flags, names))]
+    assert path.read_text() == "\n".join(reference) + "\n"
 
 
-def test_csv_rejects_non_finite_sample(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("index,re,im\n0,1.0,2.0\n1,1.0,inf\n")
-    with pytest.raises(IqFormatError, match="sample 1 is not finite"):
-        read_csv(path)
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(tmp_path / "t.csv", "a,b", ([1, 2], [1.0]))
