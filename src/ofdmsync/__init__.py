@@ -14,8 +14,7 @@ from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
 from .errors import (ConfigError, EstimationError, IqFormatError, OfdmSyncError,
                      SizingError)
 from .frame_detect import (FrameDetectConfig, FrameEvent, StreamingFrameDetector,
-                           autocorrelation, detect_frames, detection_metric,
-                           signal_power)
+                           autocorrelation, detect_frames)
 from .harness import (TrialPlan, TrialStatistics, emit_report, load_plan,
                       preamble_train, run_trials, variance)
 from .iqfile import read_iq, write_csv, write_iq
@@ -31,10 +30,10 @@ __all__ = [
     "SampleBuffer", "SizingError", "StreamingFrameDetector", "TimeSyncConfig",
     "TimingEstimate", "TrialPlan", "TrialStatistics", "add_awgn", "apply_cfo",
     "apply_multipath", "autocorrelation", "correct_cfo", "cross_correlate",
-    "detect_frames", "detection_metric", "emit_report", "estimate_cfo",
+    "detect_frames", "emit_report", "estimate_cfo",
     "estimate_timing", "generate_lts", "generate_preamble", "generate_sts",
     "inverse_dft", "load_plan", "load_taps", "plateau_from_event",
     "preamble_train", "profile_path", "read_iq", "run_trials",
-    "signal_power", "training_template", "transmit", "variance", "write_csv",
+    "training_template", "transmit", "variance", "write_csv",
     "write_iq",
 ]

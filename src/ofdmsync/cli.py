@@ -164,7 +164,14 @@ def cmd_detect(args) -> int:
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
     events = detect_frames(buf, cfg)
     if args.trace:
-        _write_detect_trace(buf, cfg, args.trace)
+        # rows hold each metric's own operands; a buffer shorter than one window has none
+        numerator = p_squared = metric = np.zeros(0)
+        if len(buf) >= cfg.lag + cfg.window:
+            numerator, p_squared, metric = compute_metrics(buf, cfg)
+        name = "r_abs2" if cfg.metric_mode == "exact" else "r_l1"
+        write_table(args.trace, f"n,{name},p_squared,metric,above_threshold",
+                    (np.arange(len(metric)), numerator, p_squared, metric,
+                     metric > cfg.threshold))
     for event in events:
         length = event.end_index - event.start_index + 1
         print(f"frame: samples [{event.start_index}, {event.end_index}] "
@@ -173,14 +180,6 @@ def cmd_detect(args) -> int:
         print("no frame detected")
         return EXIT_NOT_DETECTED
     return EXIT_OK
-
-
-def _write_detect_trace(buf, cfg, path) -> None:
-    R, P, M = compute_metrics(buf, cfg)
-    # the metric's own operands, so that in exact mode each row's metric is
-    # r_abs2 / (p_squared + 1e-30)
-    write_table(path, "n,r_abs2,p_squared,metric,above_threshold",
-                (np.arange(len(M)), R.real**2 + R.imag**2, P**2, M, M > cfg.threshold))
 
 
 def cmd_timesync(args) -> int:
@@ -210,7 +209,8 @@ def cmd_cfo(args) -> int:
     buf = _input_buffer(args)
     events = detect_frames(buf, FrameDetectConfig(lag=args.lag))
     if args.trace:
-        R = autocorrelation(buf, args.lag, args.lag)
+        R = (autocorrelation(buf, args.lag, args.lag) if len(buf) >= 2 * args.lag
+             else np.zeros(0, complex))
         # hypot, not np.abs: the array abs may differ from it in the last bit
         write_table(args.trace, "n,r_abs,r_phase",
                     (np.arange(len(R)), np.hypot(R.real, R.imag), np.angle(R)))

@@ -11,11 +11,11 @@ provided:
   rearranged. Because the left side scales as gain^2 and the right as
   gain^4, its decisions are only meaningful near unit signal power.
 
-:func:`autocorrelation` and :func:`signal_power` return plain window sums.
-The detector divides both by the window length before forming the metric,
-the software image of a CIC chain acting as a moving-average filter; the
-exact metric is indifferent to that scaling, while the l1 approximation
-needs it to hold at its unit-power operating point.
+Every R, P and M value depends only on its own samples, so any chunking
+gives the same bits. :func:`compute_metrics` divides both window sums by the
+window length, the software image of a CIC chain acting as a moving-average
+filter; the exact metric is indifferent to that scaling, while the l1
+approximation needs it to hold at its unit-power operating point.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
 _EPS = 1e-30  # keeps silence at metric 0 instead of 0/0
+BLOCK_LEN = 1 << 14  # samples per StreamingFrameDetector.process call in detect_frames
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,27 @@ class FrameEvent:
 
 
 def sliding_sum(values: np.ndarray, window: int) -> np.ndarray:
-    """Moving sum over ``window`` entries via a running accumulate/subtract."""
+    """Moving sum over ``window`` entries, each added in one fixed tree order.
+
+    Pairwise passes build sums of 1, 2, 4, ... entries; each output adds those
+    its window's binary digits select, so it depends only on its own entries.
+    """
     values = np.asarray(values)
     if window < 1:
         raise SizingError("window must be positive")
     if len(values) < window:
         raise SizingError(f"need at least {window} values, got {len(values)}")
-    acc = np.cumsum(values)
-    out = acc[window - 1:].copy()
-    out[1:] -= acc[:-window]
-    return out
+    n_out = len(values) - window + 1
+    out, offset, sums, width = None, 0, values, 1  # sums[i] = sum of values[i:i + width]
+    while True:
+        if window & width:
+            part = sums[offset:offset + n_out]
+            out = part if out is None else out + part
+            offset += width
+        if 2 * width > window:
+            return out
+        sums = sums[:-width] + sums[width:]
+        width *= 2
 
 
 def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
@@ -77,53 +89,42 @@ def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
     x = as_samples(r)
     if len(x) < lag + window:
         raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
-    products = x[: len(x) - lag] * np.conj(x[lag:])
+    # not `*`: numpy may compute `a * temporary` in place, operands swapped, last bit changed
+    products = np.multiply(x[: len(x) - lag], np.conj(x[lag:]))
     return sliding_sum(products, window)
 
 
-def signal_power(r, lag: int = 16, window: int = 16) -> np.ndarray:
-    """P[n] = sum_{m<window} |r[n+m+lag]|^2, aligned with autocorrelation()."""
-    x = as_samples(r)
-    if len(x) < lag + window:
-        raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
-    magnitudes = np.abs(x[lag:]) ** 2
-    return sliding_sum(magnitudes, window)
-
-
-def detection_metric(R: np.ndarray, P: np.ndarray, mode: str = "exact") -> np.ndarray:
-    """Per-sample decision metric, thresholded against cfg.threshold downstream."""
-    R = np.asarray(R, dtype=np.complex128)
-    P = np.asarray(P, dtype=np.float64)
-    if R.shape != P.shape:
-        raise SizingError("R and P must have equal lengths")
-    if mode == "exact":
-        num = R.real**2 + R.imag**2
-    elif mode == "l1_approx":
-        num = np.abs(R.real) + np.abs(R.imag)
-    else:
-        raise ConfigError(f"metric mode must be one of {METRIC_MODES}")
-    return num / (P**2 + _EPS)
-
-
 def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
-    """(R_avg, P_avg, M) arrays for a buffer; index n matches the buffer index.
+    """(numerator, p_squared, metric) arrays for a buffer; index n matches the buffer index.
 
-    R_avg and P_avg are the window-averaged correlation and power feeding
-    the decision metric.
+    With R and P the window-averaged correlation and power, numerator is
+    |R|^2 in ``exact`` mode and |Re R| + |Im R| in ``l1_approx`` mode,
+    p_squared is P^2, and metric = numerator / (p_squared + 1e-30).
     """
-    R = autocorrelation(r, cfg.lag, cfg.window) / cfg.window
-    P = signal_power(r, cfg.lag, cfg.window) / cfg.window
-    return R, P, detection_metric(R, P, cfg.metric_mode)
+    x = as_samples(r)
+    R = autocorrelation(x, cfg.lag, cfg.window) / cfg.window
+    P = sliding_sum(np.abs(x[cfg.lag:]) ** 2, cfg.window) / cfg.window
+    if cfg.metric_mode == "exact":
+        numerator = R.real**2 + R.imag**2
+    else:
+        numerator = np.abs(R.real) + np.abs(R.imag)
+    p_squared = P**2
+    return numerator, p_squared, numerator / (p_squared + _EPS)
 
 
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
     """All maximal above-threshold runs of length >= min_plateau.
 
-    The whole buffer is one chunk of a :class:`StreamingFrameDetector`. A
-    buffer too short to hold even one correlation window yields no events.
+    The buffer goes through a :class:`StreamingFrameDetector` in blocks of
+    ``BLOCK_LEN`` samples, bounding memory. A buffer too short to hold even
+    one correlation window yields no events.
     """
+    x = as_samples(r)
     detector = StreamingFrameDetector(cfg)
-    return detector.process(r) + detector.flush()
+    events = []
+    for at in range(0, len(x), BLOCK_LEN):
+        events += detector.process(x[at:at + BLOCK_LEN])
+    return events + detector.flush()
 
 
 class StreamingFrameDetector:
@@ -142,11 +143,9 @@ class StreamingFrameDetector:
         self._run = None  # (start, end, peak) of a run still open at the last chunk's end
 
     def process(self, chunk) -> list[FrameEvent]:
-        x = as_samples(chunk)
-        if len(self._pending):
-            x = np.concatenate([self._pending, x])
+        x = np.concatenate([self._pending, as_samples(chunk)])
         if len(x) < self.cfg.lag + self.cfg.window:
-            self._pending = x.copy()
+            self._pending = x
             return []
         _, _, metric = compute_metrics(x, self.cfg)
         events = self._runs(metric)

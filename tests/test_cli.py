@@ -83,18 +83,35 @@ def test_channel_then_detect_file_pipeline(tmp_path, capsys):
 
 def test_detect_trace_and_pulse_train(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    code, stdout, _ = run(capsys, "detect", "--frames", "3", "--snr-db", "20",
-                          "--seed", "5", "--trace", str(trace))
-    assert code == 0
-    assert stdout.count("frame:") == 3
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "n,r_abs2,p_squared,metric,above_threshold"
-    # every row's metric is reproduced from the two operands it was formed from
-    for n, line in enumerate(lines[1:]):
-        index, r_abs2, p_squared, metric, above = line.split(",")
-        assert int(index) == n
-        assert float(metric) == float(r_abs2) / (float(p_squared) + 1e-30), line
-        assert above == str(int(float(metric) > 0.5))
+    # l1_approx also fires on the gaps' noise, far below the unit power it is built for
+    for mode, numerator, frames in (("exact", "r_abs2", 3), ("l1_approx", "r_l1", 6)):
+        code, stdout, _ = run(capsys, "detect", "--frames", "3", "--snr-db", "20",
+                              "--seed", "5", "--metric-mode", mode, "--trace", str(trace))
+        assert code == 0
+        assert stdout.count("frame:") == frames
+        lines = trace.read_text().splitlines()
+        assert lines[0] == f"n,{numerator},p_squared,metric,above_threshold"
+        assert len(lines) == 2530
+        # every row's metric is reproduced from the two operands it was formed from
+        for n, line in enumerate(lines[1:]):
+            index, num, p_squared, metric, above = line.split(",")
+            assert int(index) == n
+            assert float(metric) == float(num) / (float(p_squared) + 1e-30), line
+            assert above == str(int(float(metric) > 0.5))
+
+
+@pytest.mark.parametrize("sub, header", [
+    ("detect", "n,r_abs2,p_squared,metric,above_threshold"), ("cfo", "n,r_abs,r_phase"),
+], ids=["detect", "cfo"])
+def test_trace_of_a_too_short_buffer_keeps_the_exit_code(tmp_path, capsys, sub, header):
+    # 20 samples: no room for one lag + window span, so nothing can be detected
+    path, trace = tmp_path / "short.iq", tmp_path / "trace.csv"
+    path.write_bytes(np.ones(40, "<f4").tobytes())
+    assert run(capsys, sub, "--in", str(path))[0] == 1
+    code, stdout, _ = run(capsys, sub, "--in", str(path), "--trace", str(trace))
+    assert code == 1
+    assert "no frame detected" in stdout
+    assert trace.read_text() == header + "\n"
 
 
 def test_detect_noise_only_exits_one(tmp_path, capsys):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsync import (FrameDetectConfig, SampleBuffer, SizingError, add_awgn,
-                      autocorrelation, detect_frames, detection_metric,
-                      preamble_train, signal_power)
-from ofdmsync.frame_detect import (StreamingFrameDetector, compute_metrics,
-                                   sliding_sum)
+from ofdmsync import (FrameDetectConfig, FrameEvent, SampleBuffer, SizingError, add_awgn,
+                      autocorrelation, detect_frames, preamble_train)
+from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
+                                   compute_metrics, sliding_sum)
 
 from conftest import random_buffer
 
@@ -53,10 +52,16 @@ def test_autocorrelation_zeros():
     assert np.array_equal(R, np.zeros(len(R)))
 
 
+def spread(gen, n):
+    """n complex values with uniform phases and log-magnitudes uniform in [-20, 20]."""
+    return np.exp(gen.uniform(-20, 20, n) + 1j * gen.uniform(-np.pi, np.pi, n))
+
+
 def test_power_zeros_and_constant():
-    assert np.array_equal(signal_power(np.zeros(64), 16, 16), np.zeros(33))
-    P = signal_power(np.ones(64), 16, 16)
-    assert np.allclose(P, 16.0, atol=1e-12)
+    _, p_squared, _ = compute_metrics(np.zeros(64))
+    assert np.array_equal(p_squared, np.zeros(33))
+    _, p_squared, _ = compute_metrics(np.ones(64))
+    assert np.allclose(p_squared, 1.0, atol=1e-12)  # P is the window average, 16 / 16
 
 
 def test_sliding_matches_direct_summation(rng):
@@ -66,7 +71,8 @@ def test_sliding_matches_direct_summation(rng):
         R_direct = direct_autocorrelation(buf, lag, window)
         scale = np.max(np.abs(R_direct))
         assert np.max(np.abs(R - R_direct)) <= 1e-9 * scale
-        P = signal_power(buf, lag, window)
+        _, p_squared, _ = compute_metrics(buf, FrameDetectConfig(lag=lag, window=window))
+        P = np.sqrt(p_squared) * window
         P_direct = direct_power(buf, lag, window)
         assert np.max(np.abs(P - P_direct)) <= 1e-9 * np.max(P_direct)
 
@@ -88,31 +94,34 @@ def test_sts_plateau_is_period_energy(preamble):
 
 # --- metric ------------------------------------------------------------------
 
-def test_metric_perfect_correlation():
-    R = np.array([3.0 + 0j, 5.0 + 0j])
-    P = np.array([3.0, 5.0])
-    M = detection_metric(R, P, "exact")
+def test_metric_perfect_correlation(rng):
+    # a period-16 signal: R[n] equals P[n] in every window
+    period = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    _, _, M = compute_metrics(np.tile(period, 4))
     assert np.allclose(M, 1.0, atol=1e-12)
 
 
 def test_metric_arithmetic_example():
-    # R = 3 + 4j: exact numerator 25, l1 numerator 7
-    R = np.array([3 + 4j])
-    P = np.array([1.0])
-    assert detection_metric(R, P, "exact")[0] == pytest.approx(25.0)
-    assert detection_metric(R, P, "l1_approx")[0] == pytest.approx(7.0)
+    # lag 1, window 1: R = (3 + 4j) * conj(1) and P = |1|^2, so the exact
+    # numerator is 25 and the l1 numerator 7
+    for mode, numerator in (("exact", 25.0), ("l1_approx", 7.0)):
+        cfg = FrameDetectConfig(lag=1, window=1, metric_mode=mode)
+        got = compute_metrics([3 + 4j, 1], cfg)
+        assert [a.tolist() for a in got] == [[numerator], [1.0], [numerator]]
 
 
 def test_metric_silence_is_zero_not_nan():
-    M = detection_metric(np.zeros(4, complex), np.zeros(4), "exact")
-    assert np.array_equal(M, np.zeros(4))
+    for mode in METRIC_MODES:
+        _, _, M = compute_metrics(np.zeros(35), FrameDetectConfig(metric_mode=mode))
+        assert np.array_equal(M, np.zeros(4))
 
 
 def test_norm_inequality_property(rng):
-    # |R| <= |Re R| + |Im R| <= sqrt(2) |R| for 1e5 random values
-    z = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
-    mag = np.abs(z)
-    l1 = np.abs(z.real) + np.abs(z.imag)
+    # |R| <= |Re R| + |Im R| <= sqrt(2) |R| for 1e5 random window sums
+    buf = rng.standard_normal(100_031) + 1j * rng.standard_normal(100_031)
+    r_abs2, _, _ = compute_metrics(buf, FrameDetectConfig(metric_mode="exact"))
+    l1, _, _ = compute_metrics(buf, FrameDetectConfig(metric_mode="l1_approx"))
+    mag = np.sqrt(r_abs2)
     assert np.all(mag <= l1)
     assert np.all(l1 <= np.sqrt(2) * mag)
 
@@ -207,10 +216,7 @@ def test_streaming_matches_batch(preamble, chunk_len):
     for i in range(0, len(stream), chunk_len):
         got += detector.process(stream[i:i + chunk_len])
     got += detector.flush()
-    assert [(e.start_index, e.end_index) for e in got] == \
-        [(e.start_index, e.end_index) for e in batch]
-    for a, b in zip(got, batch):
-        assert a.peak_metric == pytest.approx(b.peak_metric, rel=1e-12)
+    assert got == batch
 
 
 # Complex values whose magnitudes are integers (np.abs rounds through hypot
@@ -220,12 +226,7 @@ EXACT_VALUES = np.array([0, 1, -1, 2, -2, 1j, -1j, 2j, -2j, 3 + 4j, 4 - 3j, -3 -
 
 @st.composite
 def exact_signals(draw):
-    """Noise overwritten by pieces of a period-16 tone at random gains, from EXACT_VALUES.
-
-    Every window sum of such a signal is an exact float64 integer wherever
-    its cumulative sum starts, so any chunking computes the metric of the
-    whole stream bit for bit and the events must match exactly.
-    """
+    """Noise overwritten by pieces of a period-16 tone at random gains, from EXACT_VALUES."""
     n = draw(st.integers(0, 1500))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = draw(st.sampled_from((0, 1, 2))) * gen.choice(EXACT_VALUES[:7], n)
@@ -263,13 +264,74 @@ def _stream(x, sizes, cfg=FrameDetectConfig()):
     return calls, detector.flush()
 
 
+@st.composite
+def spread_signals(draw):
+    """Noise (or silence) from ``spread``, overwritten by pieces of a period-16 tone.
+
+    The tone's values come from ``spread`` too, and each piece has a gain in
+    e^-20 .. e^20, so window sums mix magnitudes many orders apart.
+    """
+    n = draw(st.integers(0, 1500))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from((0, 1))) * spread(gen, n)
+    tone = np.tile(spread(gen, 16), 10)
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(1, len(tone)))
+        at = draw(st.integers(0, max(n - length, 0)))
+        piece = tone[:min(length, n - at)]
+        x[at:at + len(piece)] = np.exp(draw(st.floats(-20, 20))) * piece
+    return x
+
+
 @settings(max_examples=200, deadline=None)
-@given(x=exact_signals(), min_plateau=st.integers(1, 100), data=st.data())
+@given(x=spread_signals(), min_plateau=st.integers(1, 100), data=st.data())
 def test_any_chunking_finds_the_batch_events(x, min_plateau, data):
     cfg = FrameDetectConfig(min_plateau=min_plateau)
     sizes = data.draw(st.lists(st.integers(1, max(len(x), 1)), min_size=1, max_size=60))
     calls, flushed = _stream(x, sizes, cfg)
     assert [e for found in calls for e in found] + flushed == detect_frames(x, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), loud_len=st.integers(1000, 20_000),
+       loud_gain=st.floats(1, 6).map(lambda e: 10**e), amplitude=st.floats(1e-3, 1e3),
+       lead=st.integers(32, 2000))
+def test_a_loud_stretch_does_not_move_a_later_frame(preamble, seed, loud_len, loud_gain,
+                                                    amplitude, lead):
+    # lead >= lag + window zeros: every window that starts after the loud
+    # stretch holds frame samples only
+    gen = np.random.default_rng(seed)
+    noise = [1, 1j] @ gen.standard_normal((2, 520 + loud_len))
+    frame = np.concatenate([np.zeros(lead), amplitude * (
+        np.concatenate([preamble.samples, np.zeros(200)]) + 0.1 * noise[:520])])
+    loud = amplitude * loud_gain * noise[520:]
+    alone = detect_frames(frame)
+    after = [FrameEvent(e.start_index - loud_len, e.end_index - loud_len, e.peak_metric)
+             for e in detect_frames(np.concatenate([loud, frame]))
+             if e.start_index >= loud_len]
+    assert alone and after == alone
+
+
+def test_metrics_of_overlapping_segments_equal_the_whole_buffer(rng):
+    # longer than 2 * BLOCK_LEN, and than the ~16,400 samples from which
+    # numpy may evaluate `a * temporary` in place with swapped operands
+    n = 2 * BLOCK_LEN + 5000
+    x = spread(rng, n)
+    for at in (BLOCK_LEN - 100, 20_000, 2 * BLOCK_LEN + 10):  # frames across block edges
+        x[at:at + 160] = np.tile(spread(rng, 16), 10)
+    for mode in METRIC_MODES:
+        cfg = FrameDetectConfig(metric_mode=mode)
+        context = cfg.lag + cfg.window - 1
+        whole = compute_metrics(x, cfg)
+        for start, stop in ((0, n), (1, n - 1), (100, 5000), (7, BLOCK_LEN + 7),
+                            (BLOCK_LEN, n), (12_345, 12_345 + 20_000)):
+            for part, full in zip(compute_metrics(x[start:stop], cfg), whole):
+                assert np.array_equal(part, full[start:stop - context])
+    # detect_frames' blocks give the events of one chunk
+    detector = StreamingFrameDetector()
+    events = detect_frames(x)
+    assert events == detector.process(x) + detector.flush()
+    assert any(e.start_index < BLOCK_LEN <= e.end_index for e in events)
 
 
 def _tone(periods):
