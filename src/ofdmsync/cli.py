@@ -23,10 +23,10 @@ from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import ChannelConfig, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
-from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics,
+from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics, detect_blocks,
                            detect_frames)
 from .harness import emit_report, load_plan, preamble_train, run_trials
-from .iqfile import read_iq, write_csv, write_iq, write_table
+from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_table
 from .preamble import generate_preamble
 from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
@@ -153,16 +153,20 @@ def cmd_channel(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.infile:
-        buf = _input_buffer(args)
-    else:
-        pre = generate_preamble()
-        frame = (pre if args.frames == 1 else
-                 preamble_train(pre, args.frames, args.gap_len))
-        buf = transmit(frame, _channel_config(args), tail_len=args.gap_len)
     cfg = FrameDetectConfig(lag=args.lag, threshold=args.threshold,
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
-    events = detect_frames(buf, cfg)
+    if args.infile and not args.trace:
+        # streamed in bounded memory; an error in any block leaves no events to print
+        events = detect_blocks(iq_blocks(args.infile), cfg)
+    else:
+        if args.infile:
+            buf = _input_buffer(args)
+        else:
+            pre = generate_preamble()
+            frame = (pre if args.frames == 1 else
+                     preamble_train(pre, args.frames, args.gap_len))
+            buf = transmit(frame, _channel_config(args), tail_len=args.gap_len)
+        events = detect_frames(buf, cfg)
     if args.trace:
         # rows hold each metric's own operands; a buffer shorter than one window has none
         numerator = p_squared = metric = np.zeros(0)

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_samples
+from .core import BLOCK_LEN, as_samples
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
 _EPS = 1e-30  # keeps silence at metric 0 instead of 0/0
-BLOCK_LEN = 1 << 14  # samples per StreamingFrameDetector.process call in detect_frames
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,20 @@ def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[Frame
     one correlation window yields no events.
     """
     x = as_samples(r)
+    return detect_blocks((x[at:at + BLOCK_LEN] for at in range(0, len(x), BLOCK_LEN)), cfg)
+
+
+def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
+    """The events of the stream that ``blocks`` (sample arrays, in order) make up.
+
+    One :class:`StreamingFrameDetector` takes every block, so the events
+    equal those of the concatenated stream. They are returned only after the
+    last block, so an error raised while producing a block leaves none.
+    """
     detector = StreamingFrameDetector(cfg)
     events = []
-    for at in range(0, len(x), BLOCK_LEN):
-        events += detector.process(x[at:at + BLOCK_LEN])
+    for block in blocks:
+        events += detector.process(block)
     return events + detector.flush()
 
 

@@ -2,7 +2,10 @@
 
 The binary format is the de-facto SDR exchange format: little-endian IEEE-754
 float32 pairs (I0, Q0, I1, Q1, ...), no header; the sample rate travels
-out-of-band. Every CSV the package writes (sample files, ``--trace``
+out-of-band. :func:`iq_blocks` is the one reader: it checks that a file holds
+whole samples before reading any, then yields finite complex128 blocks of
+``BLOCK_LEN`` samples; :func:`read_iq` collects them into one buffer.
+Every CSV the package writes (sample files, ``--trace``
 files, trial reports) goes through :func:`write_table`: one header line,
 then one ``,``-joined row per entry, each field ``str`` of a Python int,
 float (the shortest repr that round-trips) or name. CSV files are not read
@@ -11,11 +14,13 @@ back.
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
+from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, SampleBuffer
 from .errors import IqFormatError
 
 _SAMPLE_BYTES = 8  # two float32 per complex sample
@@ -23,13 +28,16 @@ _SAMPLE_BYTES = 8  # two float32 per complex sample
 ROWS_PER_WRITE = 1 << 16
 
 
-def _require_finite(words: np.ndarray, source) -> None:
-    """Raise IqFormatError naming the first sample with a non-finite I or Q word."""
+def _require_finite(words: np.ndarray, source, first_sample: int = 0) -> None:
+    """Raise IqFormatError naming the first sample with a non-finite I or Q word.
+
+    ``words`` starts at sample ``first_sample`` of ``source``.
+    """
     words = words.reshape(-1)
     # min/max propagate NaN and surface +-inf without a buffer-sized temporary
     if words.size and not (np.isfinite(words.min()) and np.isfinite(words.max())):
         first = int(np.argmin(np.isfinite(words)))
-        raise IqFormatError(f"{source}: sample {first // 2} is not finite")
+        raise IqFormatError(f"{source}: sample {first_sample + first // 2} is not finite")
 
 
 def write_iq(buf: SampleBuffer, destination) -> int:
@@ -46,17 +54,44 @@ def write_iq(buf: SampleBuffer, destination) -> int:
     return len(data)
 
 
+def iq_blocks(source):
+    """Yield the samples of an interleaved float32 IQ file as complex128 blocks.
+
+    Raises IqFormatError before reading anything when the file is not a
+    regular file of whole samples, and at the first block that holds a
+    non-finite word, naming that sample's index in the file.
+    """
+    with Path(source).open("rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe's size is 0 whatever it holds
+            raise IqFormatError(f"{source}: not a regular file")
+        extra = info.st_size % _SAMPLE_BYTES
+        if extra:
+            raise IqFormatError(
+                f"{source}: length {info.st_size} is not a multiple of {_SAMPLE_BYTES}; "
+                f"trailing {extra} bytes start at offset {info.st_size - extra}")
+        n_samples = info.st_size // _SAMPLE_BYTES
+        words = np.empty(BLOCK_LEN, "<c8")  # one read buffer, refilled for every block
+        for at in range(0, n_samples, BLOCK_LEN):
+            block = words[:min(BLOCK_LEN, n_samples - at)]
+            if f.readinto(block) != block.nbytes:
+                raise IqFormatError(f"{source}: file changed while being read")
+            _require_finite(block.view("<f4"), source, at)
+            yield block.astype(np.complex128)
+
+
 def read_iq(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
-    """Read interleaved float32 IQ written by :func:`write_iq`."""
-    data = Path(source).read_bytes()
-    extra = len(data) % _SAMPLE_BYTES
-    if extra:
-        raise IqFormatError(
-            f"{source}: length {len(data)} is not a multiple of {_SAMPLE_BYTES}; "
-            f"trailing {extra} bytes start at offset {len(data) - extra}")
-    x = np.frombuffer(data, "<c8")
-    _require_finite(x.view("<f4"), source)
-    return SampleBuffer(x.astype(np.complex128), sample_rate)
+    """Read interleaved float32 IQ written by :func:`write_iq` into one buffer."""
+    samples = np.empty(os.stat(source).st_size // _SAMPLE_BYTES, np.complex128)
+    at = 0
+    for block in iq_blocks(source):
+        if at + len(block) > len(samples):
+            break
+        samples[at:at + len(block)] = block
+        at += len(block)
+    if at != len(samples):
+        raise IqFormatError(f"{source}: file changed while being read")
+    return SampleBuffer(samples, sample_rate)
 
 
 def write_table(destination, header: str, columns) -> int:

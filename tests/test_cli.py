@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import read_iq
+from ofdmsync import FrameDetectConfig, read_iq
 from ofdmsync.cli import main
-from ofdmsync.core import MAX_GENERATED_SAMPLES
+from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 
 SUBCOMMANDS = ("preamble", "channel", "detect", "timesync", "cfo", "trials")
 
@@ -127,6 +127,109 @@ def test_detect_noise_only_exits_one(tmp_path, capsys):
     assert "no frame" in stdout
 
 
+def _iq_file(path, samples):
+    """Write complex samples as interleaved float32 words; returns the word array."""
+    words = np.empty(2 * len(samples), "<f4")
+    words[0::2], words[1::2] = np.real(samples), np.imag(samples)
+    path.write_bytes(words.tobytes())
+    return words
+
+
+def _event_lines(events):
+    return "".join(f"frame: samples [{e.start_index}, {e.end_index}] plateau "
+                   f"{e.end_index - e.start_index + 1}, peak metric {e.peak_metric:.6f}\n"
+                   for e in events)
+
+
+def test_non_finite_sample_in_a_later_block_prints_no_events(tmp_path, capsys):
+    # a frame in block 0 would be detected before the NaN's block is read
+    bad = 2 * BLOCK_LEN + 7
+    samples = np.zeros(3 * BLOCK_LEN, complex)
+    samples[100:420] = ofdmsync.generate_preamble().samples
+    path = tmp_path / "late_nan.iq"
+    words = _iq_file(path, samples)
+    assert run(capsys, "detect", "--in", str(path))[0] == 0
+    words[2 * bad + 1] = np.nan
+    path.write_bytes(words.tobytes())
+    code, stdout, stderr = run(capsys, "detect", "--in", str(path))
+    assert (code, stdout) == (3, "")
+    assert f"sample {bad} is not finite" in stderr and "Traceback" not in stderr
+    path.write_bytes(words[:2 * bad].tobytes() + b"\0" * 5)  # a torn last sample
+    code, stdout, stderr = run(capsys, "detect", "--in", str(path))
+    assert (code, stdout) == (3, "")
+    assert f"trailing 5 bytes start at offset {8 * bad}" in stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([0, 1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1])
+       | st.integers(BLOCK_LEN + 300, 3 * BLOCK_LEN),
+       at_edges=st.lists(st.tuples(st.integers(1, 2), st.integers(-250, 50)), max_size=2),
+       anywhere=st.lists(st.integers(0, 3 * BLOCK_LEN), max_size=2),
+       noise=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(("exact", "l1_approx")))
+@example(n=3 * BLOCK_LEN, at_edges=[(1, -100), (2, -60)], anywhere=[7000], noise=0.05,
+         seed=1, mode="exact")
+def test_streamed_detect_prints_the_batch_events(n, at_edges, anywhere, noise, seed, mode):
+    # (k, offset) puts a frame at offset from the k-th block edge of the file
+    # (the last one, if it has fewer), so that its plateau may span the edge;
+    # frames past the end are clipped
+    rng = np.random.default_rng(seed)
+    samples = noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    frame = ofdmsync.generate_preamble().samples
+    edges = [min(k, max(n // BLOCK_LEN, 1)) * BLOCK_LEN + offset for k, offset in at_edges]
+    for at in edges + anywhere:
+        samples[at:at + len(frame)] += frame[:max(n - at, 0)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.iq"
+        _iq_file(path, samples)
+        events = ofdmsync.detect_frames(read_iq(path), FrameDetectConfig(metric_mode=mode))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["detect", "--in", str(path), "--metric-mode", mode])
+    assert stdout.getvalue() == (_event_lines(events) or "no frame detected\n")
+    assert code == (0 if events else 1)
+
+
+# Prints this process's peak RSS (KiB) and minor page faults after importing
+# the CLI and, given arguments, running it. An exec'd process inherits the
+# peak of the one that spawned it, so the work runs in a fork of this small
+# process instead.
+_RUSAGE = """
+import os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+import ofdmsync.cli
+if sys.argv[1:]:
+    ofdmsync.cli.main(sys.argv[1:])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_maxrss, usage.ru_minflt)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_streamed_detect_memory_does_not_grow_with_the_file(tmp_path):
+    # 4M samples: reading the whole file would hold 32 MB of words plus 64 MB
+    # of complex128
+    rng = np.random.default_rng(2)
+    piece = (rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)).astype("<c8")
+    path = tmp_path / "long.iq"
+    with path.open("wb") as f:
+        for _ in range(64):
+            f.write(piece.tobytes())
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+
+    def usage(*argv):
+        proc = subprocess.run([sys.executable, "-c", _RUSAGE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return np.array(proc.stdout.split()[-2:], dtype=int)
+
+    peak_kib, faults = usage("detect", "--in", str(path)) - usage()
+    assert peak_kib < 16 * 1024
+    # blocks of 16384 samples cost about 95k faults here: their temporaries
+    # pass glibc's mmap threshold and are mapped afresh on every call
+    assert faults < 1000
+
+
 def test_timesync_landmark(capsys):
     code, stdout, _ = run(capsys, "timesync", "--template", "lts")
     assert code == 0
@@ -191,6 +294,16 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is HUGE_TAP:
         assert "sample 0 is not finite" in proc.stderr
         assert not (tmp_path / "big.iq").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_detect_rejects_a_pipe_instead_of_reading_it_as_empty():
+    # a pipe's size reads as 0, so it cannot be length-checked before reading
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", "detect", "--in", "/dev/stdin"],
+                          input=bytes(800), env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert b"not a regular file" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_bad_taps_reference_is_config_error(capsys):

@@ -315,7 +315,7 @@ def test_a_loud_stretch_does_not_move_a_later_frame(preamble, seed, loud_len, lo
 def test_metrics_of_overlapping_segments_equal_the_whole_buffer(rng):
     # longer than 2 * BLOCK_LEN, and than the ~16,400 samples from which
     # numpy may evaluate `a * temporary` in place with swapped operands
-    n = 2 * BLOCK_LEN + 5000
+    n = max(2 * BLOCK_LEN, 1 << 15) + 5000
     x = spread(rng, n)
     for at in (BLOCK_LEN - 100, 20_000, 2 * BLOCK_LEN + 10):  # frames across block edges
         x[at:at + 160] = np.tile(spread(rng, 16), 10)

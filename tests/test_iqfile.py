@@ -1,8 +1,17 @@
+import os
+import tempfile
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import IqFormatError, SampleBuffer, read_iq, write_csv, write_iq
-from ofdmsync.iqfile import ROWS_PER_WRITE, write_table
+from ofdmsync import iqfile
+from ofdmsync.core import BLOCK_LEN
+from ofdmsync.iqfile import ROWS_PER_WRITE, iq_blocks, write_table
 
 from conftest import random_buffer
 
@@ -54,6 +63,58 @@ def test_truncated_file_names_offset(tmp_path):
     path.write_bytes(b"\x00" * 21)
     with pytest.raises(IqFormatError, match="offset 16"):
         read_iq(path)
+
+
+@pytest.mark.parametrize("word", [0, 1], ids=["i", "q"])
+def test_non_finite_sample_in_a_later_block_names_its_index(tmp_path, word):
+    bad = 2 * BLOCK_LEN + 7
+    words = np.ones(2 * (3 * BLOCK_LEN), "<f4")
+    words[2 * bad + word] = -np.inf
+    path = tmp_path / "late_inf.iq"
+    path.write_bytes(words.tobytes())
+    with pytest.raises(IqFormatError, match=f"sample {bad} is not finite"):
+        read_iq(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.sampled_from([0, 1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1])
+       | st.integers(0, 3 * BLOCK_LEN),
+       seed=st.integers(0, 2**32 - 1), zeros=st.floats(0, 1))
+def test_read_iq_equals_one_whole_file_conversion(n, seed, zeros):
+    # any finite float32 words, a share of them signed zeros
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**32, 2 * n, dtype=np.uint32)
+    bits[(bits & 0x7F800000) == 0x7F800000] ^= 0x00800000  # inf/nan exponent -> finite
+    bits[rng.random(2 * n) < zeros] &= 0x80000000
+    data = bits.astype("<u4").tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.iq"
+        path.write_bytes(data)
+        samples = read_iq(path).samples
+    reference = np.frombuffer(data, "<c8").astype(np.complex128)
+    assert samples.dtype == reference.dtype
+    assert samples.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("call, extra, read", [
+    ("stat", 1, read_iq), ("stat", -1, read_iq), ("fstat", 1, lambda path: list(iq_blocks(path))),
+], ids=["read-iq-sees-more", "read-iq-sees-less", "block-reader-sees-more"])
+def test_a_file_that_changes_while_being_read_is_rejected(tmp_path, monkeypatch, call, extra,
+                                                          read):
+    # the size read_iq allocates for, or the size the block reader counts on,
+    # differs by one sample from what the file holds
+    path = tmp_path / "x.iq"
+    path.write_bytes(bytes(8 * (BLOCK_LEN + 3)))
+
+    def changed(*args):
+        st = getattr(os, call)(*args)
+        return os.stat_result((*st[:6], st.st_size + 8 * extra, *st[7:10]))
+
+    fake_os = types.SimpleNamespace(stat=os.stat, fstat=os.fstat)
+    setattr(fake_os, call, changed)
+    monkeypatch.setattr(iqfile, "os", fake_os)
+    with pytest.raises(IqFormatError, match="changed while being read"):
+        read(path)
 
 
 def test_read_iq_sample_count(tmp_path):
