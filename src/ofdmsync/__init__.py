@@ -8,8 +8,7 @@ symbol timing, and carrier frequency offset with correlation detectors.
 __version__ = "0.1.0"
 
 from .cfo import CfoEstimate, correct_cfo, estimate_cfo, plateau_from_event
-from .channel import (ChannelConfig, add_awgn, apply_cfo, apply_multipath,
-                      load_taps, profile_path, transmit)
+from .channel import ChannelConfig, apply_cfo, load_taps, profile_path, transmit
 from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
 from .errors import (ConfigError, EstimationError, IqFormatError, OfdmSyncError,
                      SizingError)
@@ -28,8 +27,8 @@ __all__ = [
     "EstimationError", "FrameDetectConfig", "FrameEvent", "IqFormatError",
     "LONG_TRAINING_FREQ", "OfdmSyncError", "SHORT_TRAINING_FREQ",
     "SampleBuffer", "SizingError", "StreamingFrameDetector", "TimeSyncConfig",
-    "TimingEstimate", "TrialPlan", "TrialStatistics", "add_awgn", "apply_cfo",
-    "apply_multipath", "autocorrelation", "correct_cfo", "cross_correlate",
+    "TimingEstimate", "TrialPlan", "TrialStatistics", "apply_cfo",
+    "autocorrelation", "correct_cfo", "cross_correlate",
     "detect_frames", "emit_report", "estimate_cfo",
     "estimate_timing", "generate_lts", "generate_preamble", "generate_sts",
     "inverse_dft", "load_plan", "load_taps", "plateau_from_event",

@@ -1,10 +1,9 @@
 """Baseband channel simulation: multipath taps, carrier frequency offset, AWGN.
 
-The received stream is built as lead padding + frame (+ optional tail),
-passed through a tapped-delay line, rotated by the CFO exponential, and
-finally hit with complex white Gaussian noise. Noise power is referenced to
-the average power of the transmitted frame, so ``snr_db`` keeps its meaning
-regardless of how much silence surrounds the frame.
+:func:`transmit` is the one path that impairs a signal: lead padding + frame
+(+ optional tail), a tapped-delay line, the CFO rotation, then complex white
+Gaussian noise referenced to the average power of the transmitted frame, so
+``snr_db`` keeps its meaning regardless of how much silence surrounds it.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ MAX_ABS_SNR_DB = 300
 # A phase of 2**52 cycles has no fractional part left in float64.
 MAX_ROTATION_CYCLES = 2.0 ** 52
 MAX_SHARED_ROTATION_LEN = 8192  # 128 KiB
+UNIT_TAP = ((0, 1 + 0j),)  # no multipath
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ChannelConfig:
 
     cfo_hz: float = 0.0
     snr_db: float | None = None
-    taps: tuple[tuple[int, complex], ...] = ((0, 1 + 0j),)
+    taps: tuple[tuple[int, complex], ...] = UNIT_TAP
     timing_offset: int = 0
     seed: int = 0
 
@@ -62,6 +62,13 @@ class ChannelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed cannot be negative, got {self.seed}")
         object.__setattr__(self, "taps", taps)
+
+
+def parse_snr(text: str) -> float | None:
+    """An SNR as the CLI and plan files write it: a number in dB, or 'none' or
+    'noiseless' (any case) for ``None``. Raises ValueError otherwise."""
+    text = text.lower()
+    return None if text in ("none", "noiseless") else float(text)
 
 
 def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
@@ -111,49 +118,14 @@ def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
     return SampleBuffer(_rotate(signal.samples, cfo_hz, signal.sample_rate), signal.sample_rate)
 
 
-def apply_multipath(signal: SampleBuffer, taps) -> SampleBuffer:
-    """Sum of delayed, complex-weighted copies; output grows by the max delay.
-
-    ``taps`` follows the :class:`ChannelConfig` rule: at least one tap, delays
-    non-negative and strictly increasing.
-    """
-    taps = ChannelConfig(taps=taps).taps
-    return SampleBuffer(_delay_sum(signal.samples, taps), signal.sample_rate)
-
-
-def _noise(rng: np.random.Generator, count: int, power: float) -> np.ndarray:
-    scale = np.sqrt(power / 2)
-    return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
-
-
-def _add_noise(x: np.ndarray, reference_power: float, snr_db: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """x plus noise at ``snr_db`` below ``reference_power``."""
-    if reference_power == 0.0:
-        raise ConfigError("cannot set an SNR on a zero-power signal")
-    return x + _noise(rng, len(x), reference_power / 10 ** (snr_db / 10))
-
-
-def add_awgn(signal: SampleBuffer, snr_db: float | None, seed=0) -> SampleBuffer:
-    """Add circularly-symmetric Gaussian noise at the requested SNR.
-
-    SNR is measured against the mean power of ``signal``. ``snr_db=None``
-    returns the input unchanged. ``seed`` may be an int or a Generator.
-    """
-    if snr_db is None:
-        return signal
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return SampleBuffer(_add_noise(signal.samples, signal.average_power, snr_db, rng),
-                        signal.sample_rate)
-
-
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> SampleBuffer:
     """Run one frame through the configured channel.
 
     The output is ``timing_offset`` lead samples, the impaired frame, then
     ``tail_len`` trailing samples (the inter-frame gap seen by a receiver
     that keeps capturing). Lead and tail carry only channel noise, or zeros
-    when noiseless. Deterministic for a fixed (input, config) pair.
+    when noiseless. Deterministic for a fixed (input, config) pair. An SNR
+    on a zero-power frame raises ConfigError.
     """
     x = preamble.samples
     padded = np.concatenate([
@@ -163,8 +135,12 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> S
     ])
     out = _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate)
     if cfg.snr_db is not None:
-        out = _add_noise(out, preamble.average_power, cfg.snr_db,
-                         np.random.default_rng(cfg.seed))
+        power = preamble.average_power
+        if power == 0.0:
+            raise ConfigError("cannot set an SNR on a zero-power signal")
+        scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)
+        rng = np.random.default_rng(cfg.seed)
+        out = out + scale * (rng.standard_normal(len(out)) + 1j * rng.standard_normal(len(out)))
     return SampleBuffer(out, preamble.sample_rate)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cfo import correct_cfo, estimate_cfo, plateau_from_event
-from .channel import ChannelConfig, resolve_taps, transmit
+from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
 from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics, detect_blocks,
@@ -51,10 +51,8 @@ _EXIT_CODES = {
 
 
 def _parse_snr(text: str) -> float | None:
-    if text.lower() in ("none", "noiseless"):
-        return None
     try:
-        return float(text)
+        return parse_snr(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
 
@@ -117,7 +115,7 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _channel_config(args) -> ChannelConfig:
-    taps = ((0, 1 + 0j),) if args.taps is None else resolve_taps(args.taps)
+    taps = UNIT_TAP if args.taps is None else resolve_taps(args.taps)
     return ChannelConfig(cfo_hz=args.cfo_hz, snr_db=args.snr_db, taps=taps,
                          timing_offset=args.timing_offset, seed=args.seed)
 

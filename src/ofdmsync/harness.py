@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cfo import estimate_cfo
-from .channel import ChannelConfig, resolve_taps, transmit
+from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError
 from .frame_detect import FrameDetectConfig, detect_frames
@@ -240,10 +240,9 @@ def load_plan(path) -> TrialPlan:
         raw[key] = value
 
     try:
-        snr = raw.get("snr_db", "none").lower()
         channel = ChannelConfig(
             cfo_hz=float(raw.get("cfo_hz", "0")),
-            snr_db=None if snr in ("none", "noiseless") else float(snr),
+            snr_db=parse_snr(raw.get("snr_db", "none")),
             taps=_plan_taps(raw.get("taps"), path.parent),
             timing_offset=int(raw.get("timing_offset", "0")),
         )
@@ -261,7 +260,7 @@ def load_plan(path) -> TrialPlan:
 
 def _plan_taps(value: str | None, base_dir: Path):
     if value is None:
-        return ((0, 1 + 0j),)
+        return UNIT_TAP
     candidate = Path(value)
     if not candidate.is_absolute() and (base_dir / candidate).is_file():
         return resolve_taps(base_dir / candidate)

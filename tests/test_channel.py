@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, add_awgn,
-                      apply_cfo, apply_multipath, generate_preamble, load_taps,
-                      transmit)
+from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, apply_cfo,
+                      generate_preamble, load_taps, transmit)
 from ofdmsync.channel import BUILTIN_PROFILES, profile_path, resolve_taps
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 
@@ -38,16 +37,16 @@ def test_cfo_inverse_rotation(rng):
     assert np.max(np.abs(back.samples - buf.samples)) < 1e-12
 
 
-# --- apply_multipath ---------------------------------------------------------
+# --- multipath through transmit ----------------------------------------------
 
 def test_single_unit_tap_is_identity(preamble):
-    out = apply_multipath(preamble, ((0, 1 + 0j),))
+    out = transmit(preamble, ChannelConfig(taps=((0, 1 + 0j),)))
     assert np.array_equal(out.samples, preamble.samples)
 
 
 def test_impulse_through_two_taps():
     impulse = SampleBuffer(np.eye(10)[0])
-    out = apply_multipath(impulse, ((0, 1 + 0j), (3, 0.5 + 0j))).samples
+    out = transmit(impulse, ChannelConfig(taps=((0, 1 + 0j), (3, 0.5 + 0j)))).samples
     assert len(out) == 13
     expected = np.zeros(13, complex)
     expected[0], expected[3] = 1.0, 0.5
@@ -61,35 +60,31 @@ def test_multipath_matches_convolution_oracle(rng):
     for d, g in taps:
         h[d] = g
     want = np.convolve(buf.samples, h)
-    got = apply_multipath(buf, taps).samples
+    got = transmit(buf, ChannelConfig(taps=taps)).samples
     assert len(got) == len(buf) + 7
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-# --- add_awgn ----------------------------------------------------------------
-
-def test_awgn_noiseless_sentinel(preamble):
-    assert add_awgn(preamble, None, seed=1) is preamble
-
+# --- noise through transmit --------------------------------------------------
 
 def test_awgn_power_law_of_large_numbers():
     buf = SampleBuffer(np.ones(1_000_000))
-    out = add_awgn(buf, 10.0, seed=42)
+    out = transmit(buf, ChannelConfig(snr_db=10.0, seed=42))
     noise_power = np.mean(np.abs(out.samples - buf.samples) ** 2)
     assert noise_power == pytest.approx(0.1, rel=0.02)
 
 
 def test_awgn_deterministic(preamble):
-    a = add_awgn(preamble, 5.0, seed=77).samples
-    b = add_awgn(preamble, 5.0, seed=77).samples
+    a = transmit(preamble, ChannelConfig(snr_db=5.0, seed=77)).samples
+    b = transmit(preamble, ChannelConfig(snr_db=5.0, seed=77)).samples
     assert np.array_equal(a, b)
-    c = add_awgn(preamble, 5.0, seed=78).samples
+    c = transmit(preamble, ChannelConfig(snr_db=5.0, seed=78)).samples
     assert not np.array_equal(a, c)
 
 
 def test_awgn_rejects_zero_power():
     with pytest.raises(ConfigError):
-        add_awgn(SampleBuffer(np.zeros(16)), 10.0, seed=0)
+        transmit(SampleBuffer(np.zeros(16)), ChannelConfig(snr_db=10.0))
 
 
 # --- transmit ----------------------------------------------------------------
@@ -132,19 +127,22 @@ def test_transmit_tail_noise_floor(preamble):
 @pytest.mark.parametrize("snr_db", [None, 7.5])
 @pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3, -250e3])
 def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz):
-    from ofdmsync.channel import _noise
+    # Every stage is written out here, not taken from channel, so a defect in
+    # transmit's own steps shows.
     cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17, seed=31,
                         taps=((0, 1 + 0j),) if taps == "clean" else resolve_taps(taps))
-    padded = SampleBuffer(np.concatenate([np.zeros(17), preamble.samples, np.zeros(90)]),
-                          preamble.sample_rate)
-    faded = apply_multipath(padded, cfg.taps)
+    padded = np.concatenate([np.zeros(17), preamble.samples, np.zeros(90)])
+    faded = np.zeros(len(padded) + cfg.taps[-1][0], complex)
+    for delay, gain in cfg.taps:
+        faded[delay:delay + len(padded)] += gain * padded
     n = np.arange(len(faded))
-    rotated = faded.samples * np.exp(2j * np.pi * cfo_hz * n / faded.sample_rate)
-    want = apply_cfo(faded, cfo_hz).samples
-    assert np.array_equal(want.view(np.uint64), rotated.view(np.uint64))
+    want = faded * np.exp(2j * np.pi * cfo_hz * n / preamble.sample_rate)
+    rotated = apply_cfo(SampleBuffer(faded, preamble.sample_rate), cfo_hz).samples
+    assert np.array_equal(rotated.view(np.uint64), want.view(np.uint64))
     if snr_db is not None:
-        power = preamble.average_power / 10 ** (snr_db / 10)
-        want = want + _noise(np.random.default_rng(31), len(want), power)
+        rng = np.random.default_rng(31)
+        scale = np.sqrt(preamble.average_power / 10 ** (snr_db / 10) / 2)
+        want = want + scale * (rng.standard_normal(len(want)) + 1j * rng.standard_normal(len(want)))
     for _ in range(2):  # the second call reuses the cached rotation
         got = transmit(preamble, cfg, tail_len=90).samples
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -187,11 +185,9 @@ def test_channel_config_validation():
         ChannelConfig(snr_db=3083.0)   # 10 ** 308.3 overflows
     with pytest.raises(ConfigError):
         ChannelConfig(seed=-1)         # default_rng takes no negative seed
-    # apply_multipath checks its taps with the same rule
-    buf = SampleBuffer(np.ones(8))
     for taps in ([], [(-1, 1.0)], [(3, 1.0), (1, 0.5)], [(2, 1.0), (2, 0.5)]):
         with pytest.raises(ConfigError):
-            apply_multipath(buf, taps)
+            ChannelConfig(taps=taps)
 
 
 def test_load_taps_roundtrip(tmp_path):
@@ -224,5 +220,5 @@ def test_builtin_profiles_load_and_are_normalized(name):
 
 def test_multipath_with_builtin_profile(preamble):
     taps = resolve_taps("etsi_c")
-    out = apply_multipath(preamble, taps)
+    out = transmit(preamble, ChannelConfig(taps=taps))
     assert len(out) == 320 + max(d for d, _ in taps)

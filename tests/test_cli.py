@@ -262,10 +262,12 @@ def test_cfo_without_frame_exits_one(tmp_path, capsys):
 
 
 # Raw float32 words written to IN: 100 samples (too short for the timing search
-# window), and 400 samples whose sample 150 has a NaN imaginary part. HUGE_TAP
-# is a tap file whose gain overflows float32.
+# window), 400 samples whose sample 150 has a NaN imaginary part, and 400 zero
+# samples (no power to set an SNR against). HUGE_TAP is a tap file whose gain
+# overflows float32.
 SHORT_IQ = np.ones(200, "<f4")
 NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
+ZERO_IQ = np.zeros(800, "<f4")
 HUGE_TAP = b"0 1e39 0\n"
 
 
@@ -279,8 +281,9 @@ HUGE_TAP = b"0 1e39 0\n"
     (["detect", "--frames", "60000"], None, 2),
     (["timesync", "--gap-len", str(10**15)], None, 2),
     (["channel", "--taps", "IN", "--out", "big.iq"], HUGE_TAP, 3),
+    (["channel", "--in", "IN", "--snr-db", "10", "--out", "o.iq"], ZERO_IQ, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
-        "huge-offset", "huge-train", "huge-gap", "float32-overflow-output"])
+        "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -294,6 +297,9 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is HUGE_TAP:
         assert "sample 0 is not finite" in proc.stderr
         assert not (tmp_path / "big.iq").exists()
+    if words is ZERO_IQ:
+        assert "cannot set an SNR on a zero-power signal" in proc.stderr
+        assert not (tmp_path / "o.iq").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsync import (FrameDetectConfig, FrameEvent, SampleBuffer, SizingError, add_awgn,
-                      autocorrelation, detect_frames, preamble_train)
+from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, SampleBuffer, SizingError,
+                      autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
                                    compute_metrics, sliding_sum)
 
@@ -179,7 +179,7 @@ def test_min_plateau_suppresses_short_runs(preamble):
 def test_pulse_train_k_events(preamble):
     # five preambles with 400-sample gaps at 20 dB: five distinct detections
     train = preamble_train(preamble, 5, 400)
-    rx = add_awgn(train, 20.0, seed=99)
+    rx = transmit(train, ChannelConfig(snr_db=20.0, seed=99))
     events = detect_frames(rx)
     assert len(events) == 5
     starts = [e.start_index for e in events]
