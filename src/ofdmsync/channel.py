@@ -4,12 +4,22 @@
 (+ optional tail), a tapped-delay line, the CFO rotation, then complex white
 Gaussian noise referenced to the average power of the transmitted frame, so
 ``snr_db`` keeps its meaning regardless of how much silence surrounds it.
+
+Only the noise differs between the trials of a Monte Carlo run, so
+:func:`transmit` keeps the last noiseless received frame it built, with the
+input's average power, in one slot and reuses it while the input and every
+setting but ``snr_db`` and ``seed`` stay the same. It stores frames only for
+read-only inputs (such as :func:`~ofdmsync.preamble.generate_preamble`'s),
+taken as frozen: a writable array can change in place under the same
+identity. The slot is replaced by one assignment of an immutable tuple, so
+concurrent callers never see half of it. It keeps that one frame, as long as
+the transmission it came from, alive until another frame replaces it.
 """
 
 from __future__ import annotations
 
-import functools
-import math
+import cmath
+import struct
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -25,7 +35,6 @@ BUILTIN_PROFILES = ("etsi_a", "etsi_c")
 MAX_ABS_SNR_DB = 300
 # A phase of 2**52 cycles has no fractional part left in float64.
 MAX_ROTATION_CYCLES = 2.0 ** 52
-MAX_SHARED_ROTATION_LEN = 8192  # 128 KiB
 UNIT_TAP = ((0, 1 + 0j),)  # no multipath
 
 
@@ -51,6 +60,9 @@ class ChannelConfig:
         delays = [d for d, _ in taps]
         if delays[0] < 0 or any(b <= a for a, b in zip(delays, delays[1:])):
             raise ConfigError("tap delays must be non-negative and strictly increasing")
+        for delay, gain in taps:
+            if not cmath.isfinite(gain):
+                raise ConfigError(f"tap gain at delay {delay} must be finite, got {gain}")
         if self.snr_db is not None and not -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB:
             raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
                               "or be None (noiseless)")
@@ -81,28 +93,8 @@ def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
     return np.exp(2j * np.pi * cfo_hz * n / sample_rate)
 
 
-# One slot: a Monte Carlo run rotates every trial by the same (length, cfo_hz,
-# sample_rate).
-@functools.lru_cache(maxsize=1)
-def _shared_rotation(length: int, cfo_hz: float, sample_rate: float, sign: float) -> np.ndarray:
-    """:func:`_rotation`, built once per key and read-only.
-
-    ``sign`` is ``copysign(1, cfo_hz)``. It only keys the cache: 0.0 == -0.0,
-    yet their rotations may differ in the sign of a zero.
-    """
-    rotation = _rotation(length, cfo_hz, sample_rate)
-    rotation.flags.writeable = False
-    return rotation
-
-
 def _rotate(x: np.ndarray, cfo_hz: float, sample_rate: float) -> np.ndarray:
-    # From 256 KiB up, numpy multiplies into a fresh temporary operand in place
-    # (operands swapped), which can change the last bit of a complex product.
-    # A fresh rotation gets that treatment and a shared one never does, so only
-    # rotations below that size are shared; results never depend on the cache.
-    if len(x) > MAX_SHARED_ROTATION_LEN:
-        return x * _rotation(len(x), cfo_hz, sample_rate)
-    return x * _shared_rotation(len(x), cfo_hz, sample_rate, math.copysign(1.0, cfo_hz))
+    return x * _rotation(len(x), cfo_hz, sample_rate)
 
 
 def _delay_sum(x: np.ndarray, taps) -> np.ndarray:
@@ -118,6 +110,23 @@ def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
     return SampleBuffer(_rotate(signal.samples, cfo_hz, signal.sample_rate), signal.sample_rate)
 
 
+def _received(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int
+              ) -> tuple[np.ndarray, float]:
+    """The noiseless received frame and the preamble's average power (taken
+    first, so its temporaries are freed before the frame's are made)."""
+    power = preamble.average_power
+    padded = np.concatenate([
+        np.zeros(cfg.timing_offset, np.complex128),
+        preamble.samples,
+        np.zeros(tail_len, np.complex128),
+    ])
+    return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), power
+
+
+# (samples, key, frame, power) of the last read-only input; see transmit.
+_slot: tuple = (None, None, None, 0.0)
+
+
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> SampleBuffer:
     """Run one frame through the configured channel.
 
@@ -126,16 +135,35 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> S
     that keeps capturing). Lead and tail carry only channel noise, or zeros
     when noiseless. Deterministic for a fixed (input, config) pair. An SNR
     on a zero-power frame raises ConfigError.
+
+    For a read-only ``preamble.samples`` the noiseless frame comes from the
+    module's one slot, keyed by that array's identity, the bits of
+    ``cfo_hz`` and the tap gains (0.0 and -0.0 differ), the type of
+    ``cfo_hz`` (a float32 rotates in complex64), the delays,
+    ``timing_offset``, ``tail_len`` and the sample rate; a miss rebuilds it
+    and replaces the slot. Writable inputs are rebuilt on every call and
+    never stored. A noiseless call returns a copy, never the slot's array.
+    Outputs are the same bits with or without the slot.
     """
+    global _slot
     x = preamble.samples
-    padded = np.concatenate([
-        np.zeros(cfg.timing_offset, np.complex128),
-        x,
-        np.zeros(tail_len, np.complex128),
-    ])
-    out = _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate)
+    if x.flags.writeable:
+        out, power = _received(preamble, cfg, tail_len)
+    else:
+        gains = [part for _, gain in cfg.taps for part in (gain.real, gain.imag)]
+        key = (struct.pack(f"{len(gains) + 1}d", cfg.cfo_hz, *gains), type(cfg.cfo_hz),
+               tuple(delay for delay, _ in cfg.taps),
+               cfg.timing_offset, tail_len, preamble.sample_rate)
+        slot = _slot
+        if slot[0] is x and slot[1] == key:
+            out, power = slot[2], slot[3]
+        else:
+            out, power = _received(preamble, cfg, tail_len)
+            out.flags.writeable = False
+            _slot = (x, key, out, power)
+        if cfg.snr_db is None:
+            out = out.copy()
     if cfg.snr_db is not None:
-        power = preamble.average_power
         if power == 0.0:
             raise ConfigError("cannot set an SNR on a zero-power signal")
         scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)

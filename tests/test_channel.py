@@ -1,9 +1,15 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, apply_cfo,
                       generate_preamble, load_taps, transmit)
-from ofdmsync.channel import BUILTIN_PROFILES, profile_path, resolve_taps
+from ofdmsync.channel import BUILTIN_PROFILES, UNIT_TAP, profile_path, resolve_taps
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 
 from conftest import random_buffer
@@ -123,42 +129,140 @@ def test_transmit_tail_noise_floor(preamble):
         assert np.mean(np.abs(region) ** 2) == pytest.approx(0.1, rel=0.15)
 
 
-@pytest.mark.parametrize("taps", ["clean", "etsi_a", "etsi_c"])
-@pytest.mark.parametrize("snr_db", [None, 7.5])
-@pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3, -250e3])
-def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz):
-    # Every stage is written out here, not taken from channel, so a defect in
-    # transmit's own steps shows.
-    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17, seed=31,
-                        taps=((0, 1 + 0j),) if taps == "clean" else resolve_taps(taps))
-    padded = np.concatenate([np.zeros(17), preamble.samples, np.zeros(90)])
+def stage_by_stage(buf, cfg, tail_len):
+    """(faded frame before the rotation, transmit's output). Every stage is
+    written out here, not taken from channel, so a defect in transmit's own
+    steps shows."""
+    padded = np.concatenate([np.zeros(cfg.timing_offset), buf.samples, np.zeros(tail_len)])
     faded = np.zeros(len(padded) + cfg.taps[-1][0], complex)
     for delay, gain in cfg.taps:
         faded[delay:delay + len(padded)] += gain * padded
     n = np.arange(len(faded))
-    want = faded * np.exp(2j * np.pi * cfo_hz * n / preamble.sample_rate)
-    rotated = apply_cfo(SampleBuffer(faded, preamble.sample_rate), cfo_hz).samples
-    assert np.array_equal(rotated.view(np.uint64), want.view(np.uint64))
-    if snr_db is not None:
-        rng = np.random.default_rng(31)
-        scale = np.sqrt(preamble.average_power / 10 ** (snr_db / 10) / 2)
+    want = faded * np.exp(2j * np.pi * cfg.cfo_hz * n / buf.sample_rate)
+    if cfg.snr_db is not None:
+        rng = np.random.default_rng(cfg.seed)
+        scale = np.sqrt(buf.average_power / 10 ** (cfg.snr_db / 10) / 2)
         want = want + scale * (rng.standard_normal(len(want)) + 1j * rng.standard_normal(len(want)))
-    for _ in range(2):  # the second call reuses the cached rotation
+    return faded, want
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("taps", ["clean", "etsi_a", "etsi_c"])
+@pytest.mark.parametrize("snr_db", [None, 7.5])
+@pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3, -250e3])
+def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz):
+    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17, seed=31,
+                        taps=((0, 1 + 0j),) if taps == "clean" else resolve_taps(taps))
+    faded, want = stage_by_stage(preamble, cfg, 90)
+    rotated = apply_cfo(SampleBuffer(faded, preamble.sample_rate), cfo_hz).samples
+    assert same_bits(rotated, stage_by_stage(preamble, replace(cfg, snr_db=None), 90)[1])
+    for _ in range(2):  # the second call takes the noiseless frame from the slot
         got = transmit(preamble, cfg, tail_len=90).samples
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert same_bits(got, want)
+
+
+# A second read-only frame, with exact zeros and signed-zero parts.
+MIXED = SampleBuffer(np.array([1, 0, -1, 1j, -1j, 0.5 - 0.5j, complex(0.0, -0.0), -2] * 12))
+MIXED.samples.flags.writeable = False
+
+_gain = st.builds(complex, st.sampled_from([1.0, -0.5, 0.25]), st.sampled_from([0.0, -0.0, 0.3]))
+_taps = st.builds(lambda delays, gains: tuple(zip(delays, gains)),
+                  st.sampled_from([(0,), (0, 3), (1, 4, 9)]), st.tuples(_gain, _gain, _gain))
+_channels = st.tuples(
+    # a float32 cfo_hz of the same value rotates in complex64
+    st.sampled_from([0.0, -0.0, 123e3, np.float32(123e3), -250e3]),
+    _taps,
+    st.integers(0, 40),   # timing_offset
+    st.integers(0, 40),   # tail_len
+)
+_calls = st.lists(st.tuples(
+    st.sampled_from(["preamble", "mixed"]), st.sets(st.integers(0, 3)), _channels,
+    st.sampled_from([None, 7.5]), st.integers(0, 2**32)), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_calls)
+@example([("preamble", set(), (123e3, UNIT_TAP, 5, 5), None, 0),
+          ("preamble", {0}, (np.float32(123e3), UNIT_TAP, 5, 5), None, 0)])
+def test_interleaved_transmits_equal_the_stage_by_stage_chain(preamble, calls):
+    # Each call redraws some fields of the previous call's channel (cfo_hz,
+    # taps, timing_offset, tail_len): none gives a slot hit, one tests that
+    # the field is in the key. Either way the bits are the chain's.
+    channel = None
+    for frame, redraw, fresh, snr_db, seed in calls:
+        channel = fresh if channel is None else tuple(
+            fresh[i] if i in redraw else channel[i] for i in range(4))
+        buf = preamble if frame == "preamble" else MIXED
+        cfo_hz, taps, offset, tail_len = channel
+        cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, taps=taps, timing_offset=offset,
+                            seed=seed)
+        got = transmit(buf, cfg, tail_len=tail_len).samples
+        assert same_bits(got, stage_by_stage(buf, cfg, tail_len)[1])
+
+
+def test_writable_input_changed_in_place_gives_the_new_result(rng):
+    buf = random_buffer(rng, 200)
+    cfg = ChannelConfig(cfo_hz=40e3, taps=resolve_taps("etsi_a"), timing_offset=5)
+    transmit(buf, cfg, tail_len=10)
+    buf.samples[::3] *= -2
+    assert same_bits(transmit(buf, cfg, tail_len=10).samples, stage_by_stage(buf, cfg, 10)[1])
+
+
+def test_noiseless_output_from_the_slot_is_a_writable_copy(preamble):
+    cfg = ChannelConfig(cfo_hz=-70e3, taps=resolve_taps("etsi_c"), timing_offset=3)
+    want = stage_by_stage(preamble, cfg, 20)[1]
+    transmit(preamble, cfg, tail_len=20)
+    out = transmit(preamble, cfg, tail_len=20).samples  # a slot hit
+    assert out.flags.writeable
+    out[:] = 0
+    assert same_bits(transmit(preamble, cfg, tail_len=20).samples, want)
+    noisy = transmit(preamble, replace(cfg, snr_db=5.0), tail_len=20).samples
+    assert same_bits(noisy, stage_by_stage(preamble, replace(cfg, snr_db=5.0), 20)[1])
+
+
+def test_concurrent_transmits_each_get_their_own_frame(preamble):
+    # More threads than cores, switching every microsecond; four threads share
+    # each of two channels (noiseless or noisy), so a slot seen half replaced
+    # would hand a thread the other channel's frame under its own key.
+    cfgs = [ChannelConfig(cfo_hz=10e3 * (k % 2), snr_db=None if k % 4 < 2 else 9.0, seed=k,
+                          taps=resolve_taps("etsi_a"), timing_offset=k % 2) for k in range(8)]
+    wants = [stage_by_stage(preamble, cfg, 30)[1] for cfg in cfgs]
+    bad = []
+    start = threading.Barrier(len(cfgs))
+
+    def worker(cfg, want):
+        start.wait(timeout=60)
+        for _ in range(1000):
+            if not same_bits(transmit(preamble, cfg, tail_len=30).samples, want):
+                bad.append(cfg.cfo_hz)
+
+    threads = [threading.Thread(target=worker, args=pair) for pair in zip(cfgs, wants)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
 
 
 @pytest.mark.parametrize("extra", [0, 1, 20000])
 def test_apply_cfo_matches_one_expression_at_any_length(rng, extra):
     # x * exp(...) in one expression, as numpy evaluates it when the
-    # exponential is a temporary (in place from 256 KiB up).
-    from ofdmsync.channel import MAX_SHARED_ROTATION_LEN
-    buf = random_buffer(rng, MAX_SHARED_ROTATION_LEN + extra)
+    # exponential is a temporary (in place from 256 KiB, 16384 samples, up).
+    buf = random_buffer(rng, 8192 + extra)
     n = np.arange(len(buf))
     want = buf.samples * np.exp(2j * np.pi * 51e3 * n / buf.sample_rate)
     for _ in range(2):
         got = apply_cfo(buf, 51e3).samples
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert same_bits(got, want)
 
 
 def test_transmit_noiseless_tail_is_zeros(preamble):
@@ -188,6 +292,12 @@ def test_channel_config_validation():
     for taps in ([], [(-1, 1.0)], [(3, 1.0), (1, 0.5)], [(2, 1.0), (2, 0.5)]):
         with pytest.raises(ConfigError):
             ChannelConfig(taps=taps)
+
+
+@pytest.mark.parametrize("gain", [complex("nan"), float("inf"), complex(0.5, float("-inf"))])
+def test_non_finite_tap_gain_is_rejected_naming_its_delay(gain):
+    with pytest.raises(ConfigError, match="tap gain at delay 4 must be finite"):
+        ChannelConfig(taps=((0, 1 + 0j), (4, gain)))
 
 
 def test_load_taps_roundtrip(tmp_path):

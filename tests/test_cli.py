@@ -269,6 +269,7 @@ SHORT_IQ = np.ones(200, "<f4")
 NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
 ZERO_IQ = np.zeros(800, "<f4")
 HUGE_TAP = b"0 1e39 0\n"
+NAN_TAP = b"0 1 0\n3 nan 0\n"
 
 
 @pytest.mark.parametrize("argv, words, expected", [
@@ -282,8 +283,10 @@ HUGE_TAP = b"0 1e39 0\n"
     (["timesync", "--gap-len", str(10**15)], None, 2),
     (["channel", "--taps", "IN", "--out", "big.iq"], HUGE_TAP, 3),
     (["channel", "--in", "IN", "--snr-db", "10", "--out", "o.iq"], ZERO_IQ, 2),
+    (["channel", "--taps", "IN", "--out", "nan.iq"], NAN_TAP, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
-        "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input"])
+        "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
+        "non-finite-tap"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -300,6 +303,10 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is ZERO_IQ:
         assert "cannot set an SNR on a zero-power signal" in proc.stderr
         assert not (tmp_path / "o.iq").exists()
+    if words is NAN_TAP:
+        assert "tap gain at delay 3 must be finite" in proc.stderr
+        assert "sample buffer" not in proc.stderr
+        assert not (tmp_path / "nan.iq").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
