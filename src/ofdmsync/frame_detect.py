@@ -16,10 +16,17 @@ gives the same bits. :func:`compute_metrics` divides both window sums by the
 window length, the software image of a CIC chain acting as a moving-average
 filter; the exact metric is indifferent to that scaling, while the l1
 approximation needs it to hold at its unit-power operating point.
+
+One kernel computes R, P and the metric for :func:`compute_metrics`,
+:func:`detect_frames` and :class:`StreamingFrameDetector`. It writes every
+array into a workspace carved from one arena and allocates nothing per call.
+A detector keeps its workspace, which holds one step of at most
+``BLOCK_LEN`` new samples, so a chunk of any length runs in bounded memory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +66,16 @@ class FrameEvent:
     peak_metric: float
 
 
-def sliding_sum(values: np.ndarray, window: int) -> np.ndarray:
+def sliding_sum(values: np.ndarray, window: int, out=None, in_place: bool = False) -> np.ndarray:
     """Moving sum over ``window`` entries, each added in one fixed tree order.
 
     Pairwise passes build sums of 1, 2, 4, ... entries; each output adds those
     its window's binary digits select, so it depends only on its own entries.
+    The sums go into ``out`` when given. The passes run in one array, in
+    place: a pass writes entry i from entries i and i + width, behind every
+    entry it has still to read, so numpy needs no copy. That array is a copy
+    of ``values``, or with ``in_place`` ``values`` itself, which is then
+    overwritten.
     """
     values = np.asarray(values)
     if window < 1:
@@ -71,26 +83,108 @@ def sliding_sum(values: np.ndarray, window: int) -> np.ndarray:
     if len(values) < window:
         raise SizingError(f"need at least {window} values, got {len(values)}")
     n_out = len(values) - window + 1
-    out, offset, sums, width = None, 0, values, 1  # sums[i] = sum of values[i:i + width]
+    if out is None:
+        out = np.empty(n_out, values.dtype)
+    sums = values if in_place else values.copy()
+    offset, width = 0, 1  # sums[i] = sum of values[i:i + width]
     while True:
         if window & width:
-            part = sums[offset:offset + n_out]
-            out = part if out is None else out + part
+            if offset:
+                out += sums[offset:offset + n_out]
+            elif sums is not out:
+                out[...] = sums[:n_out]
             offset += width
         if 2 * width > window:
             return out
-        sums = sums[:-width] + sums[width:]
+        head = sums[:-width]
+        if window == 2 * width:  # a power-of-two window's last pass is its only part
+            sums = np.add(head, sums[width:], out=out)
+        else:
+            head += sums[width:]
+            sums = head
         width *= 2
 
 
 def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
     """R[n] = sum_{m<window} r[n+m] * conj(r[n+m+lag]) for every valid n."""
     x = as_samples(r)
+    _require_window(x, lag, window)
+    return _correlate(x, lag, window)
+
+
+def _require_window(x: np.ndarray, lag: int, window: int) -> None:
     if len(x) < lag + window:
         raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
-    # not `*`: numpy may compute `a * temporary` in place, operands swapped, last bit changed
-    products = np.multiply(x[: len(x) - lag], np.conj(x[lag:]))
-    return sliding_sum(products, window)
+
+
+def _correlate(x, lag: int, window: int, out=None, scratch=(None, None)) -> np.ndarray:
+    """The window sums of x[n] * conj(x[n + lag]).
+
+    ``scratch``, two complex arrays of ``len(x) - lag`` entries, takes the
+    conjugates and then the products instead of new arrays.
+    """
+    n = len(x) - lag
+    conj, products = scratch
+    # np.multiply, not `*`, which may compute `a * temporary` in the temporary
+    # with the operands swapped; and never in place, which numpy may round
+    # differently (seen for one sample): either can change the last bit
+    products = np.multiply(x[:n], np.conjugate(x[lag:], out=conj), out=products)
+    return sliding_sum(products, window, out, in_place=True)
+
+
+def _kernel_len(n_samples: int, cfg: FrameDetectConfig) -> int:
+    """complex128 entries :func:`_metric_kernel` takes from its arena for ``n_samples`` samples."""
+    n = n_samples - cfg.lag
+    return 2 * n + (5 * (n - cfg.window + 1) + 1) // 2
+
+
+def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
+    """(numerator, p_squared, metric, top) of ``x``, and the metric's max.
+
+    ``len(x) >= lag + window``, and ``arena`` is a complex128 array of at
+    least ``_kernel_len(len(x), cfg)`` entries. The kernel carves its arrays
+    out of it: the conjugates (whose float view later holds the powers), the
+    lag products, then, as floats, R, p_squared (which holds P until it is
+    squared), numerator and metric. Every numpy call writes into one of them,
+    so the kernel allocates nothing the size of ``x``. The bits are those of
+    ``autocorrelation(x) / window``, ``sliding_sum(abs(x[lag:])**2, window) /
+    window`` and so on. The returned arrays are views into ``arena``; ``top``
+    is NaN when any metric value is.
+    """
+    lag, window = cfg.lag, cfg.window
+    n = len(x) - lag
+    k = n - window + 1
+    floats = arena.view(np.float64)
+    scratch, R = (arena[:n], arena[n:2 * n]), arena[2 * n:2 * n + k]
+    R_floats, powers = floats[4 * n:4 * n + 2 * k], floats[:n]
+    P = p_squared = floats[4 * n + 2 * k:4 * n + 3 * k]
+    numerator, metric = floats[4 * n + 3 * k:4 * n + 4 * k], floats[4 * n + 4 * k:4 * n + 5 * k]
+    _correlate(x, lag, window, R, scratch)
+    np.multiply(R_floats, 1.0 / window, out=R_floats)
+    np.square(np.abs(x[lag:], out=powers), out=powers)
+    sliding_sum(powers, window, P, in_place=True)
+    np.divide(P, float(window), out=P)  # a float converts faster than an int
+    np.square(P, out=p_squared)
+    top = _metric(R, cfg.metric_mode, p_squared, numerator, metric)
+    if not math.isfinite(top):
+        # numpy divides a complex by a real w with Smith's algorithm at ratio 0,
+        # ((re + im*0) * (1/w), (im - re*0) * (1/w)): the multiply above up to
+        # signed zeros while R is finite, but NaN in a part once the other is
+        # not. A finite metric means a finite R; otherwise divide.
+        _correlate(x, lag, window, R, scratch)
+        np.divide(R, window, out=R)
+        top = _metric(R, cfg.metric_mode, p_squared, numerator, metric)
+    return numerator, p_squared, metric, top
+
+
+def _metric(R, mode: str, p_squared, numerator, metric) -> float:
+    """Fill numerator and metric from R and p_squared; return the metric's max."""
+    if mode == "exact":
+        np.add(np.square(R.real, out=numerator), np.square(R.imag, out=metric), out=numerator)
+    else:
+        np.add(np.abs(R.real, out=numerator), np.abs(R.imag, out=metric), out=numerator)
+    np.divide(numerator, np.add(p_squared, _EPS, out=metric), out=metric)
+    return np.maximum.reduce(metric)
 
 
 def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
@@ -98,28 +192,30 @@ def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
 
     With R and P the window-averaged correlation and power, numerator is
     |R|^2 in ``exact`` mode and |Re R| + |Im R| in ``l1_approx`` mode,
-    p_squared is P^2, and metric = numerator / (p_squared + 1e-30).
+    p_squared is P^2, and metric = numerator / (p_squared + 1e-30). The
+    kernel runs over steps of ``BLOCK_LEN`` outputs in one workspace, so
+    beyond the three arrays it returns, memory stays bounded.
     """
     x = as_samples(r)
-    R = autocorrelation(x, cfg.lag, cfg.window) / cfg.window
-    P = sliding_sum(np.abs(x[cfg.lag:]) ** 2, cfg.window) / cfg.window
-    if cfg.metric_mode == "exact":
-        numerator = R.real**2 + R.imag**2
-    else:
-        numerator = np.abs(R.real) + np.abs(R.imag)
-    p_squared = P**2
-    return numerator, p_squared, numerator / (p_squared + _EPS)
+    _require_window(x, cfg.lag, cfg.window)
+    context = cfg.lag + cfg.window - 1
+    out = np.empty((3, len(x) - context))
+    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
+    for at in range(0, out.shape[1], BLOCK_LEN):
+        for row, values in zip(out, _metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[:3]):
+            row[at:at + len(values)] = values
+    return tuple(out)
 
 
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
     """All maximal above-threshold runs of length >= min_plateau.
 
-    The buffer goes through a :class:`StreamingFrameDetector` in blocks of
-    ``BLOCK_LEN`` samples, bounding memory. A buffer too short to hold even
-    one correlation window yields no events.
+    One :class:`StreamingFrameDetector` takes the whole buffer, in bounded
+    memory. A buffer too short to hold even one correlation window yields no
+    events.
     """
-    x = as_samples(r)
-    return detect_blocks((x[at:at + BLOCK_LEN] for at in range(0, len(x), BLOCK_LEN)), cfg)
+    detector = StreamingFrameDetector(cfg)
+    return detector.process(r) + detector.flush()
 
 
 def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
@@ -143,38 +239,71 @@ class StreamingFrameDetector:
     after the last chunk. The concatenated event list equals what
     :func:`detect_frames` reports on the whole stream. Instances are
     single-owner: hand one between threads, never share it.
+
+    The detector owns one workspace, a complex128 arena: the samples of one
+    step (the ``lag + window - 1`` samples of context kept from the last step,
+    then the new ones), then the metric kernel's arrays. :meth:`process`
+    walks a chunk of any length through it in steps of at most ``BLOCK_LEN``
+    new samples. The workspace grows with the chunks it is fed, up to
+    ``BLOCK_LEN + lag + window - 1`` samples and no further, so memory stays
+    bounded whatever the chunk length.
     """
 
     def __init__(self, cfg: FrameDetectConfig = FrameDetectConfig()):
         self.cfg = cfg
-        self._pending = np.zeros(0, np.complex128)
-        self._base = 0  # absolute index of _pending[0]
+        self._size = 0  # samples a step may hold
+        self._samples = self._kernel_arena = None  # the workspace's two parts
+        self._held = 0  # samples of context at the front of _samples
+        self._base = 0  # absolute index of _samples[0]
         self._run = None  # (start, end, peak) of a run still open at the last chunk's end
 
     def process(self, chunk) -> list[FrameEvent]:
-        x = np.concatenate([self._pending, as_samples(chunk)])
-        if len(x) < self.cfg.lag + self.cfg.window:
-            self._pending = x
-            return []
-        _, _, metric = compute_metrics(x, self.cfg)
-        events = self._runs(metric)
-        consumed = len(metric)  # keep lag+window-1 samples of context for the next chunk
-        self._pending = x[consumed:].copy()
-        self._base += consumed
+        x = as_samples(chunk)
+        events: list[FrameEvent] = []
+        for at in range(0, len(x), BLOCK_LEN):
+            piece = x[at:at + BLOCK_LEN]
+            end = self._held + len(piece)
+            if end > self._size:
+                self._grow(end)
+            samples = self._samples[:end]
+            samples[self._held:] = piece
+            if end < self.cfg.lag + self.cfg.window:
+                self._held = end
+                continue
+            _, _, metric, top = _metric_kernel(samples, self.cfg, self._kernel_arena)
+            if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
+                events += self._runs(metric)
+            consumed = len(metric)  # keep lag+window-1 samples of context for the next step
+            samples[:end - consumed] = samples[consumed:]
+            self._held = end - consumed
+            self._base += consumed
         return events
+
+    def _grow(self, n_samples: int) -> None:
+        """Make the workspace hold steps of ``n_samples`` samples, keeping the held context."""
+        cfg = self.cfg
+        if self._samples is None:
+            size = max(n_samples, cfg.lag + cfg.window)
+        else:
+            size = min(max(n_samples, 2 * self._size), BLOCK_LEN + cfg.lag + cfg.window - 1)
+        arena = np.empty(size + _kernel_len(size, cfg), np.complex128)
+        if self._held:
+            arena[:self._held] = self._samples[:self._held]
+        self._size, self._samples, self._kernel_arena = size, arena[:size], arena[size:]
 
     def _runs(self, metric: np.ndarray) -> list[FrameEvent]:
         """Extend, close and open runs over the constant stretches of metric > threshold."""
         mask = metric > self.cfg.threshold
         # np.diff + np.flatnonzero cost several times more on short chunks
-        cuts = (mask[1:] != mask[:-1]).nonzero()[0].tolist()
-        bounds = [0, *[c + 1 for c in cuts], len(mask)]
+        starts = [0, *[c + 1 for c in (mask[1:] != mask[:-1]).nonzero()[0].tolist()]]
+        peaks = np.maximum.reduceat(metric, starts).tolist()  # the max of every stretch
+        bounds = starts + [len(mask)]
         events: list[FrameEvent] = []
         if self._run is not None and not mask[0]:
             events += self._close()
         first = 0 if mask[0] else 1  # stretches alternate, so every other one is above
-        for a, b in zip(bounds[first::2], bounds[first + 1::2]):
-            start, peak = self._base + a, metric[a:b].max()
+        for a, b, peak in zip(bounds[first::2], bounds[first + 1::2], peaks[first::2]):
+            start = self._base + a
             if self._run is not None:  # a == 0: the open run goes on
                 start, _, open_peak = self._run
                 peak = max(open_peak, peak)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, SampleBuffer
+from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, SampleBuffer, all_finite
 from .errors import IqFormatError
 
 _SAMPLE_BYTES = 8  # two float32 per complex sample
@@ -33,10 +33,8 @@ def _require_finite(words: np.ndarray, source, first_sample: int = 0) -> None:
 
     ``words`` starts at sample ``first_sample`` of ``source``.
     """
-    words = words.reshape(-1)
-    # min/max propagate NaN and surface +-inf without a buffer-sized temporary
-    if words.size and not (np.isfinite(words.min()) and np.isfinite(words.max())):
-        first = int(np.argmin(np.isfinite(words)))
+    if not all_finite(words):
+        first = int(np.argmin(np.isfinite(words.reshape(-1))))
         raise IqFormatError(f"{source}: sample {first_sample + first // 2} is not finite")
 
 

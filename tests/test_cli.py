@@ -225,8 +225,9 @@ def test_streamed_detect_memory_does_not_grow_with_the_file(tmp_path):
 
     peak_kib, faults = usage("detect", "--in", str(path)) - usage()
     assert peak_kib < 16 * 1024
-    # blocks of 16384 samples cost about 95k faults here: their temporaries
-    # pass glibc's mmap threshold and are mapped afresh on every call
+    # about 480 here: the detector allocates its workspace once, so faults do
+    # not grow with the block count (per-call temporaries past glibc's mmap
+    # threshold, mapped afresh on every call, once cost about 95k)
     assert faults < 1000
 
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import ofdmsync
 
 from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, SampleBuffer, SizingError,
                       autocorrelation, detect_frames, preamble_train, transmit)
@@ -132,6 +139,124 @@ def test_exact_metric_gain_invariance(rng):
     for alpha in (0.01, 3.7, 250.0, -2.0):
         _, _, M2 = compute_metrics(alpha * buf, FrameDetectConfig())
         assert np.max(np.abs(M2 - M)) <= 1e-9
+
+
+# --- the metric kernel against the arithmetic it replaces ---------------------
+
+def reference_sliding_sum(values, window):
+    """The fixed tree order with a new array for every pass."""
+    n_out = len(values) - window + 1
+    out, offset, sums, width = None, 0, values, 1
+    while True:
+        if window & width:
+            part = sums[offset:offset + n_out]
+            out = part if out is None else out + part
+            offset += width
+        if 2 * width > window:
+            return out
+        sums = sums[:-width] + sums[width:]
+        width *= 2
+
+
+def reference_metrics(x, cfg):
+    """(R window sums, numerator, p_squared, metric) with one temporary per step."""
+    products = np.multiply(x[:len(x) - cfg.lag], np.conj(x[cfg.lag:]))
+    sums = reference_sliding_sum(products, cfg.window)
+    R = sums / cfg.window
+    P = reference_sliding_sum(np.abs(x[cfg.lag:]) ** 2, cfg.window) / cfg.window
+    if cfg.metric_mode == "exact":
+        numerator = R.real**2 + R.imag**2
+    else:
+        numerator = np.abs(R.real) + np.abs(R.imag)
+    p_squared = P**2
+    return sums, numerator, p_squared, numerator / (p_squared + 1e-30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lag=st.integers(1, 64), window=st.integers(1, 64), extra=st.integers(1, 300),
+       metric_mode=st.sampled_from(METRIC_MODES), exponent=st.floats(-150, 150),
+       seed=st.integers(0, 2**32 - 1),
+       zeros=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120)), max_size=3))
+# |x| near 1e155: the products, and so R itself, overflow
+@example(lag=1, window=4, extra=40, metric_mode="exact", exponent=155.0, seed=1, zeros=[])
+@example(lag=16, window=10, extra=60, metric_mode="l1_approx", exponent=155.0, seed=2,
+         zeros=[(30, 20)])
+@example(lag=16, window=16, extra=50, metric_mode="exact", exponent=-160.0, seed=3, zeros=[])
+# one product: numpy rounds a one-sample complex multiply written in place differently
+@example(lag=2, window=1, extra=1, metric_mode="exact", exponent=0.0, seed=0, zeros=[])
+def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_mode, exponent,
+                                                     seed, zeros):
+    gen = np.random.default_rng(seed)
+    n = lag + window - 1 + extra
+    x = 10.0**exponent * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    for at, length in zeros:
+        x[at:at + length] = 0
+    cfg = FrameDetectConfig(lag=lag, window=window, metric_mode=metric_mode)
+    with np.errstate(all="ignore"):
+        sums, *want = reference_metrics(x, cfg)
+        got = compute_metrics(x, cfg)
+        assert autocorrelation(x, lag, window).tobytes() == sums.tobytes()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([3, 5, 7, 10, 12, 24, 33, 63]),
+       metric_mode=st.sampled_from(METRIC_MODES),
+       sizes=st.lists(st.tuples(st.integers(1, 3 * BLOCK_LEN),
+                                st.integers(BLOCK_LEN, 3 * BLOCK_LEN)), min_size=1, max_size=4))
+def test_streaming_with_a_window_that_is_not_a_power_of_two(seed, window, metric_mode, sizes):
+    # period-16 bursts across the edges of detect_frames' steps; each pair of
+    # chunk sizes covers at least BLOCK_LEN samples, so a pass is a few calls
+    gen = np.random.default_rng(seed)
+    n = 3 * BLOCK_LEN + 1000
+    x = 0.2 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    for at in (BLOCK_LEN - 90, 2 * BLOCK_LEN - 150, 2 * BLOCK_LEN + 3000):
+        x[at:at + 192] = np.tile(np.exp(2j * np.pi * gen.uniform(size=16)), 12)
+    cfg = FrameDetectConfig(window=window, min_plateau=8, metric_mode=metric_mode)
+    batch = detect_frames(x, cfg)
+    assert len(batch) >= 3
+    calls, flushed = _stream(x, [size for pair in sizes for size in pair], cfg)
+    assert [e for found in calls for e in found] + flushed == batch
+
+
+def test_workspace_grows_to_one_step_and_no_further():
+    cfg = FrameDetectConfig(window=10)
+    cap = BLOCK_LEN + cfg.lag + cfg.window - 1
+    detector = StreamingFrameDetector(cfg)
+    for size in (1, 40, 5000, 3 * BLOCK_LEN + 7, 100, 20 * BLOCK_LEN):
+        detector.process(np.ones(size))
+        assert detector._size <= cap
+    assert detector._size == cap
+
+
+# Prints the peak RSS (KiB) before and after one process call on a single
+# 4M-sample chunk. It runs in a fork of a small process: an exec'd process
+# inherits the peak of the one that spawned it.
+_ONE_CHUNK_PEAK = """
+import os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+import numpy as np
+from ofdmsync import StreamingFrameDetector
+x = np.empty(1 << 22, np.complex128)
+rng = np.random.default_rng(1)
+for at in range(0, len(x), 1 << 16):
+    x[at:at + (1 << 16)] = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+StreamingFrameDetector().process(x)
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_one_long_chunk_runs_in_bounded_memory():
+    # the chunk is 64 MB; whole-chunk temporaries would add hundreds of MB
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _ONE_CHUNK_PEAK], env=env,
+                          capture_output=True, text=True, check=True)
+    before, after = map(int, proc.stdout.split())
+    assert after - before < 4 * 1024
 
 
 # --- detect_frames -----------------------------------------------------------
