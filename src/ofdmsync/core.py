@@ -67,9 +67,13 @@ def as_samples(signal) -> np.ndarray:
 def all_finite(values: np.ndarray) -> bool:
     """Whether no entry of a float or complex array, nor part of one, is NaN or infinite.
 
-    One min and one max over the float view: NaN propagates through both and
-    an infinity shows in one of them, so no array-sized boolean is built.
+    One min and one max over the float view, or over the real and imaginary
+    parts of a strided complex array: NaN propagates through both and an
+    infinity shows in one of them, so neither an array-sized boolean nor a
+    copy is built.
     """
     if values.dtype.kind == "c":
-        values = np.ascontiguousarray(values).view(values.real.dtype)
+        if not values.flags.c_contiguous:
+            return all_finite(values.real) and all_finite(values.imag)
+        values = values.view(values.real.dtype)
     return values.size == 0 or (math.isfinite(values.min()) and math.isfinite(values.max()))

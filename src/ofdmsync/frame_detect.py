@@ -66,16 +66,14 @@ class FrameEvent:
     peak_metric: float
 
 
-def sliding_sum(values: np.ndarray, window: int, out=None, in_place: bool = False) -> np.ndarray:
+def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
     """Moving sum over ``window`` entries, each added in one fixed tree order.
 
     Pairwise passes build sums of 1, 2, 4, ... entries; each output adds those
     its window's binary digits select, so it depends only on its own entries.
-    The sums go into ``out`` when given. The passes run in one array, in
-    place: a pass writes entry i from entries i and i + width, behind every
-    entry it has still to read, so numpy needs no copy. That array is a copy
-    of ``values``, or with ``in_place`` ``values`` itself, which is then
-    overwritten.
+    The sums go into ``out`` when given. The passes run in ``values`` itself,
+    which they overwrite: a pass writes entry i from entries i and i + width,
+    behind every entry it has still to read, so numpy needs no copy.
     """
     values = np.asarray(values)
     if window < 1:
@@ -85,7 +83,7 @@ def sliding_sum(values: np.ndarray, window: int, out=None, in_place: bool = Fals
     n_out = len(values) - window + 1
     if out is None:
         out = np.empty(n_out, values.dtype)
-    sums = values if in_place else values.copy()
+    sums = values
     offset, width = 0, 1  # sums[i] = sum of values[i:i + width]
     while True:
         if window & width:
@@ -129,7 +127,7 @@ def _correlate(x, lag: int, window: int, out=None, scratch=(None, None)) -> np.n
     # with the operands swapped; and never in place, which numpy may round
     # differently (seen for one sample): either can change the last bit
     products = np.multiply(x[:n], np.conjugate(x[lag:], out=conj), out=products)
-    return sliding_sum(products, window, out, in_place=True)
+    return sliding_sum(products, window, out)
 
 
 def _kernel_len(n_samples: int, cfg: FrameDetectConfig) -> int:
@@ -162,7 +160,7 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     _correlate(x, lag, window, R, scratch)
     np.multiply(R_floats, 1.0 / window, out=R_floats)
     np.square(np.abs(x[lag:], out=powers), out=powers)
-    sliding_sum(powers, window, P, in_place=True)
+    sliding_sum(powers, window, P)
     np.divide(P, float(window), out=P)  # a float converts faster than an int
     np.square(P, out=p_squared)
     top = _metric(R, cfg.metric_mode, p_squared, numerator, metric)

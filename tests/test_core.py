@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,14 @@ def test_sample_buffer_rejects_a_non_finite_part_of_a_strided_view():
     assert len(SampleBuffer(samples[::2])) == 10
     with pytest.raises(ConfigError, match="non-finite"):
         SampleBuffer(samples[1::2])
+
+
+def test_all_finite_copies_no_strided_complex_view():
+    samples = np.ones(200_000, np.complex128)
+    tracemalloc.start()
+    try:
+        assert all_finite(samples[::2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a copy of the view would take 1.6 MB

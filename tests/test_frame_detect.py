@@ -13,7 +13,7 @@ import ofdmsync
 from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, SampleBuffer, SizingError,
                       autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
-                                   compute_metrics, sliding_sum)
+                                   compute_metrics, detect_blocks, sliding_sum)
 
 from conftest import random_buffer
 
@@ -452,10 +452,12 @@ def test_metrics_of_overlapping_segments_equal_the_whole_buffer(rng):
                             (BLOCK_LEN, n), (12_345, 12_345 + 20_000)):
             for part, full in zip(compute_metrics(x[start:stop], cfg), whole):
                 assert np.array_equal(part, full[start:stop - context])
-    # detect_frames' blocks give the events of one chunk
-    detector = StreamingFrameDetector()
-    events = detect_frames(x)
-    assert events == detector.process(x) + detector.flush()
+    # one pass, a per-sample run scan and steps of 5000 samples give the same events
+    cfg = FrameDetectConfig()
+    events = detect_frames(x, cfg)
+    assert [(e.start_index, e.end_index, e.peak_metric) for e in events] == scan_runs(
+        compute_metrics(x, cfg)[2], cfg.threshold, cfg.min_plateau)
+    assert detect_blocks(x[at:at + 5000] for at in range(0, n, 5000)) == events
     assert any(e.start_index < BLOCK_LEN <= e.end_index for e in events)
 
 
