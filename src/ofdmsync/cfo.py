@@ -28,8 +28,7 @@ class CfoEstimate:
     plateau_span: tuple[int, int]  # half-open (start, stop) autocorrelation indices
 
 
-def estimate_cfo(r: SampleBuffer, lag: int = 16,
-                 plateau: tuple[int, int] = (0, 1)) -> CfoEstimate:
+def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEstimate:
     """Estimate the offset from the mean autocorrelation over ``plateau``.
 
     ``plateau`` is a half-open (start, stop) range of autocorrelation

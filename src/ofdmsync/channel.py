@@ -5,21 +5,21 @@
 Gaussian noise referenced to the average power of the transmitted frame, so
 ``snr_db`` keeps its meaning regardless of how much silence surrounds it.
 
-Only the noise differs between the trials of a Monte Carlo run, so
-:func:`transmit` keeps the last noiseless received frame it built, with the
-input's average power, in one slot and reuses it while the input and every
-setting but ``snr_db`` and ``seed`` stay the same. It stores frames only for
-read-only inputs (such as :func:`~ofdmsync.preamble.generate_preamble`'s),
-taken as frozen: a writable array can change in place under the same
-identity. The slot is replaced by one assignment of an immutable tuple, so
-concurrent callers never see half of it. It keeps that one frame, as long as
-the transmission it came from, alive until another frame replaces it.
+Only the noise, drawn from :func:`transmit`'s ``seed``, differs between the
+trials of a Monte Carlo run, so :func:`transmit` keeps the last noiseless
+received frame it built, with the input's average power, in one slot and
+reuses it for the same input buffer, config object and ``tail_len``. It
+stores frames only for read-only inputs (such as
+:func:`~ofdmsync.preamble.generate_preamble`'s), taken as frozen: a writable
+array can change in place under the same identity. The slot is replaced by
+one assignment of an immutable tuple, so concurrent callers never see half
+of it. It keeps that one frame, as long as the transmission it came from,
+alive until another frame replaces it.
 """
 
 from __future__ import annotations
 
 import cmath
-import struct
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,7 +40,7 @@ UNIT_TAP = ((0, 1 + 0j),)  # no multipath
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Impairment settings for one transmission.
+    """Impairment settings of a channel; the noise seed is :func:`transmit`'s.
 
     ``snr_db=None`` means noiseless. ``taps`` is a tapped-delay profile as
     (delay_samples, complex_gain) pairs with strictly increasing delays.
@@ -51,7 +51,6 @@ class ChannelConfig:
     snr_db: float | None = None
     taps: tuple[tuple[int, complex], ...] = UNIT_TAP
     timing_offset: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         taps = tuple((int(d), complex(g)) for d, g in self.taps)
@@ -71,8 +70,6 @@ class ChannelConfig:
         if not 0 <= self.timing_offset <= MAX_GENERATED_SAMPLES:
             raise ConfigError(f"timing_offset must lie in [0, {MAX_GENERATED_SAMPLES}], "
                               f"got {self.timing_offset}")
-        if self.seed < 0:
-            raise ConfigError(f"seed cannot be negative, got {self.seed}")
         object.__setattr__(self, "taps", taps)
 
 
@@ -123,51 +120,49 @@ def _received(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int
     return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), power
 
 
-# (samples, key, frame, power) of the last read-only input; see transmit.
-_slot: tuple = (None, None, None, 0.0)
+# (preamble, cfg, tail_len, frame, power) of the last read-only input; see transmit.
+_slot: tuple = (None, None, None, None, 0.0)
 
 
-def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0) -> SampleBuffer:
+def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
+             seed: int = 0) -> SampleBuffer:
     """Run one frame through the configured channel.
 
     The output is ``timing_offset`` lead samples, the impaired frame, then
     ``tail_len`` trailing samples (the inter-frame gap seen by a receiver
-    that keeps capturing). Lead and tail carry only channel noise, or zeros
-    when noiseless. Deterministic for a fixed (input, config) pair. An SNR
-    on a zero-power frame raises ConfigError.
+    that keeps capturing). Lead and tail carry only channel noise, drawn
+    from ``default_rng(seed)``, or zeros when noiseless. Deterministic for
+    a fixed (input, config, tail_len, seed). A negative seed, or an SNR on
+    a zero-power frame, raises ConfigError.
 
     For a read-only ``preamble.samples`` the noiseless frame comes from the
-    module's one slot, keyed by that array's identity, the bits of
-    ``cfo_hz`` and the tap gains (0.0 and -0.0 differ), the type of
-    ``cfo_hz`` (a float32 rotates in complex64), the delays,
-    ``timing_offset``, ``tail_len`` and the sample rate; a miss rebuilds it
-    and replaces the slot. Writable inputs are rebuilt on every call and
-    never stored. A noiseless call returns a copy, never the slot's array.
-    Outputs are the same bits with or without the slot.
+    module's one slot while ``preamble`` and ``cfg`` are the objects it was
+    built from and ``tail_len`` is the same; a miss rebuilds it and replaces
+    the slot. Both objects are frozen and the slot holds them, so their ids
+    cannot be reused while it does. Writable inputs are rebuilt on every
+    call and never stored. A noiseless call returns a copy, never the slot's
+    array. Outputs are the same bits with or without the slot.
     """
     global _slot
-    x = preamble.samples
-    if x.flags.writeable:
+    if seed < 0:
+        raise ConfigError(f"seed cannot be negative, got {seed}")
+    if preamble.samples.flags.writeable:
         out, power = _received(preamble, cfg, tail_len)
     else:
-        gains = [part for _, gain in cfg.taps for part in (gain.real, gain.imag)]
-        key = (struct.pack(f"{len(gains) + 1}d", cfg.cfo_hz, *gains), type(cfg.cfo_hz),
-               tuple(delay for delay, _ in cfg.taps),
-               cfg.timing_offset, tail_len, preamble.sample_rate)
         slot = _slot
-        if slot[0] is x and slot[1] == key:
-            out, power = slot[2], slot[3]
+        if slot[0] is preamble and slot[1] is cfg and slot[2] == tail_len:
+            out, power = slot[3], slot[4]
         else:
             out, power = _received(preamble, cfg, tail_len)
             out.flags.writeable = False
-            _slot = (x, key, out, power)
+            _slot = (preamble, cfg, tail_len, out, power)
         if cfg.snr_db is None:
             out = out.copy()
     if cfg.snr_db is not None:
         if power == 0.0:
             raise ConfigError("cannot set an SNR on a zero-power signal")
         scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         out = out + scale * (rng.standard_normal(len(out)) + 1j * rng.standard_normal(len(out)))
     return SampleBuffer(out, preamble.sample_rate)
 

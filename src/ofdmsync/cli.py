@@ -117,14 +117,14 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
 def _channel_config(args) -> ChannelConfig:
     taps = UNIT_TAP if args.taps is None else resolve_taps(args.taps)
     return ChannelConfig(cfo_hz=args.cfo_hz, snr_db=args.snr_db, taps=taps,
-                         timing_offset=args.timing_offset, seed=args.seed)
+                         timing_offset=args.timing_offset)
 
 
 def _input_buffer(args) -> SampleBuffer:
     if args.infile:
         return read_iq(args.infile, args.sample_rate)
     pre = generate_preamble()
-    return transmit(pre, _channel_config(args), tail_len=args.gap_len)
+    return transmit(pre, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
 
 
 def _write_output(buf: SampleBuffer, path, fmt: str) -> None:
@@ -142,7 +142,7 @@ def cmd_preamble(args) -> int:
 def cmd_channel(args) -> int:
     source = (read_iq(args.infile, args.sample_rate) if args.infile
               else generate_preamble())
-    out = transmit(source, _channel_config(args), tail_len=args.gap_len)
+    out = transmit(source, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
     _write_output(out, args.out, args.format)
     snr = "noiseless" if args.snr_db is None else f"{args.snr_db} dB"
     print(f"wrote {len(out)} impaired samples to {args.out} "
@@ -163,7 +163,7 @@ def cmd_detect(args) -> int:
             pre = generate_preamble()
             frame = (pre if args.frames == 1 else
                      preamble_train(pre, args.frames, args.gap_len))
-            buf = transmit(frame, _channel_config(args), tail_len=args.gap_len)
+            buf = transmit(frame, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
         events = detect_frames(buf, cfg)
     if args.trace:
         # rows hold each metric's own operands; a buffer shorter than one window has none

@@ -9,7 +9,7 @@ histograms and variance tables can be reproduced by any plotting tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,14 @@ STAGES = ("frame", "time_sts", "time_lts", "cfo")
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """What to run: trial count, channel template, stages, and seeding.
+    """What to run: trial count, channel, stages, and seeding.
 
-    Trial i reuses ``channel`` with seed ``base_seed + i``. ``gap_len`` is
-    the length of the idle stretch that follows each transmitted preamble;
-    the received buffer keeps capturing through it, so it carries the
-    channel noise, which also gives the long-template correlator room to
-    search past the frame.
+    Every trial runs through the one ``channel`` object; trial i draws its
+    noise from seed ``base_seed + i``, so ``base_seed`` cannot be negative.
+    ``gap_len`` is the length of the idle stretch that follows each
+    transmitted preamble; the received buffer keeps capturing through it, so
+    it carries the channel noise, which also gives the long-template
+    correlator room to search past the frame.
     """
 
     n_trials: int = 300
@@ -46,6 +47,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed cannot be negative, got base_seed {self.base_seed}")
         stages = tuple(self.stages)
         for stage in stages:
             if stage not in STAGES:
@@ -124,8 +127,8 @@ class _TrialFailure(Exception):
 def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     """Run the plan and return statistics per requested stage.
 
-    Per trial: transmit the preamble through the channel (seed base_seed+i),
-    then
+    Per trial: transmit the preamble through ``plan.channel``, the same
+    config object in every trial, with seed base_seed+i, then
       frame    -> start index of the first detection run, if any;
       time_sts -> short-template timing estimate (landmark 160 + delay);
       time_lts -> long-template timing estimate (landmark 320 + delay);
@@ -148,8 +151,7 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
 
     for i in range(plan.n_trials):
-        cfg = replace(plan.channel, seed=plan.base_seed + i)
-        rx = transmit(pre, cfg, tail_len=plan.gap_len)
+        rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=plan.base_seed + i)
         for stage in plan.stages:
             values, indices, failures = results[stage]
             try:

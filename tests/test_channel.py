@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, apply_cfo,
                       generate_preamble, load_taps, transmit)
+from ofdmsync import channel as channel_module
 from ofdmsync.channel import BUILTIN_PROFILES, UNIT_TAP, profile_path, resolve_taps
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 
@@ -75,16 +76,16 @@ def test_multipath_matches_convolution_oracle(rng):
 
 def test_awgn_power_law_of_large_numbers():
     buf = SampleBuffer(np.ones(1_000_000))
-    out = transmit(buf, ChannelConfig(snr_db=10.0, seed=42))
+    out = transmit(buf, ChannelConfig(snr_db=10.0), seed=42)
     noise_power = np.mean(np.abs(out.samples - buf.samples) ** 2)
     assert noise_power == pytest.approx(0.1, rel=0.02)
 
 
 def test_awgn_deterministic(preamble):
-    a = transmit(preamble, ChannelConfig(snr_db=5.0, seed=77)).samples
-    b = transmit(preamble, ChannelConfig(snr_db=5.0, seed=77)).samples
+    a = transmit(preamble, ChannelConfig(snr_db=5.0), seed=77).samples
+    b = transmit(preamble, ChannelConfig(snr_db=5.0), seed=77).samples
     assert np.array_equal(a, b)
-    c = transmit(preamble, ChannelConfig(snr_db=5.0, seed=78)).samples
+    c = transmit(preamble, ChannelConfig(snr_db=5.0), seed=78).samples
     assert not np.array_equal(a, c)
 
 
@@ -113,23 +114,23 @@ def test_transmit_noiseless_cfo_composition(preamble):
 
 
 def test_transmit_deterministic(preamble):
-    cfg = ChannelConfig(snr_db=3.0, cfo_hz=1e5, timing_offset=10, seed=123)
-    a = transmit(preamble, cfg).samples
-    b = transmit(preamble, cfg).samples
+    cfg = ChannelConfig(snr_db=3.0, cfo_hz=1e5, timing_offset=10)
+    a = transmit(preamble, cfg, seed=123).samples
+    b = transmit(preamble, cfg, seed=123).samples
     assert np.array_equal(a, b)
 
 
 def test_transmit_tail_noise_floor(preamble):
     # lead and tail carry channel noise at the configured floor
-    cfg = ChannelConfig(snr_db=10.0, timing_offset=2000, seed=9)
-    out = transmit(preamble, cfg, tail_len=2000).samples
+    cfg = ChannelConfig(snr_db=10.0, timing_offset=2000)
+    out = transmit(preamble, cfg, tail_len=2000, seed=9).samples
     lead = out[:2000]
     tail = out[-2000:]
     for region in (lead, tail):
         assert np.mean(np.abs(region) ** 2) == pytest.approx(0.1, rel=0.15)
 
 
-def stage_by_stage(buf, cfg, tail_len):
+def stage_by_stage(buf, cfg, tail_len, seed=0):
     """(faded frame before the rotation, transmit's output). Every stage is
     written out here, not taken from channel, so a defect in transmit's own
     steps shows."""
@@ -140,7 +141,7 @@ def stage_by_stage(buf, cfg, tail_len):
     n = np.arange(len(faded))
     want = faded * np.exp(2j * np.pi * cfg.cfo_hz * n / buf.sample_rate)
     if cfg.snr_db is not None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         scale = np.sqrt(buf.average_power / 10 ** (cfg.snr_db / 10) / 2)
         want = want + scale * (rng.standard_normal(len(want)) + 1j * rng.standard_normal(len(want)))
     return faded, want
@@ -154,13 +155,13 @@ def same_bits(a, b):
 @pytest.mark.parametrize("snr_db", [None, 7.5])
 @pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3, -250e3])
 def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz):
-    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17, seed=31,
+    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=17,
                         taps=((0, 1 + 0j),) if taps == "clean" else resolve_taps(taps))
-    faded, want = stage_by_stage(preamble, cfg, 90)
+    faded, want = stage_by_stage(preamble, cfg, 90, seed=31)
     rotated = apply_cfo(SampleBuffer(faded, preamble.sample_rate), cfo_hz).samples
     assert same_bits(rotated, stage_by_stage(preamble, replace(cfg, snr_db=None), 90)[1])
     for _ in range(2):  # the second call takes the noiseless frame from the slot
-        got = transmit(preamble, cfg, tail_len=90).samples
+        got = transmit(preamble, cfg, tail_len=90, seed=31).samples
         assert same_bits(got, want)
 
 
@@ -176,31 +177,61 @@ _channels = st.tuples(
     st.sampled_from([0.0, -0.0, 123e3, np.float32(123e3), -250e3]),
     _taps,
     st.integers(0, 40),   # timing_offset
+    st.sampled_from([None, 7.5]),   # snr_db
     st.integers(0, 40),   # tail_len
 )
 _calls = st.lists(st.tuples(
-    st.sampled_from(["preamble", "mixed"]), st.sets(st.integers(0, 3)), _channels,
-    st.sampled_from([None, 7.5]), st.integers(0, 2**32)), min_size=1, max_size=12)
+    st.sampled_from(["preamble", "mixed"]), st.sets(st.integers(0, 4)), _channels,
+    st.integers(0, 2**32)), min_size=1, max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_calls)
-@example([("preamble", set(), (123e3, UNIT_TAP, 5, 5), None, 0),
-          ("preamble", {0}, (np.float32(123e3), UNIT_TAP, 5, 5), None, 0)])
+@example([("preamble", set(), (123e3, UNIT_TAP, 5, None, 5), 0),
+          ("preamble", {0}, (np.float32(123e3), UNIT_TAP, 5, None, 5), 0)])
 def test_interleaved_transmits_equal_the_stage_by_stage_chain(preamble, calls):
     # Each call redraws some fields of the previous call's channel (cfo_hz,
-    # taps, timing_offset, tail_len): none gives a slot hit, one tests that
-    # the field is in the key. Either way the bits are the chain's.
-    channel = None
-    for frame, redraw, fresh, snr_db, seed in calls:
+    # taps, timing_offset, snr_db, tail_len) and keeps the previous config
+    # object when none of its fields is redrawn, so slot hits interleave with
+    # misses across both frames. Either way the bits are the chain's.
+    channel = cfg = None
+    for frame, redraw, fresh, seed in calls:
+        if channel is None or redraw & {0, 1, 2, 3}:
+            cfg = None
         channel = fresh if channel is None else tuple(
-            fresh[i] if i in redraw else channel[i] for i in range(4))
+            fresh[i] if i in redraw else channel[i] for i in range(5))
         buf = preamble if frame == "preamble" else MIXED
-        cfo_hz, taps, offset, tail_len = channel
-        cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, taps=taps, timing_offset=offset,
-                            seed=seed)
-        got = transmit(buf, cfg, tail_len=tail_len).samples
-        assert same_bits(got, stage_by_stage(buf, cfg, tail_len)[1])
+        cfo_hz, taps, offset, snr_db, tail_len = channel
+        if cfg is None:
+            cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, taps=taps, timing_offset=offset)
+        got = transmit(buf, cfg, tail_len=tail_len, seed=seed).samples
+        assert same_bits(got, stage_by_stage(buf, cfg, tail_len, seed)[1])
+
+
+@pytest.mark.parametrize("fresh", ["config", "buffer"])
+def test_equal_inputs_that_are_other_objects_rebuild_the_frame(preamble, monkeypatch, fresh):
+    # The slot is keyed by identity: an equal config, or a second read-only
+    # buffer over the same samples, is a miss that builds its own frame.
+    built = []
+    received = channel_module._received
+    monkeypatch.setattr(channel_module, "_received",
+                        lambda *args: built.append(args[:2]) or received(*args))
+    cfg = ChannelConfig(cfo_hz=-30e3, snr_db=6.0, taps=resolve_taps("etsi_a"), timing_offset=4)
+    transmit(preamble, cfg, tail_len=25, seed=2)
+    transmit(preamble, cfg, tail_len=25, seed=3)   # a hit
+    assert len(built) == 1
+    buf, other = preamble, cfg
+    if fresh == "config":
+        other = ChannelConfig(cfo_hz=-30e3, snr_db=6.0, taps=resolve_taps("etsi_a"),
+                              timing_offset=4)
+        assert other == cfg and other is not cfg
+    else:
+        buf = SampleBuffer(preamble.samples, preamble.sample_rate)
+        assert np.shares_memory(buf.samples, preamble.samples)
+        assert not buf.samples.flags.writeable
+    got = transmit(buf, other, tail_len=25, seed=5).samples
+    assert len(built) == 2 and built[1][0] is buf and built[1][1] is other
+    assert same_bits(got, stage_by_stage(preamble, cfg, 25, seed=5)[1])
 
 
 def test_writable_input_changed_in_place_gives_the_new_result(rng):
@@ -219,27 +250,29 @@ def test_noiseless_output_from_the_slot_is_a_writable_copy(preamble):
     assert out.flags.writeable
     out[:] = 0
     assert same_bits(transmit(preamble, cfg, tail_len=20).samples, want)
-    noisy = transmit(preamble, replace(cfg, snr_db=5.0), tail_len=20).samples
-    assert same_bits(noisy, stage_by_stage(preamble, replace(cfg, snr_db=5.0), 20)[1])
+    noisy = transmit(preamble, replace(cfg, snr_db=5.0), tail_len=20, seed=8).samples
+    assert same_bits(noisy, stage_by_stage(preamble, replace(cfg, snr_db=5.0), 20, seed=8)[1])
 
 
 def test_concurrent_transmits_each_get_their_own_frame(preamble):
     # More threads than cores, switching every microsecond; four threads share
     # each of two channels (noiseless or noisy), so a slot seen half replaced
     # would hand a thread the other channel's frame under its own key.
-    cfgs = [ChannelConfig(cfo_hz=10e3 * (k % 2), snr_db=None if k % 4 < 2 else 9.0, seed=k,
-                          taps=resolve_taps("etsi_a"), timing_offset=k % 2) for k in range(8)]
-    wants = [stage_by_stage(preamble, cfg, 30)[1] for cfg in cfgs]
+    channels = [ChannelConfig(cfo_hz=10e3 * k, snr_db=None if k < 1 else 9.0,
+                              taps=resolve_taps("etsi_a"), timing_offset=k) for k in range(2)]
+    jobs = [(channels[k % 2], k) for k in range(8)]
+    wants = [stage_by_stage(preamble, cfg, 30, seed)[1] for cfg, seed in jobs]
     bad = []
-    start = threading.Barrier(len(cfgs))
+    start = threading.Barrier(len(jobs))
 
-    def worker(cfg, want):
+    def worker(cfg, seed, want):
         start.wait(timeout=60)
         for _ in range(1000):
-            if not same_bits(transmit(preamble, cfg, tail_len=30).samples, want):
+            if not same_bits(transmit(preamble, cfg, tail_len=30, seed=seed).samples, want):
                 bad.append(cfg.cfo_hz)
 
-    threads = [threading.Thread(target=worker, args=pair) for pair in zip(cfgs, wants)]
+    threads = [threading.Thread(target=worker, args=(*job, want))
+               for job, want in zip(jobs, wants)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -287,11 +320,17 @@ def test_channel_config_validation():
         ChannelConfig(snr_db=float("inf"))
     with pytest.raises(ConfigError):
         ChannelConfig(snr_db=3083.0)   # 10 ** 308.3 overflows
-    with pytest.raises(ConfigError):
-        ChannelConfig(seed=-1)         # default_rng takes no negative seed
     for taps in ([], [(-1, 1.0)], [(3, 1.0), (1, 0.5)], [(2, 1.0), (2, 0.5)]):
         with pytest.raises(ConfigError):
             ChannelConfig(taps=taps)
+
+
+@pytest.mark.parametrize("snr_db", [None, 10.0])
+def test_transmit_rejects_a_negative_seed(preamble, snr_db):
+    # default_rng takes no negative seed; transmit says so before any work,
+    # noiseless too, so a bad seed never depends on the SNR to show
+    with pytest.raises(ConfigError, match="seed cannot be negative"):
+        transmit(preamble, ChannelConfig(snr_db=snr_db), seed=-1)
 
 
 @pytest.mark.parametrize("gain", [complex("nan"), float("inf"), complex(0.5, float("-inf"))])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import FrameDetectConfig, read_iq
+from ofdmsync import FrameDetectConfig, cli, read_iq
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 
@@ -362,6 +362,17 @@ def test_trials_missing_config_exits_two(tmp_path, capsys):
                        str(tmp_path / "r"))
     assert code == 2
     assert str(missing) in err
+
+
+def test_trials_negative_base_seed_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(PLAN.replace("base_seed = 77", "base_seed = -1"))
+    ran = []
+    monkeypatch.setattr(cli, "run_trials", ran.append)
+    code, _, err = run(capsys, "trials", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "seed cannot be negative" in err
+    assert ran == [] and not (tmp_path / "r").exists()
 
 
 def test_trials_byte_identical_reruns(tmp_path, capsys):

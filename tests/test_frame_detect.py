@@ -304,7 +304,7 @@ def test_min_plateau_suppresses_short_runs(preamble):
 def test_pulse_train_k_events(preamble):
     # five preambles with 400-sample gaps at 20 dB: five distinct detections
     train = preamble_train(preamble, 5, 400)
-    rx = transmit(train, ChannelConfig(snr_db=20.0, seed=99))
+    rx = transmit(train, ChannelConfig(snr_db=20.0), seed=99)
     events = detect_frames(rx)
     assert len(events) == 5
     starts = [e.start_index for e in events]

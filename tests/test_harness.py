@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ofdmsync import harness
 from ofdmsync import (ChannelConfig, ConfigError, TrialPlan, emit_report,
                       load_plan, preamble_train, run_trials, variance)
 from ofdmsync.channel import resolve_taps
@@ -236,6 +237,24 @@ def test_plan_validation():
         run_trials(TrialPlan(n_trials=1, base_seed=-1))
 
 
+def test_every_trial_gets_the_plan_channel_and_its_own_seed(monkeypatch):
+    # one config object per run, so transmit's slot keeps its frame; only
+    # the seed changes from trial to trial
+    calls = []
+    transmit = harness.transmit
+
+    def recording(preamble, cfg, tail_len=0, *, seed=0):
+        calls.append((cfg, seed))
+        return transmit(preamble, cfg, tail_len, seed=seed)
+
+    monkeypatch.setattr(harness, "transmit", recording)
+    plan = TrialPlan(n_trials=6, channel=ChannelConfig(snr_db=10.0, cfo_hz=5e4),
+                     stages=("cfo",), base_seed=40)
+    run_trials(plan)
+    assert all(cfg is plan.channel for cfg, _ in calls)
+    assert [seed for _, seed in calls] == list(range(40, 46))
+
+
 # --- preamble_train ---------------------------------------------------------------
 
 def test_preamble_train_layout(preamble):
@@ -327,6 +346,9 @@ def test_load_plan_errors(tmp_path):
         load_plan(bad)
     bad.write_text("n_trials five\n")
     with pytest.raises(ConfigError, match="key = value"):
+        load_plan(bad)
+    bad.write_text("base_seed = -1\n")
+    with pytest.raises(ConfigError, match="seed cannot be negative"):
         load_plan(bad)
     bad.write_text("stages = cfo, frame, cfo\n")
     with pytest.raises(ConfigError, match="listed once"):
