@@ -16,7 +16,7 @@ import numpy as np
 from .channel import apply_cfo
 from .core import SampleBuffer
 from .errors import EstimationError, SizingError
-from .frame_detect import FrameEvent, autocorrelation
+from .frame_detect import FrameEvent, _correlate, autocorrelation
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,27 @@ class CfoEstimate:
     delta_f_hz: float
     phase_rad: float
     plateau_span: tuple[int, int]  # half-open (start, stop) autocorrelation indices
+
+
+def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, int, int]:
+    """(start, stop, end): the plateau, and the end of the samples its autocorrelation reads."""
+    start, stop = int(plateau[0]), int(plateau[1])
+    if stop <= start:
+        raise SizingError(f"plateau ({start}, {stop}) is empty")
+    # R[n] needs samples n .. n+2*lag-1
+    end = stop - 1 + 2 * lag
+    if start < 0 or end > n_samples:
+        raise SizingError(f"plateau ({start}, {stop}) with lag {lag} exceeds the buffer")
+    return start, stop, end
+
+
+def _offset(mean_r, lag: int, sample_rate: float) -> tuple[float, float]:
+    """(delta_f_hz, phase_rad) of a mean autocorrelation; EstimationError when it has no phase."""
+    if abs(mean_r) == 0.0:
+        raise EstimationError("autocorrelation over the plateau has zero magnitude")
+    phase = float(np.angle(mean_r))
+    sample_period = 1.0 / sample_rate
+    return -phase / (2 * np.pi * lag * sample_period), phase
 
 
 def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEstimate:
@@ -38,20 +59,33 @@ def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEsti
     coherent short training present).
     """
     x = r.samples
-    start, stop = int(plateau[0]), int(plateau[1])
-    if stop <= start:
-        raise SizingError(f"plateau ({start}, {stop}) is empty")
-    # R[n] needs samples n .. n+2*lag-1
-    if start < 0 or stop - 1 + 2 * lag > len(x):
-        raise SizingError(f"plateau ({start}, {stop}) with lag {lag} exceeds the buffer")
-    segment = x[start: stop - 1 + 2 * lag]
-    mean_r = autocorrelation(segment, lag, lag).mean()
-    if abs(mean_r) == 0.0:
-        raise EstimationError("autocorrelation over the plateau has zero magnitude")
-    phase = float(np.angle(mean_r))
-    sample_period = 1.0 / r.sample_rate
-    delta_f = -phase / (2 * np.pi * lag * sample_period)
+    start, stop, end = _segment(len(x), lag, plateau)
+    delta_f, phase = _offset(autocorrelation(x[start:end], lag, lag).mean(), lag, r.sample_rate)
     return CfoEstimate(delta_f_hz=delta_f, phase_rad=phase, plateau_span=(start, stop))
+
+
+def estimate_cfo_rows(rows: np.ndarray, lag: int, plateau: tuple[int, int],
+                      sample_rate: float) -> list[float | None]:
+    """:func:`estimate_cfo`'s ``delta_f_hz`` for each row of ``rows``, or None
+    where it raises EstimationError.
+
+    ``rows`` is a 2-D complex128 array of equal-length buffers. The samples
+    each row's plateau reads are laid end to end, and one pass of lag
+    products and window sums covers them. A plateau value depends only on
+    its own row's samples, so it, and the row's mean, has the bits of
+    :func:`estimate_cfo`.
+    """
+    start, stop, end = _segment(rows.shape[1], lag, plateau)
+    segments = np.ascontiguousarray(rows[:, start:end])
+    sums = np.empty_like(segments)  # row r's plateau values land in sums[r, :stop - start]
+    _correlate(segments.reshape(-1), lag, lag, sums.reshape(-1)[:sums.size - 2 * lag + 1])
+    offsets: list[float | None] = []
+    for mean_r in sums[:, :stop - start].mean(axis=1):
+        try:
+            offsets.append(_offset(mean_r, lag, sample_rate)[0])
+        except EstimationError:
+            offsets.append(None)
+    return offsets
 
 
 def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:

@@ -9,12 +9,13 @@ Only the noise, drawn from :func:`transmit`'s ``seed``, differs between the
 trials of a Monte Carlo run, so :func:`transmit` keeps the last noiseless
 received frame it built, with the input's average power, in one slot and
 reuses it for the same input buffer, config object and ``tail_len``. It
-stores frames only for read-only inputs (such as
-:func:`~ofdmsync.preamble.generate_preamble`'s), taken as frozen: a writable
-array can change in place under the same identity. The slot is replaced by
-one assignment of an immutable tuple, so concurrent callers never see half
-of it. It keeps that one frame, as long as the transmission it came from,
-alive until another frame replaces it.
+stores frames only for frozen inputs (such as
+:func:`~ofdmsync.preamble.generate_preamble`'s): samples that are read-only,
+as is every array along their ``.base`` chain. A writable array can change
+in place under the same identity, and so can a read-only view of one. The
+slot is replaced by one assignment of an immutable tuple, so concurrent
+callers never see half of it. It keeps that one frame, as long as the
+transmission it came from, alive until another frame replaces it.
 """
 
 from __future__ import annotations
@@ -120,8 +121,18 @@ def _received(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int
     return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), power
 
 
-# (preamble, cfg, tail_len, frame, power) of the last read-only input; see transmit.
+# (preamble, cfg, tail_len, frame, power) of the last frozen input; see transmit.
 _slot: tuple = (None, None, None, None, 0.0)
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array along its ``.base`` chain are
+    read-only, down to an array that owns its memory."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        if array.base is None:
+            return True
+        array = array.base
+    return False
 
 
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
@@ -135,18 +146,19 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     a fixed (input, config, tail_len, seed). A negative seed, or an SNR on
     a zero-power frame, raises ConfigError.
 
-    For a read-only ``preamble.samples`` the noiseless frame comes from the
-    module's one slot while ``preamble`` and ``cfg`` are the objects it was
-    built from and ``tail_len`` is the same; a miss rebuilds it and replaces
-    the slot. Both objects are frozen and the slot holds them, so their ids
-    cannot be reused while it does. Writable inputs are rebuilt on every
-    call and never stored. A noiseless call returns a copy, never the slot's
-    array. Outputs are the same bits with or without the slot.
+    For frozen ``preamble.samples`` (read-only down to the array that owns
+    their memory) the noiseless frame comes from the module's one slot while
+    ``preamble`` and ``cfg`` are the objects it was built from and
+    ``tail_len`` is the same; a miss rebuilds it and replaces the slot. Both
+    objects are frozen and the slot holds them, so their ids cannot be
+    reused while it does. Other inputs are rebuilt on every call and never
+    stored. A noiseless call returns a copy, never the slot's array. Outputs
+    are the same bits with or without the slot.
     """
     global _slot
     if seed < 0:
         raise ConfigError(f"seed cannot be negative, got {seed}")
-    if preamble.samples.flags.writeable:
+    if not _frozen(preamble.samples):
         out, power = _received(preamble, cfg, tail_len)
     else:
         slot = _slot

@@ -18,10 +18,11 @@ filter; the exact metric is indifferent to that scaling, while the l1
 approximation needs it to hold at its unit-power operating point.
 
 One kernel computes R, P and the metric for :func:`compute_metrics`,
-:func:`detect_frames` and :class:`StreamingFrameDetector`. It writes every
-array into a workspace carved from one arena and allocates nothing per call.
-A detector keeps its workspace, which holds one step of at most
-``BLOCK_LEN`` new samples, so a chunk of any length runs in bounded memory.
+:func:`detect_frames`, :func:`first_events` and :class:`StreamingFrameDetector`.
+It writes every array into a workspace carved from one arena and allocates
+nothing per call. A detector keeps its workspace, which holds one step of at
+most ``BLOCK_LEN`` new samples, so a chunk of any length runs in bounded
+memory.
 """
 
 from __future__ import annotations
@@ -214,6 +215,41 @@ def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[Frame
     """
     detector = StreamingFrameDetector(cfg)
     return detector.process(r) + detector.flush()
+
+
+def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
+                 ) -> list[FrameEvent | None]:
+    """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
+
+    ``rows`` is a C-contiguous 2-D complex128 array of equal-length buffers
+    laid end to end. The kernel runs over them as over one stream, in steps
+    of ``BLOCK_LEN`` outputs in one workspace, as :func:`compute_metrics`
+    does. The last ``lag + window - 1`` metric indices of a row have windows
+    that reach into the next row; they are set to 0, so no run crosses from
+    one row into the next. Every other metric value depends only on its own
+    row's samples, so it has the bits of that row's own pass. Events index
+    their own row.
+    """
+    n_rows, row_len = rows.shape
+    context = cfg.lag + cfg.window - 1
+    first: list[FrameEvent | None] = [None] * n_rows
+    if row_len <= context:
+        return first
+    flat = rows.reshape(-1)
+    arena = np.empty(_kernel_len(min(len(flat), BLOCK_LEN + context), cfg), np.complex128)
+    detector = StreamingFrameDetector(cfg)
+    events = []
+    for at in range(0, len(flat) - context, BLOCK_LEN):
+        metric = _metric_kernel(flat[at:at + BLOCK_LEN + context], cfg, arena)[2]
+        # the straddling indices of the rows this step reaches
+        for cut in range(at - at % row_len + row_len - context, at + len(metric), row_len):
+            metric[max(cut - at, 0):cut - at + context] = 0
+        detector._base = at
+        events += detector._runs(metric)
+    for event in reversed(events + detector.flush()):
+        row, start = divmod(event.start_index, row_len)
+        first[row] = FrameEvent(start, event.end_index - row * row_len, event.peak_metric)
+    return first
 
 
 def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:

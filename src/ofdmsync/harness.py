@@ -14,16 +14,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .cfo import estimate_cfo
+# detect_frames and estimate_cfo are the per-trial forms of the block stages.
+# run_trials no longer calls them; bench/spans.py still traces them under
+# these names, and bench/test_bench.py requires each traced name to exist.
+from .cfo import estimate_cfo, estimate_cfo_rows  # noqa: F401
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer
-from .errors import ConfigError, EstimationError
-from .frame_detect import FrameDetectConfig, detect_frames
+from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer
+from .errors import ConfigError
+from .frame_detect import FrameDetectConfig, detect_frames, first_events  # noqa: F401
 from .iqfile import write_table
-from .preamble import STS_LEN, generate_preamble
-from .time_sync import TimeSyncConfig, default_search_window, estimate_timing
+from .preamble import PREAMBLE_LEN, STS_LEN, generate_preamble
+from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, estimate_timing
 
 STAGES = ("frame", "time_sts", "time_lts", "cfo")
+_TIMING_STAGES = (("time_sts", "sts"), ("time_lts", "lts"))
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,16 @@ class TrialPlan:
         if not 0 <= self.gap_len <= MAX_GENERATED_SAMPLES:
             raise ConfigError(f"gap_len must lie in [0, {MAX_GENERATED_SAMPLES}], "
                               f"got {self.gap_len}")
+        max_delay = self.channel.taps[-1][0]
+        for stage, template in _TIMING_STAGES:
+            # the gap and the delay spread must reach the last sample the window reads
+            start, length = default_search_window(template)
+            least = start + length + TEMPLATE_LEN[template] - 1 - PREAMBLE_LEN - max_delay
+            if stage in stages and self.gap_len < least:
+                raise ConfigError(
+                    f"the {stage} search window runs past the trial buffer: gap_len "
+                    f"{self.gap_len} with a largest tap delay of {max_delay}; "
+                    f"gap_len must be at least {least}")
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "gap_len", int(self.gap_len))
 
@@ -120,10 +134,6 @@ def _sts_plateau(cfg: ChannelConfig, lag: int) -> tuple[int, int]:
     return start, start + STS_LEN - 2 * lag + 1
 
 
-class _TrialFailure(Exception):
-    """Internal: the stage produced no detection for this trial."""
-
-
 def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     """Run the plan and return statistics per requested stage.
 
@@ -137,41 +147,60 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
                   trial, including SNRs where frame detection gives up).
     Trials with nothing to record count as failures for that stage, and the
     statistics cover the successes only.
+
+    Trials run in blocks of ``max(1, BLOCK_LEN // N)``, N the length of one
+    trial buffer. Each trial's buffer is copied into one block workspace,
+    allocated once per run, and the frame and cfo stages each take a whole
+    block in one pass (:func:`~ofdmsync.frame_detect.first_events`,
+    :func:`~ofdmsync.cfo.estimate_cfo_rows`), with the bits of a pass per
+    trial. The channel call and the timing stages stay per trial: each
+    trial's noise comes from its own ``transmit`` call, and each timing
+    estimate cuts its template from ``generate_preamble``.
     """
     pre = generate_preamble()
     detect_cfg = FrameDetectConfig()
-    results: dict[str, tuple[list[float], list[int], int]] = {
-        stage: ([], [], 0) for stage in plan.stages}
-    sync_cfgs = {}
-    for stage, template in (("time_sts", "sts"), ("time_lts", "lts")):
-        start, length = default_search_window(template)
-        sync_cfgs[stage] = TimeSyncConfig(
-            template=template,
-            search_window=(start + plan.channel.timing_offset, length))
+    values: dict[str, list[float]] = {stage: [] for stage in plan.stages}
+    indices: dict[str, list[int]] = {stage: [] for stage in plan.stages}
+    failures = dict.fromkeys(plan.stages, 0)
+
+    def record(stage: str, trial: int, value: float | None) -> None:
+        if value is None:
+            failures[stage] += 1
+        else:
+            values[stage].append(value)
+            indices[stage].append(trial)
+
+    timing = []
+    for stage, template in _TIMING_STAGES:
+        if stage in plan.stages:
+            start, length = default_search_window(template)
+            timing.append((stage, TimeSyncConfig(
+                template=template,
+                search_window=(start + plan.channel.timing_offset, length))))
     cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
 
+    rows = None  # the block workspace
     for i in range(plan.n_trials):
         rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=plan.base_seed + i)
-        for stage in plan.stages:
-            values, indices, failures = results[stage]
-            try:
-                if stage == "frame":
-                    events = detect_frames(rx, detect_cfg)
-                    if not events:
-                        raise _TrialFailure
-                    value = float(events[0].start_index)
-                elif stage in sync_cfgs:
-                    value = float(estimate_timing(rx, sync_cfgs[stage]).n_xc_max)
-                else:  # cfo
-                    value = estimate_cfo(rx, detect_cfg.lag, cfo_span).delta_f_hz
-            except (_TrialFailure, EstimationError):
-                results[stage] = (values, indices, failures + 1)
-                continue
-            values.append(value)
-            indices.append(i)
+        for stage, sync_cfg in timing:
+            record(stage, i, float(estimate_timing(rx, sync_cfg).n_xc_max))
+        if rows is None:
+            rows = np.empty((max(1, BLOCK_LEN // len(rx)), len(rx)), np.complex128)
+        k = i % len(rows)
+        rows[k] = rx.samples
+        if k + 1 < len(rows) and i + 1 < plan.n_trials:
+            continue
+        block, first = rows[:k + 1], i - k
+        if "frame" in values:
+            for trial, event in enumerate(first_events(block, detect_cfg), first):
+                record("frame", trial, None if event is None else float(event.start_index))
+        if "cfo" in values:
+            for trial, offset in enumerate(
+                    estimate_cfo_rows(block, detect_cfg.lag, cfo_span, rx.sample_rate), first):
+                record("cfo", trial, offset)
 
-    return {stage: _statistics(values, indices, failures)
-            for stage, (values, indices, failures) in results.items()}
+    return {stage: _statistics(values[stage], indices[stage], failures[stage])
+            for stage in plan.stages}
 
 
 def emit_report(results: dict[str, TrialStatistics], out_dir,

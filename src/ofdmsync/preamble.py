@@ -94,6 +94,6 @@ def generate_preamble() -> SampleBuffer:
     """
     raw = np.concatenate([generate_sts().samples, generate_lts().samples])
     rms = np.sqrt(np.mean(np.abs(raw) ** 2))
-    buf = SampleBuffer(raw / rms, DEFAULT_SAMPLE_RATE)
-    buf.samples.flags.writeable = False
-    return buf
+    samples = raw / rms
+    samples.flags.writeable = False  # the buffer's samples view it, read-only too
+    return SampleBuffer(samples, DEFAULT_SAMPLE_RATE)

@@ -20,6 +20,7 @@ from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, S
                        generate_preamble)
 
 TEMPLATES = ("sts", "lts")
+TEMPLATE_LEN = {"sts": SHORT_PERIOD, "lts": LONG_SYMBOL_LEN}
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def default_expected_peak(template: str) -> int:
 
 def default_search_window(template: str) -> tuple[int, int]:
     """(start, length) covering +-1 symbol of displacement around the landmark."""
-    sym = SHORT_PERIOD if template == "sts" else LONG_SYMBOL_LEN
+    sym = TEMPLATE_LEN[template]
     return default_expected_peak(template) - sym, 2 * sym
 
 

@@ -165,9 +165,10 @@ def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz
         assert same_bits(got, want)
 
 
-# A second read-only frame, with exact zeros and signed-zero parts.
-MIXED = SampleBuffer(np.array([1, 0, -1, 1j, -1j, 0.5 - 0.5j, complex(0.0, -0.0), -2] * 12))
-MIXED.samples.flags.writeable = False
+# A second frozen frame, with exact zeros and signed-zero parts.
+_mixed = np.array([1, 0, -1, 1j, -1j, 0.5 - 0.5j, complex(0.0, -0.0), -2] * 12)
+_mixed.flags.writeable = False
+MIXED = SampleBuffer(_mixed)
 
 _gain = st.builds(complex, st.sampled_from([1.0, -0.5, 0.25]), st.sampled_from([0.0, -0.0, 0.3]))
 _taps = st.builds(lambda delays, gains: tuple(zip(delays, gains)),
@@ -240,6 +241,37 @@ def test_writable_input_changed_in_place_gives_the_new_result(rng):
     transmit(buf, cfg, tail_len=10)
     buf.samples[::3] *= -2
     assert same_bits(transmit(buf, cfg, tail_len=10).samples, stage_by_stage(buf, cfg, 10)[1])
+
+
+@pytest.mark.parametrize("owner", ["array", "bytearray"])
+def test_read_only_view_of_writable_memory_gives_the_new_result(owner):
+    # The view is read-only, but the memory under it can still be written.
+    if owner == "array":
+        memory = np.ones(64, np.complex128)
+        view = memory.view()
+    else:
+        memory = bytearray(np.ones(64, np.complex128).tobytes())
+        view = np.frombuffer(memory, np.complex128)
+    view.flags.writeable = False
+    buf = SampleBuffer(view)
+    cfg = ChannelConfig()
+    assert same_bits(transmit(buf, cfg).samples, np.ones(64, np.complex128))
+    if owner == "array":
+        memory[:] = 2
+    else:
+        memory[:] = np.full(64, 2, np.complex128).tobytes()
+    assert same_bits(transmit(buf, cfg).samples, np.full(64, 2, np.complex128))
+
+
+def test_the_preamble_hits_the_slot(preamble, monkeypatch):
+    built = []
+    received = channel_module._received
+    monkeypatch.setattr(channel_module, "_received",
+                        lambda *args: built.append(args[:2]) or received(*args))
+    cfg = ChannelConfig(cfo_hz=20e3, snr_db=8.0, taps=resolve_taps("etsi_c"), timing_offset=6)
+    for seed in range(3):
+        transmit(preamble, cfg, tail_len=40, seed=seed)
+    assert built == [(preamble, cfg)]
 
 
 def test_noiseless_output_from_the_slot_is_a_writable_copy(preamble):

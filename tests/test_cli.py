@@ -375,6 +375,18 @@ def test_trials_negative_base_seed_exits_two_before_any_trial(tmp_path, capsys, 
     assert ran == [] and not (tmp_path / "r").exists()
 
 
+def test_trials_lts_window_past_the_buffer_exits_two_before_any_trial(tmp_path):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("n_trials = 3\nstages = time_lts\ngap_len = 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", "trials", "--config", str(cfg),
+                           "--out", "r"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(cfg) in proc.stderr and "gap_len must be at least 127" in proc.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def test_trials_byte_identical_reruns(tmp_path, capsys):
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(PLAN)

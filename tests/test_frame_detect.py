@@ -13,7 +13,7 @@ import ofdmsync
 from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, SampleBuffer, SizingError,
                       autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
-                                   compute_metrics, detect_blocks, sliding_sum)
+                                   compute_metrics, detect_blocks, first_events, sliding_sum)
 
 from conftest import random_buffer
 
@@ -321,6 +321,45 @@ def test_no_false_alarms_on_pure_noise():
         if detect_frames(noise):
             alarms += 1
     assert alarms <= 5
+
+
+def test_first_events_keep_runs_that_touch_a_row_boundary_apart(preamble):
+    # Rows of one continuous 16-periodic signal: row 0's run is still open at
+    # its last valid metric index, and row 1 opens with a run at index 0. Laid
+    # end to end the metric never dips, so only the zeroed straddling indices
+    # keep the two runs apart. Row 2 is silent and has no event.
+    row_len = 96
+    periodic = np.tile(preamble.samples[:16], 2 * row_len // 16)
+    rows = np.concatenate([periodic, np.zeros(row_len)]).reshape(3, row_len)
+    last = row_len - 32  # the last metric index whose windows stay in the row
+    want = [FrameEvent(0, last, pytest.approx(1.0)), FrameEvent(0, last, pytest.approx(1.0)), None]
+    assert first_events(rows) == want
+    assert [next(iter(detect_frames(row)), None) for row in rows] == first_events(rows)
+    assert detect_frames(periodic)[0].end_index == 2 * row_len - 32  # one run without the cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       row_len=st.one_of(st.integers(32, 400), st.integers(BLOCK_LEN - 200, 2 * BLOCK_LEN)),
+       bursts=st.lists(st.tuples(st.integers(0, 2 * BLOCK_LEN), st.integers(1, 300)),
+                       max_size=12))
+def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, seed, bursts):
+    # Noise with periodic bursts anywhere in the block, so runs open and close
+    # near row ends and near the kernel's step boundaries.
+    gen = np.random.default_rng(seed)
+    flat = 0.3 * (gen.standard_normal(n_rows * row_len) + 1j * gen.standard_normal(n_rows * row_len))
+    period = preamble.samples[:16]
+    for at, length in bursts:
+        burst = np.tile(period, length // 16 + 1)[:length]
+        flat[at:at + length] = burst[:len(flat[at:at + length])]
+    rows = flat.reshape(n_rows, row_len)
+    assert first_events(rows) == [next(iter(detect_frames(row)), None) for row in rows]
+
+
+@pytest.mark.parametrize("row_len", [1, 31, 32])
+def test_first_events_of_rows_too_short_for_a_run(row_len):
+    rows = np.ones((3, row_len), np.complex128)
+    assert first_events(rows) == [next(iter(detect_frames(row)), None) for row in rows]
 
 
 # --- streaming variant -------------------------------------------------------

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import harness
-from ofdmsync import (ChannelConfig, ConfigError, TrialPlan, emit_report,
-                      load_plan, preamble_train, run_trials, variance)
+from ofdmsync import (ChannelConfig, ConfigError, EstimationError, TimeSyncConfig, TrialPlan,
+                      detect_frames, emit_report, estimate_cfo, estimate_timing,
+                      generate_preamble, load_plan, preamble_train, run_trials, transmit,
+                      variance)
 from ofdmsync.channel import resolve_taps
 from ofdmsync.cli import main
-from ofdmsync.core import MAX_GENERATED_SAMPLES
+from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
+from ofdmsync.time_sync import default_search_window
 from ofdmsync.iqfile import ROWS_PER_WRITE
 
 # Frozen regression values for the seeded Monte Carlo runs below (numpy
@@ -164,6 +169,64 @@ def test_multipath_four_stage_regression():
         assert res[stage].variance == pytest.approx(sigma2, rel=1e-9)
 
 
+def per_trial_reference(plan):
+    """stage -> (values, trial indices, failures), one trial at a time."""
+    out = {stage: ([], [], 0) for stage in plan.stages}
+    offset = plan.channel.timing_offset
+    for i in range(plan.n_trials):
+        rx = transmit(generate_preamble(), plan.channel, tail_len=plan.gap_len,
+                      seed=plan.base_seed + i)
+        for stage in plan.stages:
+            value = None
+            if stage == "frame":
+                events = detect_frames(rx)
+                if events:
+                    value = float(events[0].start_index)
+            elif stage == "cfo":
+                try:
+                    value = estimate_cfo(rx, 16, (offset, offset + 129)).delta_f_hz
+                except EstimationError:
+                    pass
+            else:
+                template = stage[len("time_"):]
+                start, length = default_search_window(template)
+                sync = TimeSyncConfig(template=template, search_window=(start + offset, length))
+                value = float(estimate_timing(rx, sync).n_xc_max)
+            values, indices, failures = out[stage]
+            if value is None:
+                out[stage] = (values, indices, failures + 1)
+            else:
+                values.append(value)
+                indices.append(i)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(snr_db=st.one_of(st.none(), st.floats(-5, 30)),
+       taps=st.sampled_from(["unit", "etsi_a", "etsi_c"]),
+       offset=st.integers(0, 80), gap_len=st.integers(0, 600),
+       cfo_hz=st.floats(-300e3, 300e3),
+       stages=st.lists(st.sampled_from(harness.STAGES), min_size=1, max_size=4, unique=True),
+       size=st.sampled_from(["1", "B-1", "B+1", "3B"]), base_seed=st.integers(0, 2**31))
+def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_len, cfo_hz,
+                                                    stages, size, base_seed):
+    channel = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz, timing_offset=offset,
+                            taps=harness.UNIT_TAP if taps == "unit" else resolve_taps(taps))
+    max_delay = channel.taps[-1][0]
+    if "time_lts" in stages:
+        gap_len = max(gap_len, 127 - max_delay)
+    block = max(1, BLOCK_LEN // (offset + 320 + gap_len + max_delay))
+    n_trials = {"1": 1, "B-1": max(1, block - 1), "B+1": block + 1, "3B": 3 * block}[size]
+    plan = TrialPlan(n_trials=n_trials, channel=channel, stages=tuple(stages),
+                     base_seed=base_seed, gap_len=gap_len)
+    got = run_trials(plan)
+    want = per_trial_reference(plan)
+    assert list(got) == list(want)
+    for stage, (values, indices, failures) in want.items():
+        assert (got[stage].values, got[stage].trial_indices, got[stage].failures) == (
+            values, indices, failures)
+
+
 def report_sha256(plan, out_dir):
     h = hashlib.sha256()
     for path in sorted(emit_report(run_trials(plan), out_dir, plan)):
@@ -235,6 +298,22 @@ def test_plan_validation():
         TrialPlan(gap_len=MAX_GENERATED_SAMPLES + 1)
     with pytest.raises(ConfigError, match="seed cannot be negative"):
         run_trials(TrialPlan(n_trials=1, base_seed=-1))
+
+
+@pytest.mark.parametrize("taps", ["unit", "etsi_a", "etsi_c"])
+def test_plan_rejects_an_lts_window_past_the_trial_buffer(taps):
+    # The long template's search window ends 127 samples past the frame's
+    # last sample, which the gap and the channel's delay spread must cover.
+    channel = ChannelConfig(taps=harness.UNIT_TAP if taps == "unit" else resolve_taps(taps),
+                            timing_offset=9)
+    least = 127 - channel.taps[-1][0]
+    with pytest.raises(ConfigError, match=f"gap_len {least - 1} .*at least {least}$"):
+        TrialPlan(n_trials=1, channel=channel, stages=("time_sts", "time_lts"),
+                  gap_len=least - 1)
+    plan = TrialPlan(n_trials=1, channel=channel, stages=("time_lts",), gap_len=least)
+    assert run_trials(plan)["time_lts"].failures == 0
+    assert TrialPlan(n_trials=1, channel=channel, stages=("time_sts", "frame", "cfo"),
+                     gap_len=0).gap_len == 0
 
 
 def test_every_trial_gets_the_plan_channel_and_its_own_seed(monkeypatch):
