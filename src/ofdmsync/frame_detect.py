@@ -20,9 +20,14 @@ approximation needs it to hold at its unit-power operating point.
 One kernel computes R, P and the metric for :func:`compute_metrics`,
 :func:`detect_frames`, :func:`first_events` and :class:`StreamingFrameDetector`.
 It writes every array into a workspace carved from one arena and allocates
-nothing per call. A detector keeps its workspace, which holds one step of at
-most ``BLOCK_LEN`` new samples, so a chunk of any length runs in bounded
-memory.
+nothing per call. A detector keeps its workspace, which holds at most
+``BLOCK_LEN + lag + window - 1`` samples, so a chunk of any length runs in
+bounded memory; a chunk of any numeric dtype is converted to complex128
+while it is copied in. While no run is open and its held samples give fewer
+than ``min_plateau`` metric outputs, a detector holds them without running
+the kernel: an event needs ``min_plateau`` outputs above the threshold and
+one below, so none can close among them and each call's events stay exact.
+Its ``flush`` runs the kernel over the outputs still held before closing.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_LEN, as_samples
+from .core import BLOCK_LEN, SampleBuffer, as_samples
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -270,51 +275,74 @@ class StreamingFrameDetector:
     """Chunk-by-chunk frame detector holding private delay-line state.
 
     Feed arbitrary sample chunks through :meth:`process`; call :meth:`flush`
-    after the last chunk. The concatenated event list equals what
+    after the last chunk. Each call returns exactly the events that a
+    detector running the metric kernel over every sample it has been fed
+    would return for it, and the concatenated list equals what
     :func:`detect_frames` reports on the whole stream. Instances are
     single-owner: hand one between threads, never share it.
 
-    The detector owns one workspace, a complex128 arena: the samples of one
-    step (the ``lag + window - 1`` samples of context kept from the last step,
-    then the new ones), then the metric kernel's arrays. :meth:`process`
-    walks a chunk of any length through it in steps of at most ``BLOCK_LEN``
-    new samples. The workspace grows with the chunks it is fed, up to
-    ``BLOCK_LEN + lag + window - 1`` samples and no further, so memory stays
-    bounded whatever the chunk length.
+    The detector owns one workspace, a complex128 arena: the held samples
+    (the ``lag + window - 1`` samples of context kept from the last kernel
+    step, then those fed since), then the metric kernel's arrays. A chunk of
+    any numeric dtype, or a :class:`SampleBuffer`, is converted to complex128
+    while it is copied in, so no converted copy of the chunk is made. The
+    workspace grows with the chunks it is fed, up to ``BLOCK_LEN + lag +
+    window - 1`` samples and no further, and a step fills at most what is
+    left of it, so memory stays bounded whatever the chunk length.
+
+    While no run is open, the held samples give fewer than ``min_plateau``
+    metric outputs and the workspace has room, the kernel does not run and
+    the samples stay held. An event is ``min_plateau`` outputs above the threshold and
+    then one below it, so none can close among those outputs, and deferring
+    them changes no call's events: every output keeps its bits whatever step
+    computes it. :meth:`flush` runs the kernel over any held outputs before
+    it closes the open run.
     """
 
     def __init__(self, cfg: FrameDetectConfig = FrameDetectConfig()):
         self.cfg = cfg
-        self._size = 0  # samples a step may hold
+        self._size = 0  # samples the workspace may hold
         self._samples = self._kernel_arena = None  # the workspace's two parts
-        self._held = 0  # samples of context at the front of _samples
+        self._held = 0  # samples at the front of _samples
         self._base = 0  # absolute index of _samples[0]
-        self._run = None  # (start, end, peak) of a run still open at the last chunk's end
+        self._run = None  # (start, end, peak) of a run still open at the last step's end
 
     def process(self, chunk) -> list[FrameEvent]:
-        x = as_samples(chunk)
+        x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk).reshape(-1)
+        cfg = self.cfg
+        context = cfg.lag + cfg.window - 1
+        cap = BLOCK_LEN + context
         events: list[FrameEvent] = []
-        for at in range(0, len(x), BLOCK_LEN):
-            piece = x[at:at + BLOCK_LEN]
+        at = 0
+        while at < len(x):
+            piece = x[at:at + cap - self._held]
+            at += len(piece)
             end = self._held + len(piece)
             if end > self._size:
                 self._grow(end)
-            samples = self._samples[:end]
-            samples[self._held:] = piece
-            if end < self.cfg.lag + self.cfg.window:
-                self._held = end
-                continue
-            _, _, metric, top = _metric_kernel(samples, self.cfg, self._kernel_arena)
-            if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
-                events += self._runs(metric)
-            consumed = len(metric)  # keep lag+window-1 samples of context for the next step
-            samples[:end - consumed] = samples[consumed:]
-            self._held = end - consumed
-            self._base += consumed
+            self._samples[self._held:end] = piece
+            self._held = end
+            # an open run implies held context, so the kernel has an output
+            if self._run is not None or end - context >= cfg.min_plateau or end == cap:
+                events += self._step()
+        return events
+
+    def _step(self) -> list[FrameEvent]:
+        """Run the kernel over the held samples; keep ``lag + window - 1`` of them as context."""
+        end = self._held
+        samples = self._samples[:end]
+        _, _, metric, top = _metric_kernel(samples, self.cfg, self._kernel_arena)
+        events = []
+        if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
+            events = self._runs(metric)
+        consumed = len(metric)
+        samples[:end - consumed] = samples[consumed:]
+        self._held = end - consumed
+        self._base += consumed
         return events
 
     def _grow(self, n_samples: int) -> None:
-        """Make the workspace hold steps of ``n_samples`` samples, keeping the held context."""
+        """Make the workspace hold ``n_samples`` samples, keeping the held ones."""
         cfg = self.cfg
         if self._samples is None:
             size = max(n_samples, cfg.lag + cfg.window)
@@ -354,5 +382,6 @@ class StreamingFrameDetector:
         return [FrameEvent(start, end, float(peak))]
 
     def flush(self) -> list[FrameEvent]:
-        """Close any run still open at end of stream; resets run state."""
-        return [] if self._run is None else self._close()
+        """Run the kernel over any held outputs, then close any run still open; resets run state."""
+        events = self._step() if self._held > self.cfg.lag + self.cfg.window - 1 else []
+        return events + ([] if self._run is None else self._close())

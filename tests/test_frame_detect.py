@@ -417,15 +417,20 @@ def test_detect_frames_equals_a_per_sample_run_scan(x, scale, min_plateau, metri
     assert got == scan_runs(metric, cfg.threshold, min_plateau)
 
 
+def _chunks(x, sizes):
+    """``x`` cut into consecutive chunks, cycling through ``sizes``."""
+    chunks, at = [], 0
+    while at < len(x):
+        size = sizes[len(chunks) % len(sizes)]
+        chunks.append(x[at:at + size])
+        at += size
+    return chunks
+
+
 def _stream(x, sizes, cfg=FrameDetectConfig()):
     """Events per process call, cycling through chunk ``sizes``, and the events of flush."""
     detector = StreamingFrameDetector(cfg)
-    calls, at, k = [], 0, 0
-    while at < len(x):
-        size = sizes[k % len(sizes)]
-        calls.append(detector.process(x[at:at + size]))
-        at, k = at + size, k + 1
-    return calls, detector.flush()
+    return [detector.process(chunk) for chunk in _chunks(x, sizes)], detector.flush()
 
 
 @st.composite
@@ -532,3 +537,133 @@ def test_short_run_split_across_chunks_is_dropped():
         assert [e for found in calls for e in found] + flushed == []
         calls, flushed = _stream(x, [size], FrameDetectConfig(min_plateau=length))
         assert [e for found in calls for e in found] + flushed == [short]
+
+
+# --- the kernel skip: each call's events ---------------------------------------
+
+class EveryCallReference:
+    """A detector that scans every metric output at the end of each call.
+
+    It keeps the whole stream, recomputes its metric with :func:`compute_metrics`
+    on every call and walks the outputs it has not seen one by one, so each
+    call returns the events that close in it, as a detector that runs the
+    kernel on every call does.
+    """
+
+    def __init__(self, cfg):
+        self.cfg, self.x, self.seen, self.run = cfg, np.zeros(0, np.complex128), 0, None
+
+    def process(self, chunk):
+        self.x = np.concatenate([self.x, np.asarray(chunk, np.complex128).reshape(-1)])
+        if len(self.x) < self.cfg.lag + self.cfg.window:
+            return []
+        metric = compute_metrics(self.x, self.cfg)[2]
+        events = []
+        for n in range(self.seen, len(metric)):
+            value = metric[n]
+            if value > self.cfg.threshold:
+                start, peak = (n, value) if self.run is None else (self.run[0], self.run[2])
+                self.run = (start, n, max(peak, value))
+            elif self.run is not None:
+                events += self.flush()
+        self.seen = len(metric)
+        return events
+
+    def flush(self):
+        if self.run is None:
+            return []
+        (start, end, peak), self.run = self.run, None
+        if end - start + 1 < self.cfg.min_plateau:
+            return []
+        return [FrameEvent(start, end, float(peak))]
+
+
+def _per_call(detector, chunks, flush_after=()):
+    """Each process call's events, then a flush's after every call numbered in ``flush_after``
+    and after the last one."""
+    out = []
+    for k, chunk in enumerate(chunks):
+        out.append(detector.process(chunk))
+        if k in flush_after:
+            out.append(detector.flush())
+    return out + [detector.flush()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 1200),
+       sizes=st.lists(st.integers(1, 80), min_size=1, max_size=30),
+       min_plateau=st.integers(1, 64), metric_mode=st.sampled_from(METRIC_MODES),
+       window=st.sampled_from([3, 5, 7, 10, 12, 16, 24, 33]),
+       bursts=st.lists(st.tuples(st.integers(0, 1200), st.integers(1, 200),
+                                 st.floats(0.3, 3.0)), max_size=5),
+       flush_after=st.sets(st.integers(0, 60), max_size=2))
+def test_each_call_returns_the_every_call_reference_events(seed, n, sizes, min_plateau,
+                                                            metric_mode, window, bursts,
+                                                            flush_after):
+    # period-16 bursts at any offset, so runs open and close across chunk edges
+    # and across the calls on which the kernel is skipped
+    gen = np.random.default_rng(seed)
+    x = 0.3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    period = np.exp(2j * np.pi * gen.uniform(size=16))
+    for at, length, gain in bursts:
+        piece = gain * np.tile(period, length // 16 + 1)[:len(x[at:at + length])]
+        x[at:at + len(piece)] = piece
+    cfg = FrameDetectConfig(window=window, min_plateau=min_plateau, metric_mode=metric_mode)
+    chunks = _chunks(x, sizes)
+    got = _per_call(StreamingFrameDetector(cfg), chunks, flush_after)
+    assert got == _per_call(EveryCallReference(cfg), chunks, flush_after)
+
+
+def test_a_run_of_exactly_min_plateau_at_the_end_is_reported_by_flush():
+    x = np.concatenate([np.zeros(100), _tone(4)])
+    [event] = detect_frames(x, FrameDetectConfig(min_plateau=1))
+    cfg = FrameDetectConfig(min_plateau=event.end_index - event.start_index + 1)
+    assert event.end_index == len(x) - 32  # the run reaches the last output
+    calls = _per_call(StreamingFrameDetector(cfg), _chunks(x, [1]))
+    assert all(found == [] for found in calls[:-1])
+    assert calls[-1] == [event] == detect_frames(x, cfg)
+
+
+def test_a_detector_reused_after_flush_gives_the_reference_events():
+    # the first flush closes a run that the second part carries on
+    a = np.concatenate([np.zeros(60), _tone(3)])
+    b = np.concatenate([_tone(5), np.zeros(90), _tone(1), np.zeros(40)])
+    for min_plateau in (1, 20, 40, 64):
+        cfg = FrameDetectConfig(min_plateau=min_plateau)
+        for size in (1, 5, 33, 1000):
+            first = _chunks(a, [size])
+            chunks, flush_after = first + _chunks(b, [size]), {len(first) - 1}
+            assert _per_call(StreamingFrameDetector(cfg), chunks, flush_after) == _per_call(
+                EveryCallReference(cfg), chunks, flush_after)
+
+
+def test_held_samples_never_grow_the_workspace_past_one_step():
+    # with min_plateau above BLOCK_LEN the kernel must still run on a full workspace
+    cfg = FrameDetectConfig(min_plateau=3 * BLOCK_LEN)
+    cap = BLOCK_LEN + cfg.lag + cfg.window - 1
+    x = np.concatenate([np.zeros(100), _tone(5 * BLOCK_LEN // 16), np.zeros(15 * BLOCK_LEN)])
+    detector = StreamingFrameDetector(cfg)
+    events = []
+    for value in x[:100]:
+        events += detector.process([value])
+        assert detector._size <= cap
+    events += detector.process(x[100:])  # 20 * BLOCK_LEN samples
+    assert detector._size <= cap
+    events += detector.flush()
+    assert len(events) == 1 and events == detect_frames(x, cfg)
+
+
+def test_any_numeric_chunk_gives_the_complex128_events():
+    gen = np.random.default_rng(7)
+    x = 0.3 * (gen.standard_normal(3000) + 1j * gen.standard_normal(3000))
+    for at in (200, 1500, 2700):
+        x[at:at + 160] = np.tile(np.exp(2j * np.pi * gen.uniform(size=16)), 10)
+    x64 = x.astype(np.complex64)
+    cases = [(x64, x64.astype(np.complex128)), (x.real, x.real + 0j),
+             (x.real.astype(np.float32), x.real.astype(np.float32) + 0j),
+             (x.tolist(), x), (np.round(4 * x.real).astype(np.int16), np.round(4 * x.real) + 0j)]
+    for sizes in ([1], [7, 64, 1000], [5000]):
+        for chunk_source, complex_source in cases:
+            want = _per_call(StreamingFrameDetector(), _chunks(complex_source, sizes))
+            assert sum(map(len, want)) == 3
+            assert _per_call(StreamingFrameDetector(), _chunks(chunk_source, sizes)) == want
