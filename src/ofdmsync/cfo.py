@@ -40,13 +40,15 @@ def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, i
     return start, stop, end
 
 
-def _offset(mean_r, lag: int, sample_rate: float) -> tuple[float, float]:
-    """(delta_f_hz, phase_rad) of a mean autocorrelation; EstimationError when it has no phase."""
-    if abs(mean_r) == 0.0:
-        raise EstimationError("autocorrelation over the plateau has zero magnitude")
-    phase = float(np.angle(mean_r))
+def _offsets(means: np.ndarray, lag: int, sample_rate: float
+             ) -> list[tuple[float, float] | None]:
+    """(delta_f_hz, phase_rad) of each mean autocorrelation in ``means``, or
+    None where the mean is 0 and so has no phase."""
+    phases = np.angle(means)
     sample_period = 1.0 / sample_rate
-    return -phase / (2 * np.pi * lag * sample_period), phase
+    hz = -phases / (2 * np.pi * lag * sample_period)
+    return [None if mean == 0 else offset
+            for mean, offset in zip(means.tolist(), zip(hz.tolist(), phases.tolist()))]
 
 
 def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEstimate:
@@ -60,7 +62,11 @@ def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEsti
     """
     x = r.samples
     start, stop, end = _segment(len(x), lag, plateau)
-    delta_f, phase = _offset(autocorrelation(x[start:end], lag, lag).mean(), lag, r.sample_rate)
+    offset, = _offsets(autocorrelation(x[start:end], lag, lag).mean(keepdims=True), lag,
+                       r.sample_rate)
+    if offset is None:
+        raise EstimationError("autocorrelation over the plateau has zero magnitude")
+    delta_f, phase = offset
     return CfoEstimate(delta_f_hz=delta_f, phase_rad=phase, plateau_span=(start, stop))
 
 
@@ -79,13 +85,8 @@ def estimate_cfo_rows(rows: np.ndarray, lag: int, plateau: tuple[int, int],
     segments = np.ascontiguousarray(rows[:, start:end])
     sums = np.empty_like(segments)  # row r's plateau values land in sums[r, :stop - start]
     _correlate(segments.reshape(-1), lag, lag, sums.reshape(-1)[:sums.size - 2 * lag + 1])
-    offsets: list[float | None] = []
-    for mean_r in sums[:, :stop - start].mean(axis=1):
-        try:
-            offsets.append(_offset(mean_r, lag, sample_rate)[0])
-        except EstimationError:
-            offsets.append(None)
-    return offsets
+    return [None if offset is None else offset[0]
+            for offset in _offsets(sums[:, :stop - start].mean(axis=1), lag, sample_rate)]
 
 
 def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:

@@ -141,10 +141,14 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
 
     The output is ``timing_offset`` lead samples, the impaired frame, then
     ``tail_len`` trailing samples (the inter-frame gap seen by a receiver
-    that keeps capturing). Lead and tail carry only channel noise, drawn
-    from ``default_rng(seed)``, or zeros when noiseless. Deterministic for
-    a fixed (input, config, tail_len, seed). A negative seed, or an SNR on
-    a zero-power frame, raises ConfigError.
+    that keeps capturing). Lead and tail carry only channel noise, or zeros
+    when noiseless. The noise is one ``(2, N)`` draw of
+    ``default_rng(seed).standard_normal``, the real parts' row first: the
+    stream of N real draws followed by N imaginary ones. Each scaled row is
+    added to its part of the frame, which gives the bits of
+    ``frame + scale * (re + 1j * im)``. Deterministic for a fixed (input,
+    config, tail_len, seed). A negative seed, or an SNR on a zero-power
+    frame, raises ConfigError.
 
     For frozen ``preamble.samples`` (read-only down to the array that owns
     their memory) the noiseless frame comes from the module's one slot while
@@ -174,8 +178,11 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
         if power == 0.0:
             raise ConfigError("cannot set an SNR on a zero-power signal")
         scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)
-        rng = np.random.default_rng(seed)
-        out = out + scale * (rng.standard_normal(len(out)) + 1j * rng.standard_normal(len(out)))
+        noise = np.random.default_rng(seed).standard_normal((2, len(out)))
+        noise *= scale
+        frame, out = out, np.empty(len(out), np.complex128)
+        np.add(frame.real, noise[0], out=out.real)
+        np.add(frame.imag, noise[1], out=out.imag)
     return SampleBuffer(out, preamble.sample_rate)
 
 

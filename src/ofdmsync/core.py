@@ -36,7 +36,7 @@ class SampleBuffer:
         samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
         if not all_finite(samples):
             raise ConfigError("sample buffer contains non-finite values")
-        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise ConfigError(f"sample rate must be positive and finite, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))

@@ -365,6 +365,8 @@ class StreamingFrameDetector:
             events += self._close()
         first = 0 if mask[0] else 1  # stretches alternate, so every other one is above
         for a, b, peak in zip(bounds[first::2], bounds[first + 1::2], peaks[first::2]):
+            if b - a < self.cfg.min_plateau and 0 < a and b < len(mask):
+                continue  # no run goes on into it or stays open past it: too short for an event
             start = self._base + a
             if self._run is not None:  # a == 0: the open run goes on
                 start, _, open_peak = self._run

@@ -68,6 +68,11 @@ def cross_correlate(r, template) -> np.ndarray:
     x = as_samples(r)
     c = as_samples(template)
     _output_length(x, c)
+    return _magnitude(x, c)
+
+
+def _magnitude(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|Lambda| of complex128 ``x`` and ``c`` with ``len(x) >= len(c) >= 1``."""
     # np.correlate(x, c, 'valid')[n] == sum_m x[n+m] * conj(c[m])
     return np.abs(np.correlate(x, c, mode="valid"))
 
@@ -113,7 +118,7 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate
         raise SizingError(
             f"search window [{start}, {start + length}) outside correlator output "
             f"of length {n_out}")
-    magnitude = cross_correlate(x[start:start + length + len(template) - 1], template)
-    local = int(np.argmax(magnitude))
+    magnitude = _magnitude(x[start:start + length + len(template) - 1], template)
+    local = int(magnitude.argmax())
     return TimingEstimate(n_xc_max=start + local + len(template),
                           peak_magnitude=float(magnitude[local]))

@@ -4,6 +4,7 @@ import pytest
 from ofdmsync import (CfoEstimate, ChannelConfig, EstimationError, SampleBuffer,
                       SizingError, apply_cfo, correct_cfo, detect_frames,
                       estimate_cfo, plateau_from_event, transmit)
+from ofdmsync.cfo import estimate_cfo_rows
 
 from conftest import random_buffer
 
@@ -57,6 +58,28 @@ def test_estimate_errors():
         estimate_cfo(zeros, 16, (50, 50))       # empty span
     with pytest.raises(SizingError):
         estimate_cfo(zeros, 16, (380, 395))     # runs past the buffer
+
+
+def test_rows_give_none_on_zero_rows_and_estimate_cfo_bits_elsewhere(preamble):
+    # zero rows have a mean of exactly 0 and no phase; the rest go through the
+    # same phase -> Hz conversion as a one-row estimate
+    noisy = [transmit(preamble, ChannelConfig(cfo_hz=f, snr_db=snr, timing_offset=5),
+                      tail_len=40, seed=seed).samples
+             for f, snr, seed in [(-310e3, 0.0, 1), (0.0, 10.0, 2), (99e3, -5.0, 3),
+                                  (600e3, 30.0, 4), (1.5e3, 300.0, 5)]]
+    zero = np.zeros(len(noisy[0]), np.complex128)
+    rows = np.stack([zero, noisy[0], noisy[1], zero, zero, noisy[2], noisy[3], zero, noisy[4]])
+    span = (5, 134)
+    got = estimate_cfo_rows(rows, 16, span, 20e6)
+    assert [value is None for value in got] == [not row.any() for row in rows]
+    for row, value in zip(rows, got):
+        buf = SampleBuffer(row)
+        if row.any():
+            want = estimate_cfo(buf, 16, span).delta_f_hz
+            assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        else:
+            with pytest.raises(EstimationError):
+                estimate_cfo(buf, 16, span)
 
 
 # --- correct_cfo ----------------------------------------------------------------

@@ -209,6 +209,21 @@ def test_interleaved_transmits_equal_the_stage_by_stage_chain(preamble, calls):
         assert same_bits(got, stage_by_stage(buf, cfg, tail_len, seed)[1])
 
 
+@pytest.mark.parametrize("frame", ["preamble", "mixed"])
+@pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+@pytest.mark.parametrize("offset, tail_len", [(0, 0), (17, 90)])
+@pytest.mark.parametrize("cfo_hz", [0.0, -0.0, 123e3])
+def test_noise_at_the_snr_bounds_equals_the_stage_by_stage_chain(preamble, frame, snr_db,
+                                                                 offset, tail_len, cfo_hz):
+    # the noise is added part by part; the chain adds scale * (re + 1j * im)
+    # in one complex expression, also where the frame has exact and signed zeros
+    buf = preamble if frame == "preamble" else MIXED
+    cfg = ChannelConfig(cfo_hz=cfo_hz, snr_db=snr_db, timing_offset=offset)
+    for seed in (0, 1, 2**32 - 1):
+        got = transmit(buf, cfg, tail_len=tail_len, seed=seed).samples
+        assert same_bits(got, stage_by_stage(buf, cfg, tail_len, seed)[1])
+
+
 @pytest.mark.parametrize("fresh", ["config", "buffer"])
 def test_equal_inputs_that_are_other_objects_rebuild_the_frame(preamble, monkeypatch, fresh):
     # The slot is keyed by identity: an equal config, or a second read-only

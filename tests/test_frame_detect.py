@@ -667,3 +667,46 @@ def test_any_numeric_chunk_gives_the_complex128_events():
             want = _per_call(StreamingFrameDetector(), _chunks(complex_source, sizes))
             assert sum(map(len, want)) == 3
             assert _per_call(StreamingFrameDetector(), _chunks(chunk_source, sizes)) == want
+
+
+# --- short stretches: a step skips the interior ones --------------------------
+
+def _run_of(x):
+    """The one run in ``x`` and the config whose min_plateau is exactly its length."""
+    [event] = detect_frames(x, FrameDetectConfig(min_plateau=1))
+    return event, FrameDetectConfig(min_plateau=event.end_index - event.start_index + 1)
+
+
+@pytest.mark.parametrize("cut", ["first_output_of_the_next_step", "last_output_of_this_step"])
+def test_a_run_of_min_plateau_split_into_a_short_edge_stretch_is_reported(cut):
+    # The first call's step ends inside the run. Either the next step opens
+    # with one output that carries the open run up to min_plateau, or this
+    # step ends with one output that opens the run the next call completes.
+    # Both stretches are shorter than min_plateau but lie on a step's edge.
+    x = np.concatenate([np.zeros(100), _tone(3), np.zeros(100)])
+    event, cfg = _run_of(x)
+    context = cfg.lag + cfg.window - 1
+    last = event.end_index - 1 if cut == "first_output_of_the_next_step" else event.start_index
+    chunks = [x[:last + 1 + context], x[last + 1 + context:]]  # step one ends at output `last`
+    assert last + 1 >= cfg.min_plateau  # so the first call runs its step
+    calls = _per_call(StreamingFrameDetector(cfg), chunks)
+    assert calls == _per_call(EveryCallReference(cfg), chunks)
+    assert calls == [[], [event], []]
+
+
+def test_interior_blips_next_to_a_run_of_exactly_min_plateau():
+    blip = np.concatenate([_tone(2), np.zeros(60)])
+    x = np.concatenate([np.zeros(100), *[blip] * 20, _tone(3), np.zeros(60), *[blip] * 20,
+                        np.zeros(100)])
+    middle = np.concatenate([np.zeros(100), _tone(3), np.zeros(100)])
+    _, cfg = _run_of(middle)
+    runs = detect_frames(x, FrameDetectConfig(min_plateau=1))
+    lengths = [e.end_index - e.start_index + 1 for e in runs]
+    assert len(runs) == 41 and lengths.count(cfg.min_plateau) == 1
+    assert max(n for n in lengths if n != cfg.min_plateau) < cfg.min_plateau
+    [want] = [e for e in runs if e.end_index - e.start_index + 1 == cfg.min_plateau]
+    for sizes in ([len(x)], [500], [97, 13], [1]):
+        chunks = _chunks(x, sizes)
+        calls = _per_call(StreamingFrameDetector(cfg), chunks)
+        assert calls == _per_call(EveryCallReference(cfg), chunks)
+        assert [e for found in calls for e in found] == [want]

@@ -275,6 +275,22 @@ def test_cli_output_bytes_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_trials_at_the_top_snr_report_a_one_bin_cfo_histogram(tmp_path, capsys):
+    # the cfo values are a few ULPs apart, and no finite bin width fits
+    # between them, so the histogram falls back to one bin over their range
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("n_trials = 50\nstages = frame, time_sts, time_lts, cfo\nsnr_db = 300\n"
+                    "cfo_hz = 100e3\ntiming_offset = 30\ntaps = etsi_c\n")
+    assert main(["trials", "--config", str(plan), "--out", str(tmp_path / "report")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "report" / "cfo_histogram.csv").read_text().splitlines()
+    values = [float(line.split(",")[1])
+              for line in (tmp_path / "report" / "cfo_trials.csv").read_text().splitlines()[1:]]
+    assert len(values) == 50 and min(values) < max(values)
+    assert rows[0] == "bin_center,count" and len(rows) == 2
+    assert rows[1] == f"{(min(values) + max(values)) / 2!r},50"
+
+
 def test_frame_stage_counts_failures_when_nothing_detected():
     # at 0 dB the exact metric plateaus near 0.25, below the 0.5 threshold
     plan = TrialPlan(n_trials=20, channel=ChannelConfig(snr_db=0.0),
