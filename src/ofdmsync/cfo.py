@@ -16,7 +16,7 @@ import numpy as np
 from .channel import apply_cfo
 from .core import SampleBuffer
 from .errors import EstimationError, SizingError
-from .frame_detect import FrameEvent, _correlate, autocorrelation
+from .frame_detect import FrameEvent, _correlate
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,20 @@ def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, i
     return start, stop, end
 
 
-def _offsets(means: np.ndarray, lag: int, sample_rate: float
+def _offsets(rows: np.ndarray, lag: int, plateau: tuple[int, int], sample_rate: float
              ) -> list[tuple[float, float] | None]:
-    """(delta_f_hz, phase_rad) of each mean autocorrelation in ``means``, or
-    None where the mean is 0 and so has no phase."""
+    """(delta_f_hz, phase_rad) of each row's mean autocorrelation over ``plateau``,
+    or None where the mean is 0 and so has no phase.
+
+    The samples each row's plateau reads are laid end to end for one pass of
+    lag products and window sums. A plateau value depends only on its own
+    row's samples, so each row keeps the bits of a pass over it alone.
+    """
+    start, stop, end = _segment(rows.shape[1], lag, plateau)
+    segments = np.ascontiguousarray(rows[:, start:end])
+    sums = np.empty_like(segments)  # row r's plateau values land in sums[r, :stop - start]
+    _correlate(segments.reshape(-1), lag, lag, sums.reshape(-1)[:sums.size - 2 * lag + 1])
+    means = sums[:, :stop - start].mean(axis=1)
     phases = np.angle(means)
     sample_period = 1.0 / sample_rate
     hz = -phases / (2 * np.pi * lag * sample_period)
@@ -57,36 +67,25 @@ def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEsti
     ``plateau`` is a half-open (start, stop) range of autocorrelation
     indices; averaging the complex values before taking the phase is
     equivalent to a single-point read in the clean case and lower-variance
-    under noise. Raises EstimationError when the mean has no phase (no
-    coherent short training present).
+    under noise. It is :func:`estimate_cfo_rows` on one row. Raises
+    EstimationError when the mean has no phase (no coherent short training
+    present).
     """
-    x = r.samples
-    start, stop, end = _segment(len(x), lag, plateau)
-    offset, = _offsets(autocorrelation(x[start:end], lag, lag).mean(keepdims=True), lag,
-                       r.sample_rate)
+    offset, = _offsets(r.samples[np.newaxis], lag, plateau, r.sample_rate)
     if offset is None:
         raise EstimationError("autocorrelation over the plateau has zero magnitude")
-    delta_f, phase = offset
-    return CfoEstimate(delta_f_hz=delta_f, phase_rad=phase, plateau_span=(start, stop))
+    return CfoEstimate(*offset, plateau_span=(int(plateau[0]), int(plateau[1])))
 
 
 def estimate_cfo_rows(rows: np.ndarray, lag: int, plateau: tuple[int, int],
                       sample_rate: float) -> list[float | None]:
-    """:func:`estimate_cfo`'s ``delta_f_hz`` for each row of ``rows``, or None
-    where it raises EstimationError.
-
-    ``rows`` is a 2-D complex128 array of equal-length buffers. The samples
-    each row's plateau reads are laid end to end, and one pass of lag
-    products and window sums covers them. A plateau value depends only on
-    its own row's samples, so it, and the row's mean, has the bits of
-    :func:`estimate_cfo`.
+    """:func:`estimate_cfo`'s ``delta_f_hz`` for each row of ``rows``, a 2-D
+    complex128 array of equal-length buffers, or None where it raises
+    EstimationError. One pass of lag products and window sums covers every
+    row's plateau.
     """
-    start, stop, end = _segment(rows.shape[1], lag, plateau)
-    segments = np.ascontiguousarray(rows[:, start:end])
-    sums = np.empty_like(segments)  # row r's plateau values land in sums[r, :stop - start]
-    _correlate(segments.reshape(-1), lag, lag, sums.reshape(-1)[:sums.size - 2 * lag + 1])
     return [None if offset is None else offset[0]
-            for offset in _offsets(sums[:, :stop - start].mean(axis=1), lag, sample_rate)]
+            for offset in _offsets(rows, lag, plateau, sample_rate)]
 
 
 def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:

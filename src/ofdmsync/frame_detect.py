@@ -17,10 +17,12 @@ window length, the software image of a CIC chain acting as a moving-average
 filter; the exact metric is indifferent to that scaling, while the l1
 approximation needs it to hold at its unit-power operating point.
 
-One kernel computes R, P and the metric for :func:`compute_metrics`,
-:func:`detect_frames`, :func:`first_events` and :class:`StreamingFrameDetector`.
-It writes every array into a workspace carved from one arena and allocates
-nothing per call. A detector keeps its workspace, which holds at most
+One kernel computes R, P and the metric, writing every array into a
+workspace carved from one arena, and allocates nothing per call. It has two
+callers: a walker over steps of ``BLOCK_LEN`` outputs of one flat buffer,
+which :func:`compute_metrics` and :func:`first_events` consume, and
+:class:`StreamingFrameDetector`, which :func:`detect_frames` and
+:func:`detect_blocks` feed. A detector allocates its workspace once, at
 ``BLOCK_LEN + lag + window - 1`` samples, so a chunk of any length runs in
 bounded memory; a chunk of any numeric dtype is converted to complex128
 while it is copied in. While no run is open and its held samples give fewer
@@ -191,6 +193,18 @@ def _metric(R, mode: str, p_squared, numerator, metric) -> float:
     return np.maximum.reduce(metric)
 
 
+def _steps(x: np.ndarray, cfg: FrameDetectConfig):
+    """(at, numerator, p_squared, metric) for each step of ``BLOCK_LEN`` metric outputs of ``x``.
+
+    ``len(x) >= lag + window``. A step's arrays start at metric index ``at``;
+    they are views into one arena, which the next step overwrites.
+    """
+    context = cfg.lag + cfg.window - 1
+    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
+    for at in range(0, len(x) - context, BLOCK_LEN):
+        yield (at, *_metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[:3])
+
+
 def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
     """(numerator, p_squared, metric) arrays for a buffer; index n matches the buffer index.
 
@@ -202,11 +216,9 @@ def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
     """
     x = as_samples(r)
     _require_window(x, cfg.lag, cfg.window)
-    context = cfg.lag + cfg.window - 1
-    out = np.empty((3, len(x) - context))
-    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
-    for at in range(0, out.shape[1], BLOCK_LEN):
-        for row, values in zip(out, _metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[:3]):
+    out = np.empty((3, len(x) - cfg.lag - cfg.window + 1))
+    for at, *arrays in _steps(x, cfg):
+        for row, values in zip(out, arrays):
             row[at:at + len(values)] = values
     return tuple(out)
 
@@ -214,12 +226,10 @@ def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
     """All maximal above-threshold runs of length >= min_plateau.
 
-    One :class:`StreamingFrameDetector` takes the whole buffer, in bounded
-    memory. A buffer too short to hold even one correlation window yields no
-    events.
+    :func:`detect_blocks` of the one buffer, in bounded memory. A buffer too
+    short to hold even one correlation window yields no events.
     """
-    detector = StreamingFrameDetector(cfg)
-    return detector.process(r) + detector.flush()
+    return detect_blocks([r], cfg)
 
 
 def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
@@ -227,30 +237,26 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
     """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
 
     ``rows`` is a C-contiguous 2-D complex128 array of equal-length buffers
-    laid end to end. The kernel runs over them as over one stream, in steps
-    of ``BLOCK_LEN`` outputs in one workspace, as :func:`compute_metrics`
-    does. The last ``lag + window - 1`` metric indices of a row have windows
-    that reach into the next row; they are set to 0, so no run crosses from
-    one row into the next. Every other metric value depends only on its own
-    row's samples, so it has the bits of that row's own pass. Events index
-    their own row.
+    laid end to end. The kernel runs over them as over one stream, in the
+    steps :func:`compute_metrics` takes, and a detector that holds no
+    samples scans each step's runs. The last ``lag + window - 1`` metric
+    indices of a row have windows that reach into the next row; they are set
+    to 0, so no run crosses from one row into the next. Every other metric
+    value depends only on its own row's samples, so it has the bits of that
+    row's own pass. Events index their own row.
     """
     n_rows, row_len = rows.shape
     context = cfg.lag + cfg.window - 1
     first: list[FrameEvent | None] = [None] * n_rows
     if row_len <= context:
         return first
-    flat = rows.reshape(-1)
-    arena = np.empty(_kernel_len(min(len(flat), BLOCK_LEN + context), cfg), np.complex128)
     detector = StreamingFrameDetector(cfg)
     events = []
-    for at in range(0, len(flat) - context, BLOCK_LEN):
-        metric = _metric_kernel(flat[at:at + BLOCK_LEN + context], cfg, arena)[2]
+    for at, _, _, metric in _steps(rows.reshape(-1), cfg):
         # the straddling indices of the rows this step reaches
         for cut in range(at - at % row_len + row_len - context, at + len(metric), row_len):
             metric[max(cut - at, 0):cut - at + context] = 0
-        detector._base = at
-        events += detector._runs(metric)
+        events += detector._runs(metric, at)
     for event in reversed(events + detector.flush()):
         row, start = divmod(event.start_index, row_len)
         first[row] = FrameEvent(start, event.end_index - row * row_len, event.peak_metric)
@@ -281,14 +287,14 @@ class StreamingFrameDetector:
     :func:`detect_frames` reports on the whole stream. Instances are
     single-owner: hand one between threads, never share it.
 
-    The detector owns one workspace, a complex128 arena: the held samples
+    The detector owns one workspace, a complex128 arena allocated once, on
+    the first chunk: room for ``BLOCK_LEN + lag + window - 1`` held samples
     (the ``lag + window - 1`` samples of context kept from the last kernel
-    step, then those fed since), then the metric kernel's arrays. A chunk of
-    any numeric dtype, or a :class:`SampleBuffer`, is converted to complex128
-    while it is copied in, so no converted copy of the chunk is made. The
-    workspace grows with the chunks it is fed, up to ``BLOCK_LEN + lag +
-    window - 1`` samples and no further, and a step fills at most what is
-    left of it, so memory stays bounded whatever the chunk length.
+    step, then those fed since), then the metric kernel's arrays for that
+    many samples. A chunk of any numeric dtype, or a :class:`SampleBuffer`,
+    is converted to complex128 while it is copied in, so no converted copy
+    of the chunk is made. A step fills at most what is left of the
+    workspace, so memory stays bounded whatever the chunk length.
 
     While no run is open, the held samples give fewer than ``min_plateau``
     metric outputs and the workspace has room, the kernel does not run and
@@ -301,60 +307,48 @@ class StreamingFrameDetector:
 
     def __init__(self, cfg: FrameDetectConfig = FrameDetectConfig()):
         self.cfg = cfg
-        self._size = 0  # samples the workspace may hold
-        self._samples = self._kernel_arena = None  # the workspace's two parts
-        self._held = 0  # samples at the front of _samples
-        self._base = 0  # absolute index of _samples[0]
+        self._size = BLOCK_LEN + cfg.lag + cfg.window - 1  # samples the workspace holds
+        self._workspace = None  # the held samples, then from _size on the kernel's arena
+        self._held = 0  # samples at the front of _workspace
+        self._base = 0  # absolute index of _workspace[0]
         self._run = None  # (start, end, peak) of a run still open at the last step's end
 
     def process(self, chunk) -> list[FrameEvent]:
         x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk).reshape(-1)
-        cfg = self.cfg
+        cfg, size = self.cfg, self._size
+        if self._workspace is None:
+            self._workspace = np.empty(size + _kernel_len(size, cfg), np.complex128)
         context = cfg.lag + cfg.window - 1
-        cap = BLOCK_LEN + context
         events: list[FrameEvent] = []
         at = 0
         while at < len(x):
-            piece = x[at:at + cap - self._held]
+            piece = x[at:at + size - self._held]
             at += len(piece)
             end = self._held + len(piece)
-            if end > self._size:
-                self._grow(end)
-            self._samples[self._held:end] = piece
+            self._workspace[self._held:end] = piece
             self._held = end
             # an open run implies held context, so the kernel has an output
-            if self._run is not None or end - context >= cfg.min_plateau or end == cap:
+            if self._run is not None or end - context >= cfg.min_plateau or end == size:
                 events += self._step()
         return events
 
     def _step(self) -> list[FrameEvent]:
         """Run the kernel over the held samples; keep ``lag + window - 1`` of them as context."""
-        end = self._held
-        samples = self._samples[:end]
-        _, _, metric, top = _metric_kernel(samples, self.cfg, self._kernel_arena)
+        samples = self._workspace[:self._held]
+        _, _, metric, top = _metric_kernel(samples, self.cfg, self._workspace[self._size:])
         events = []
         if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
-            events = self._runs(metric)
-        consumed = len(metric)
-        samples[:end - consumed] = samples[consumed:]
-        self._held = end - consumed
-        self._base += consumed
+            events = self._runs(metric, self._base)
+        self._held -= len(metric)
+        samples[:self._held] = samples[len(metric):]
+        self._base += len(metric)
         return events
 
-    def _grow(self, n_samples: int) -> None:
-        """Make the workspace hold ``n_samples`` samples, keeping the held ones."""
-        cfg = self.cfg
-        if self._samples is None:
-            size = max(n_samples, cfg.lag + cfg.window)
-        else:
-            size = min(max(n_samples, 2 * self._size), BLOCK_LEN + cfg.lag + cfg.window - 1)
-        arena = np.empty(size + _kernel_len(size, cfg), np.complex128)
-        if self._held:
-            arena[:self._held] = self._samples[:self._held]
-        self._size, self._samples, self._kernel_arena = size, arena[:size], arena[size:]
+    def _runs(self, metric: np.ndarray, base: int) -> list[FrameEvent]:
+        """Extend, close and open runs over the constant stretches of metric > threshold.
 
-    def _runs(self, metric: np.ndarray) -> list[FrameEvent]:
-        """Extend, close and open runs over the constant stretches of metric > threshold."""
+        ``base`` is the absolute index of ``metric[0]``.
+        """
         mask = metric > self.cfg.threshold
         # np.diff + np.flatnonzero cost several times more on short chunks
         starts = [0, *[c + 1 for c in (mask[1:] != mask[:-1]).nonzero()[0].tolist()]]
@@ -367,11 +361,11 @@ class StreamingFrameDetector:
         for a, b, peak in zip(bounds[first::2], bounds[first + 1::2], peaks[first::2]):
             if b - a < self.cfg.min_plateau and 0 < a and b < len(mask):
                 continue  # no run goes on into it or stays open past it: too short for an event
-            start = self._base + a
+            start = base + a
             if self._run is not None:  # a == 0: the open run goes on
                 start, _, open_peak = self._run
                 peak = max(open_peak, peak)
-            self._run = (start, self._base + b - 1, peak)
+            self._run = (start, base + b - 1, peak)
             if b < len(mask):
                 events += self._close()
         return events

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsync import (CfoEstimate, ChannelConfig, EstimationError, SampleBuffer,
-                      SizingError, apply_cfo, correct_cfo, detect_frames,
+                      SizingError, apply_cfo, autocorrelation, correct_cfo, detect_frames,
                       estimate_cfo, plateau_from_event, transmit)
 from ofdmsync.cfo import estimate_cfo_rows
 
@@ -80,6 +82,46 @@ def test_rows_give_none_on_zero_rows_and_estimate_cfo_bits_elsewhere(preamble):
         else:
             with pytest.raises(EstimationError):
                 estimate_cfo(buf, 16, span)
+
+
+def reference_cfo(x, lag, plateau, sample_rate):
+    """(delta_f_hz, phase_rad, mean) from the mean of :func:`autocorrelation` over
+    ``plateau``, one buffer at a time: no code shared with the estimators' row pass."""
+    start, stop = plateau
+    mean = autocorrelation(x[start:stop - 1 + 2 * lag], lag, lag).mean()
+    phase = np.angle(mean)
+    return -phase / (2 * np.pi * lag * (1.0 / sample_rate)), phase, mean
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lag=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-5, 300),
+       cfo_hz=st.floats(-1e6, 1e6), sample_rate=st.sampled_from([1e6, 20e6, 61.44e6]),
+       start=st.integers(0, 300), length=st.integers(1, 300), tail=st.integers(0, 50))
+def test_estimates_equal_the_reference_arithmetic(lag, seed, snr_db, cfo_hz, sample_rate,
+                                                  start, length, tail):
+    # a lag-periodic signal turned by the offset, plus noise from -5 to 300 dB
+    gen = np.random.default_rng(seed)
+    n = start + length - 1 + 2 * lag + tail
+    periodic = np.resize(np.exp(2j * np.pi * gen.uniform(size=lag)), n)
+    noise = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2)
+    x = periodic * np.exp(2j * np.pi * cfo_hz / sample_rate * np.arange(n))
+    x += 10 ** (-snr_db / 20) * noise
+    span = (start, start + length)
+    rows = np.stack([x, np.zeros(n), np.conj(x)])
+    want = [reference_cfo(row, lag, span, sample_rate) for row in rows]
+    est = estimate_cfo(SampleBuffer(x, sample_rate), lag, span)
+    assert est.plateau_span == span
+    assert same_bits(est.delta_f_hz, want[0][0]) and same_bits(est.phase_rad, want[0][1])
+    assert want[1][2] == 0
+    with pytest.raises(EstimationError):
+        estimate_cfo(SampleBuffer(rows[1], sample_rate), lag, span)
+    got = estimate_cfo_rows(rows, lag, span, sample_rate)
+    assert got[1] is None
+    assert same_bits(got[0], want[0][0]) and same_bits(got[2], want[2][0])
 
 
 # --- correct_cfo ----------------------------------------------------------------

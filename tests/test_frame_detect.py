@@ -200,6 +200,17 @@ def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_m
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("metric_mode", METRIC_MODES)
+@pytest.mark.parametrize("n_out", [BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1, 2 * BLOCK_LEN])
+def test_metrics_at_step_multiples_equal_the_reference_arithmetic(rng, n_out, metric_mode):
+    # one step short of, exactly, one past and exactly two steps of outputs
+    cfg = FrameDetectConfig(metric_mode=metric_mode)
+    x = spread(rng, n_out + cfg.lag + cfg.window - 1)
+    _, *want = reference_metrics(x, cfg)
+    for a, b in zip(compute_metrics(x, cfg), want):
+        assert len(a) == n_out and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([3, 5, 7, 10, 12, 24, 33, 63]),
        metric_mode=st.sampled_from(METRIC_MODES),
@@ -224,10 +235,12 @@ def test_workspace_grows_to_one_step_and_no_further():
     cfg = FrameDetectConfig(window=10)
     cap = BLOCK_LEN + cfg.lag + cfg.window - 1
     detector = StreamingFrameDetector(cfg)
+    workspaces = set()  # allocated once: one array for every call
     for size in (1, 40, 5000, 3 * BLOCK_LEN + 7, 100, 20 * BLOCK_LEN):
         detector.process(np.ones(size))
         assert detector._size <= cap
-    assert detector._size == cap
+        workspaces.add(id(detector._workspace))
+    assert detector._size == cap and len(workspaces) == 1
 
 
 # Prints the peak RSS (KiB) before and after one process call on a single
@@ -360,6 +373,40 @@ def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, s
 def test_first_events_of_rows_too_short_for_a_run(row_len):
     rows = np.ones((3, row_len), np.complex128)
     assert first_events(rows) == [next(iter(detect_frames(row)), None) for row in rows]
+
+
+def _noisy_burst():
+    """A 16-periodic burst with a little noise, padded with zeros: one run, one peak index."""
+    gen = np.random.default_rng(5)
+    burst = np.tile(np.exp(2j * np.pi * gen.uniform(size=16)), 6)
+    burst += 0.1 * (gen.standard_normal(96) + 1j * gen.standard_normal(96))
+    return np.concatenate([np.zeros(40), burst, np.zeros(40)])
+
+
+# the last output of the kernel's first step, and the first output of its second
+@pytest.mark.parametrize("edge", [BLOCK_LEN - 1, BLOCK_LEN])
+@pytest.mark.parametrize("feature", ["start", "end", "peak"])
+def test_a_run_that_starts_ends_or_peaks_on_a_step_edge(feature, edge):
+    # Four rows of 3000 samples: the kernel's first step over the block ends
+    # inside row 2, where the burst puts its run's start, end or peak on the
+    # edge. min_plateau is the run's length, so one lost output loses it.
+    burst = _noisy_burst()
+    metric = reference_metrics(burst, FrameDetectConfig())[3]
+    [(start, end, _)] = scan_runs(metric, 0.5, 1)
+    cfg = FrameDetectConfig(min_plateau=end - start + 1)
+    index = {"start": start, "end": end,
+             "peak": start + int(np.argmax(metric[start:end + 1]))}[feature]
+    rows = np.zeros((4, 3000), np.complex128)
+    flat = rows.reshape(-1)
+    flat[edge - index:edge - index + len(burst)] = burst
+    at = edge - index + start - 2 * 3000  # the run's start in row 2
+    [want] = scan_runs(reference_metrics(rows[2], cfg)[3], cfg.threshold, cfg.min_plateau)
+    assert want == (at, at + end - start, float(metric.max()))
+    per_row = [next(iter(detect_frames(row, cfg)), None) for row in rows]
+    assert per_row == [None, None, FrameEvent(*want), None]
+    assert first_events(rows, cfg) == per_row
+    # the detector's first step over the flat block ends on the same edge
+    assert detect_frames(flat, cfg) == [FrameEvent(want[0] + 6000, want[1] + 6000, want[2])]
 
 
 # --- streaming variant -------------------------------------------------------
