@@ -23,8 +23,8 @@ from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
-from .frame_detect import (FrameDetectConfig, autocorrelation, compute_metrics, detect_blocks,
-                           detect_frames)
+from .frame_detect import (FrameDetectConfig, FrameEvent, autocorrelation, detect_blocks,
+                           detect_frames, metrics_and_events)
 from .harness import emit_report, load_plan, preamble_train, run_trials
 from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_table
 from .preamble import generate_preamble
@@ -150,6 +150,18 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
+def _detect_and_trace(buf: SampleBuffer, cfg: FrameDetectConfig, path) -> list[FrameEvent]:
+    """The events of ``buf``, after writing its metric trace to ``path``; one kernel pass."""
+    # rows hold each metric's own operands; a buffer shorter than one window has none
+    (numerator, p_squared, metric), events = np.zeros((3, 0)), []
+    if len(buf) >= cfg.lag + cfg.window:
+        (numerator, p_squared, metric), events = metrics_and_events(buf, cfg)
+    name = "r_abs2" if cfg.metric_mode == "exact" else "r_l1"
+    write_table(path, f"n,{name},p_squared,metric,above_threshold",
+                (np.arange(len(metric)), numerator, p_squared, metric, metric > cfg.threshold))
+    return events
+
+
 def cmd_detect(args) -> int:
     cfg = FrameDetectConfig(lag=args.lag, threshold=args.threshold,
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
@@ -164,16 +176,7 @@ def cmd_detect(args) -> int:
             frame = (pre if args.frames == 1 else
                      preamble_train(pre, args.frames, args.gap_len))
             buf = transmit(frame, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
-        events = detect_frames(buf, cfg)
-    if args.trace:
-        # rows hold each metric's own operands; a buffer shorter than one window has none
-        numerator = p_squared = metric = np.zeros(0)
-        if len(buf) >= cfg.lag + cfg.window:
-            numerator, p_squared, metric = compute_metrics(buf, cfg)
-        name = "r_abs2" if cfg.metric_mode == "exact" else "r_l1"
-        write_table(args.trace, f"n,{name},p_squared,metric,above_threshold",
-                    (np.arange(len(metric)), numerator, p_squared, metric,
-                     metric > cfg.threshold))
+        events = _detect_and_trace(buf, cfg, args.trace) if args.trace else detect_frames(buf, cfg)
     for event in events:
         length = event.end_index - event.start_index + 1
         print(f"frame: samples [{event.start_index}, {event.end_index}] "

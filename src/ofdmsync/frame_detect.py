@@ -20,16 +20,24 @@ approximation needs it to hold at its unit-power operating point.
 One kernel computes R, P and the metric, writing every array into a
 workspace carved from one arena, and allocates nothing per call. It has two
 callers: a walker over steps of ``BLOCK_LEN`` outputs of one flat buffer,
-which :func:`compute_metrics` and :func:`first_events` consume, and
-:class:`StreamingFrameDetector`, which :func:`detect_frames` and
-:func:`detect_blocks` feed. A detector allocates its workspace once, at
-``BLOCK_LEN + lag + window - 1`` samples, so a chunk of any length runs in
-bounded memory; a chunk of any numeric dtype is converted to complex128
-while it is copied in. While no run is open and its held samples give fewer
-than ``min_plateau`` metric outputs, a detector holds them without running
-the kernel: an event needs ``min_plateau`` outputs above the threshold and
-one below, so none can close among them and each call's events stay exact.
-Its ``flush`` runs the kernel over the outputs still held before closing.
+which :func:`metrics_and_events` (and through it :func:`compute_metrics`)
+and :func:`first_events` consume, and :class:`StreamingFrameDetector`,
+which :func:`detect_frames` and :func:`detect_blocks` feed. A detector
+allocates its workspace once, at ``BLOCK_LEN + lag + window - 1`` samples,
+so a chunk of any length runs in bounded memory; a chunk of any numeric
+dtype is converted to complex128 while it is copied in. While no run is
+open and its held samples give fewer than ``min_plateau`` metric outputs, a
+detector holds them without running the kernel: an event needs
+``min_plateau`` outputs above the threshold and one below, so none can
+close among them and each call's events stay exact. Its ``flush`` runs the
+kernel over the outputs still held before closing.
+
+Every caller scans a step's metric for runs with the detector's ``_runs``.
+When no run is open, the step's last output is not above the threshold and
+fewer than ``min_plateau`` of its outputs are, the scan returns before it
+builds any list: no stretch among those outputs can reach ``min_plateau``,
+and none stays open past the step, so the events and the detector's state
+are those of the full scan.
 """
 
 from __future__ import annotations
@@ -214,13 +222,25 @@ def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
     kernel runs over steps of ``BLOCK_LEN`` outputs in one workspace, so
     beyond the three arrays it returns, memory stays bounded.
     """
+    return metrics_and_events(r, cfg)[0]
+
+
+def metrics_and_events(r, cfg: FrameDetectConfig = FrameDetectConfig()):
+    """:func:`compute_metrics`' arrays and :func:`detect_frames`' events, from one kernel pass.
+
+    A detector that holds no samples scans each step's metric for runs, then
+    closes the one still open, so the events are those of the arrays.
+    """
     x = as_samples(r)
     _require_window(x, cfg.lag, cfg.window)
     out = np.empty((3, len(x) - cfg.lag - cfg.window + 1))
+    detector = StreamingFrameDetector(cfg)
+    events = []
     for at, *arrays in _steps(x, cfg):
         for row, values in zip(out, arrays):
             row[at:at + len(values)] = values
-    return tuple(out)
+        events += detector._runs(arrays[2], at)
+    return tuple(out), events + detector.flush()
 
 
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
@@ -303,6 +323,12 @@ class StreamingFrameDetector:
     them changes no call's events: every output keeps its bits whatever step
     computes it. :meth:`flush` runs the kernel over any held outputs before
     it closes the open run.
+
+    A step that the kernel does run is not scanned for runs when no run is
+    open, its last output is not above the threshold and fewer than
+    ``min_plateau`` of its outputs are: no stretch can then reach
+    ``min_plateau`` or stay open past the step, so the full scan would
+    report nothing and leave no run open.
     """
 
     def __init__(self, cfg: FrameDetectConfig = FrameDetectConfig()):
@@ -350,6 +376,8 @@ class StreamingFrameDetector:
         ``base`` is the absolute index of ``metric[0]``.
         """
         mask = metric > self.cfg.threshold
+        if self._run is None and not mask[-1] and np.count_nonzero(mask) < self.cfg.min_plateau:
+            return []  # no stretch can reach min_plateau or stay open past the step
         # np.diff + np.flatnonzero cost several times more on short chunks
         starts = [0, *[c + 1 for c in (mask[1:] != mask[:-1]).nonzero()[0].tolist()]]
         peaks = np.maximum.reduceat(metric, starts).tolist()  # the max of every stretch

@@ -3,8 +3,11 @@
 The binary format is the de-facto SDR exchange format: little-endian IEEE-754
 float32 pairs (I0, Q0, I1, Q1, ...), no header; the sample rate travels
 out-of-band. :func:`iq_blocks` is the one reader: it checks that a file holds
-whole samples before reading any, then yields finite complex128 blocks of
-``BLOCK_LEN`` samples; :func:`read_iq` collects them into one buffer.
+whole samples before reading any, then yields finite complex64 blocks of
+``BLOCK_LEN`` samples, each read into its own array. Their consumer converts
+them to complex128 in the copy it makes anyway (a detector's workspace, or
+:func:`read_iq`'s one buffer), so no converted block is made; complex64 to
+complex128 is exact, so the samples are those of one whole-file conversion.
 Every CSV the package writes (sample files, ``--trace``
 files, trial reports) goes through :func:`write_table`: one header line,
 then one ``,``-joined row per entry, each field ``str`` of a Python int,
@@ -53,8 +56,10 @@ def write_iq(buf: SampleBuffer, destination) -> int:
 
 
 def iq_blocks(source):
-    """Yield the samples of an interleaved float32 IQ file as complex128 blocks.
+    """Yield the samples of an interleaved float32 IQ file as complex64 blocks.
 
+    Each block is a new array that the file is read into directly, so a
+    consumer may keep it; consumers convert to complex128 as they copy it.
     Raises IqFormatError before reading anything when the file is not a
     regular file of whole samples, and at the first block that holds a
     non-finite word, naming that sample's index in the file.
@@ -69,13 +74,12 @@ def iq_blocks(source):
                 f"{source}: length {info.st_size} is not a multiple of {_SAMPLE_BYTES}; "
                 f"trailing {extra} bytes start at offset {info.st_size - extra}")
         n_samples = info.st_size // _SAMPLE_BYTES
-        words = np.empty(BLOCK_LEN, "<c8")  # one read buffer, refilled for every block
         for at in range(0, n_samples, BLOCK_LEN):
-            block = words[:min(BLOCK_LEN, n_samples - at)]
+            block = np.empty(min(BLOCK_LEN, n_samples - at), "<c8")
             if f.readinto(block) != block.nbytes:
                 raise IqFormatError(f"{source}: file changed while being read")
             _require_finite(block.view("<f4"), source, at)
-            yield block.astype(np.complex128)
+            yield block
 
 
 def read_iq(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:

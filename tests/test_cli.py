@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import FrameDetectConfig, cli, read_iq
+from ofdmsync import FrameDetectConfig, cli, frame_detect, read_iq
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 
@@ -98,6 +98,34 @@ def test_detect_trace_and_pulse_train(tmp_path, capsys):
             assert int(index) == n
             assert float(metric) == float(num) / (float(p_squared) + 1e-30), line
             assert above == str(int(float(metric) > 0.5))
+
+
+@pytest.mark.parametrize("mode", ["exact", "l1_approx"])
+def test_detect_trace_runs_the_kernel_once_per_step(tmp_path, capsys, monkeypatch, mode):
+    # 12 920 samples: two kernel steps, which give both the trace and the events
+    path, trace = tmp_path / "long.iq", tmp_path / "trace.csv"
+    assert run(capsys, "channel", "--snr-db", "20", "--timing-offset", "12200",
+               "--out", str(path))[0] == 0
+    assert len(read_iq(path)) == 12_920
+    calls = []
+    kernel = frame_detect._metric_kernel
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(frame_detect, "_metric_kernel", counted)
+    plain = run(capsys, "detect", "--in", str(path), "--metric-mode", mode)
+    assert len(calls) == 2
+    calls.clear()
+    traced = run(capsys, "detect", "--in", str(path), "--metric-mode", mode, "--trace", str(trace))
+    assert len(calls) == 2
+    assert traced == plain and plain[0] == 0
+    numerator, p_squared, metric = frame_detect.compute_metrics(read_iq(path), FrameDetectConfig(
+        metric_mode=mode))
+    rows = trace.read_text().splitlines()[1:]
+    assert rows == [f"{n},{a!r},{b!r},{c!r},{int(c > 0.5)}" for n, (a, b, c) in enumerate(
+        zip(numerator.tolist(), p_squared.tolist(), metric.tolist()))]
 
 
 @pytest.mark.parametrize("sub, header", [

@@ -757,3 +757,98 @@ def test_interior_blips_next_to_a_run_of_exactly_min_plateau():
         calls = _per_call(StreamingFrameDetector(cfg), chunks)
         assert calls == _per_call(EveryCallReference(cfg), chunks)
         assert [e for found in calls for e in found] == [want]
+
+
+# --- the run-scan gate: steps with too few outputs above the threshold ---------
+
+def _step_metric(x, cfg, first, last):
+    """The metric outputs ``first`` to ``last`` of ``x``, as a step that covers them sees them."""
+    return compute_metrics(x, cfg)[2][first:last + 1]
+
+
+def test_a_run_that_opens_in_a_steps_last_few_outputs_stays_open():
+    # Step one ends three outputs into the run: fewer than min_plateau above
+    # the threshold, but the last one is, so the run must stay open.
+    x = np.concatenate([np.zeros(100), _tone(6), np.zeros(100)])
+    cfg = FrameDetectConfig()
+    [event] = detect_frames(x, cfg)
+    context = cfg.lag + cfg.window - 1
+    last = event.start_index + 2
+    metric = _step_metric(x, cfg, 0, last)
+    assert metric[-1] > cfg.threshold and np.count_nonzero(metric > cfg.threshold) == 3
+    assert last + 1 >= cfg.min_plateau  # so the first call runs its step
+    chunks = [x[:last + 1 + context], x[last + 1 + context:]]
+    calls = _per_call(StreamingFrameDetector(cfg), chunks)
+    assert calls == _per_call(EveryCallReference(cfg), chunks) == [[], [event], []]
+
+
+def test_an_open_run_closes_in_a_step_with_few_outputs_above():
+    # Step one ends three outputs before the run does, so step two holds three
+    # outputs above the threshold, fewer than min_plateau, and must close it.
+    x = np.concatenate([np.zeros(100), _tone(6), np.zeros(100)])
+    cfg = FrameDetectConfig()
+    [event] = detect_frames(x, cfg)
+    context = cfg.lag + cfg.window - 1
+    cut = event.end_index - 2  # the first output of step two
+    metric = _step_metric(x, cfg, cut, len(x) - context - 1)
+    assert not metric[-1] > cfg.threshold
+    assert np.count_nonzero(metric > cfg.threshold) == 3 < cfg.min_plateau
+    chunks = [x[:cut + context], x[cut + context:]]
+    calls = _per_call(StreamingFrameDetector(cfg), chunks)
+    assert calls == _per_call(EveryCallReference(cfg), chunks) == [[], [event], []]
+
+
+def test_short_stretches_that_add_up_to_min_plateau_give_no_event():
+    # twenty blips in one step: together at least min_plateau outputs above
+    # the threshold, each stretch shorter, and the step's last output below
+    blip = np.concatenate([_tone(2), np.zeros(60)])
+    x = np.concatenate([np.zeros(100), *[blip] * 20, np.zeros(100)])
+    lengths = [e.end_index - e.start_index + 1
+               for e in detect_frames(x, FrameDetectConfig(min_plateau=1))]
+    cfg = FrameDetectConfig(min_plateau=max(lengths) + 1)
+    assert len(lengths) == 20 and sum(lengths) >= cfg.min_plateau
+    for sizes in ([len(x)], [500], [97, 13], [1]):
+        chunks = _chunks(x, sizes)
+        calls = _per_call(StreamingFrameDetector(cfg), chunks)
+        assert calls == _per_call(EveryCallReference(cfg), chunks)
+        assert all(found == [] for found in calls)
+
+
+def test_a_step_whose_metric_holds_nan():
+    # |x| = 1e160 overflows |x|^2 and the lag products, so the metric is
+    # inf / inf there; NaN is not above the threshold, so it ends a run
+    x = np.concatenate([np.zeros(100), _tone(6), np.full(40, 1e160), _tone(3),
+                        np.zeros(50), np.full(20, 1e160), np.zeros(100), _tone(6), np.zeros(60)])
+    with np.errstate(all="ignore"):
+        metric = compute_metrics(x)[2]
+        assert np.isnan(metric).any()
+        for min_plateau in (1, 20, 32):
+            cfg = FrameDetectConfig(min_plateau=min_plateau)
+            want = scan_runs(metric, cfg.threshold, min_plateau)
+            assert [(e.start_index, e.end_index, e.peak_metric)
+                    for e in detect_frames(x, cfg)] == want
+            for sizes in ([len(x)], [200], [64, 7], [1]):
+                chunks = _chunks(x, sizes)
+                calls = _per_call(StreamingFrameDetector(cfg), chunks)
+                assert calls == _per_call(EveryCallReference(cfg), chunks)
+
+
+def test_first_events_across_steps_with_few_outputs_above():
+    # Four rows of 3000 samples. Row 0 holds a blip too short for an event;
+    # in row 2 the kernel's first step ends three outputs into a run, which
+    # the second step carries on; row 3 holds another short blip. So the
+    # first step has fewer than min_plateau outputs above the threshold, and
+    # its last one is above.
+    cfg = FrameDetectConfig()
+    rows = np.zeros((4, 3000), np.complex128)
+    flat = rows.reshape(-1)
+    flat[100:132] = flat[9500:9532] = _tone(2)
+    burst = np.concatenate([np.zeros(40), _tone(6)])
+    [run] = detect_frames(burst, cfg)
+    at = BLOCK_LEN - 3 - run.start_index  # the run's start is output BLOCK_LEN - 3
+    flat[at:at + len(burst)] = burst
+    above = _step_metric(flat, cfg, 0, BLOCK_LEN - 1) > cfg.threshold
+    assert above[-1] and 3 < np.count_nonzero(above) < cfg.min_plateau
+    per_row = [next(iter(detect_frames(row, cfg)), None) for row in rows]
+    assert [e is None for e in per_row] == [True, True, False, True]
+    assert first_events(rows, cfg) == per_row

@@ -96,6 +96,19 @@ def test_read_iq_equals_one_whole_file_conversion(n, seed, zeros):
     assert samples.tobytes() == reference.tobytes()
 
 
+def test_iq_blocks_are_separate_complex64_arrays(tmp_path):
+    # three whole blocks and a partial one; a consumer may keep every block
+    rng = np.random.default_rng(4)
+    words = rng.standard_normal(2 * (3 * BLOCK_LEN + 100)).astype("<f4")
+    path = tmp_path / "x.iq"
+    path.write_bytes(words.tobytes())
+    blocks = list(iq_blocks(path))
+    assert [len(b) for b in blocks] == [BLOCK_LEN] * 3 + [100]
+    assert all(b.dtype == np.complex64 for b in blocks)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:])
+    assert np.concatenate(blocks).view("<f4").tobytes() == words.tobytes()
+
+
 @pytest.mark.parametrize("call, extra, read", [
     ("stat", 1, read_iq), ("stat", -1, read_iq), ("fstat", 1, lambda path: list(iq_blocks(path))),
 ], ids=["read-iq-sees-more", "read-iq-sees-less", "block-reader-sees-more"])
