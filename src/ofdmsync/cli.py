@@ -14,6 +14,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -22,11 +23,10 @@ from . import __version__
 from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
-from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError, SizingError
-from .frame_detect import (FrameDetectConfig, FrameEvent, autocorrelation, detect_blocks,
-                           detect_frames, metrics_and_events)
+from .errors import EstimationError, IqFormatError, OfdmSyncError
+from .frame_detect import FrameDetectConfig, autocorrelation, detect_blocks, detect_frames
 from .harness import emit_report, load_plan, preamble_train, run_trials
-from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_table
+from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_rows, write_table
 from .preamble import generate_preamble
 from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
@@ -42,10 +42,10 @@ EXIT_NOT_DETECTED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Looked up along the exception's MRO; OfdmSyncError catches future subclasses.
+# Looked up along the exception's MRO, so OfdmSyncError covers ConfigError,
+# SizingError and any future subclass.
 _EXIT_CODES = {
-    ConfigError: EXIT_CONFIG, SizingError: EXIT_CONFIG, OfdmSyncError: EXIT_CONFIG,
-    IqFormatError: EXIT_IO, OSError: EXIT_IO,
+    OfdmSyncError: EXIT_CONFIG, IqFormatError: EXIT_IO, OSError: EXIT_IO,
     EstimationError: EXIT_NOT_DETECTED,
 }
 
@@ -150,33 +150,27 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
-def _detect_and_trace(buf: SampleBuffer, cfg: FrameDetectConfig, path) -> list[FrameEvent]:
-    """The events of ``buf``, after writing its metric trace to ``path``; one kernel pass."""
-    # rows hold each metric's own operands; a buffer shorter than one window has none
-    (numerator, p_squared, metric), events = np.zeros((3, 0)), []
-    if len(buf) >= cfg.lag + cfg.window:
-        (numerator, p_squared, metric), events = metrics_and_events(buf, cfg)
-    name = "r_abs2" if cfg.metric_mode == "exact" else "r_l1"
-    write_table(path, f"n,{name},p_squared,metric,above_threshold",
-                (np.arange(len(metric)), numerator, p_squared, metric, metric > cfg.threshold))
-    return events
-
-
 def cmd_detect(args) -> int:
     cfg = FrameDetectConfig(lag=args.lag, threshold=args.threshold,
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
-    if args.infile and not args.trace:
-        # streamed in bounded memory; an error in any block leaves no events to print
-        events = detect_blocks(iq_blocks(args.infile), cfg)
+    if args.infile:
+        blocks = iq_blocks(args.infile)
     else:
-        if args.infile:
-            buf = _input_buffer(args)
-        else:
-            pre = generate_preamble()
-            frame = (pre if args.frames == 1 else
-                     preamble_train(pre, args.frames, args.gap_len))
-            buf = transmit(frame, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
-        events = _detect_and_trace(buf, cfg, args.trace) if args.trace else detect_frames(buf, cfg)
+        pre = generate_preamble()
+        frame = pre if args.frames == 1 else preamble_train(pre, args.frames, args.gap_len)
+        blocks = [transmit(frame, _channel_config(args), tail_len=args.gap_len,
+                           seed=args.seed).samples]
+    # streamed in bounded memory; an error in any block leaves no events to print
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as f:
+        trace = None
+        if f is not None:
+            name = "r_abs2" if cfg.metric_mode == "exact" else "r_l1"
+            f.write(f"n,{name},p_squared,metric,above_threshold\n")
+
+            def trace(n, numerator, p_squared, metric):
+                write_rows(f, (np.arange(n, n + len(metric)), numerator, p_squared, metric,
+                               metric > cfg.threshold))
+        events = detect_blocks(blocks, cfg, trace)
     for event in events:
         length = event.end_index - event.start_index + 1
         print(f"frame: samples [{event.start_index}, {event.end_index}] "

@@ -22,11 +22,13 @@ MAX_GENERATED_SAMPLES = 2**24
 BLOCK_LEN = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBuffer:
     """An ordered run of complex baseband samples at a fixed sample rate.
 
     Samples are stored as a 1-D complex128 array; values must be finite.
+    Buffers compare and hash by identity: a field-wise ``==`` over the
+    array has no single truth value.
     """
 
     samples: np.ndarray = field(default_factory=lambda: np.zeros(0, np.complex128))

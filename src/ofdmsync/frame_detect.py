@@ -19,13 +19,15 @@ approximation needs it to hold at its unit-power operating point.
 
 One kernel computes R, P and the metric, writing every array into a
 workspace carved from one arena, and allocates nothing per call. It has two
-callers: a walker over steps of ``BLOCK_LEN`` outputs of one flat buffer,
-which :func:`metrics_and_events` (and through it :func:`compute_metrics`)
-and :func:`first_events` consume, and :class:`StreamingFrameDetector`,
-which :func:`detect_frames` and :func:`detect_blocks` feed. A detector
-allocates its workspace once, at ``BLOCK_LEN + lag + window - 1`` samples,
-so a chunk of any length runs in bounded memory; a chunk of any numeric
-dtype is converted to complex128 while it is copied in. While no run is
+callers: :func:`first_events`, which walks a block of trial rows in place in
+steps of ``BLOCK_LEN`` outputs, and :class:`StreamingFrameDetector`, which
+:func:`detect_blocks` feeds, and through it :func:`detect_frames` and
+:func:`compute_metrics`. A ``trace`` given to :func:`detect_blocks` sees
+each of the detector's kernel steps, so a metric trace of a stream comes
+from the very steps that give its events. A detector allocates its
+workspace once, at ``BLOCK_LEN + lag + window - 1`` samples, so a chunk of
+any length runs in bounded memory; a chunk of any numeric dtype is
+converted to complex128 while it is copied in. While no run is
 open and its held samples give fewer than ``min_plateau`` metric outputs, a
 detector holds them without running the kernel: an event needs
 ``min_plateau`` outputs above the threshold and one below, so none can
@@ -201,46 +203,25 @@ def _metric(R, mode: str, p_squared, numerator, metric) -> float:
     return np.maximum.reduce(metric)
 
 
-def _steps(x: np.ndarray, cfg: FrameDetectConfig):
-    """(at, numerator, p_squared, metric) for each step of ``BLOCK_LEN`` metric outputs of ``x``.
-
-    ``len(x) >= lag + window``. A step's arrays start at metric index ``at``;
-    they are views into one arena, which the next step overwrites.
-    """
-    context = cfg.lag + cfg.window - 1
-    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
-    for at in range(0, len(x) - context, BLOCK_LEN):
-        yield (at, *_metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[:3])
-
-
 def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
     """(numerator, p_squared, metric) arrays for a buffer; index n matches the buffer index.
 
     With R and P the window-averaged correlation and power, numerator is
     |R|^2 in ``exact`` mode and |Re R| + |Im R| in ``l1_approx`` mode,
     p_squared is P^2, and metric = numerator / (p_squared + 1e-30). The
-    kernel runs over steps of ``BLOCK_LEN`` outputs in one workspace, so
-    beyond the three arrays it returns, memory stays bounded.
-    """
-    return metrics_and_events(r, cfg)[0]
-
-
-def metrics_and_events(r, cfg: FrameDetectConfig = FrameDetectConfig()):
-    """:func:`compute_metrics`' arrays and :func:`detect_frames`' events, from one kernel pass.
-
-    A detector that holds no samples scans each step's metric for runs, then
-    closes the one still open, so the events are those of the arrays.
+    arrays are filled from the kernel steps of :func:`detect_blocks` on the
+    one buffer, so beyond the three arrays it returns, memory stays bounded.
     """
     x = as_samples(r)
     _require_window(x, cfg.lag, cfg.window)
     out = np.empty((3, len(x) - cfg.lag - cfg.window + 1))
-    detector = StreamingFrameDetector(cfg)
-    events = []
-    for at, *arrays in _steps(x, cfg):
+
+    def keep(n, *arrays):
         for row, values in zip(out, arrays):
-            row[at:at + len(values)] = values
-        events += detector._runs(arrays[2], at)
-    return tuple(out), events + detector.flush()
+            row[n:n + len(values)] = values
+
+    detect_blocks([x], cfg, keep)
+    return tuple(out)
 
 
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
@@ -257,8 +238,8 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
     """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
 
     ``rows`` is a C-contiguous 2-D complex128 array of equal-length buffers
-    laid end to end. The kernel runs over them as over one stream, in the
-    steps :func:`compute_metrics` takes, and a detector that holds no
+    laid end to end. The kernel walks them in place as one stream, in steps
+    of ``BLOCK_LEN`` outputs on one arena, and a detector that holds no
     samples scans each step's runs. The last ``lag + window - 1`` metric
     indices of a row have windows that reach into the next row; they are set
     to 0, so no run crosses from one row into the next. Every other metric
@@ -270,9 +251,12 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
     first: list[FrameEvent | None] = [None] * n_rows
     if row_len <= context:
         return first
+    x = rows.reshape(-1)
+    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
     detector = StreamingFrameDetector(cfg)
     events = []
-    for at, _, _, metric in _steps(rows.reshape(-1), cfg):
+    for at in range(0, len(x) - context, BLOCK_LEN):
+        metric = _metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[2]
         # the straddling indices of the rows this step reaches
         for cut in range(at - at % row_len + row_len - context, at + len(metric), row_len):
             metric[max(cut - at, 0):cut - at + context] = 0
@@ -283,14 +267,22 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
     return first
 
 
-def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
+def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig(),
+                  trace=None) -> list[FrameEvent]:
     """The events of the stream that ``blocks`` (sample arrays, in order) make up.
 
     One :class:`StreamingFrameDetector` takes every block, so the events
     equal those of the concatenated stream. They are returned only after the
     last block, so an error raised while producing a block leaves none.
+    ``trace``, when given, is called with ``(n, numerator, p_squared,
+    metric)`` of each kernel step, in order: the step's arrays, as
+    :func:`compute_metrics` defines them, start at metric index ``n``, and
+    the next step overwrites them. The steps cover the stream's metric
+    outputs once each, in order, so an error raised while producing a block
+    leaves the trace with a prefix of them.
     """
     detector = StreamingFrameDetector(cfg)
+    detector._trace = trace
     events = []
     for block in blocks:
         events += detector.process(block)
@@ -338,6 +330,7 @@ class StreamingFrameDetector:
         self._held = 0  # samples at the front of _workspace
         self._base = 0  # absolute index of _workspace[0]
         self._run = None  # (start, end, peak) of a run still open at the last step's end
+        self._trace = None  # detect_blocks' trace: called with each step's base and arrays
 
     def process(self, chunk) -> list[FrameEvent]:
         x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk).reshape(-1)
@@ -361,7 +354,10 @@ class StreamingFrameDetector:
     def _step(self) -> list[FrameEvent]:
         """Run the kernel over the held samples; keep ``lag + window - 1`` of them as context."""
         samples = self._workspace[:self._held]
-        _, _, metric, top = _metric_kernel(samples, self.cfg, self._workspace[self._size:])
+        numerator, p_squared, metric, top = _metric_kernel(samples, self.cfg,
+                                                           self._workspace[self._size:])
+        if self._trace is not None:
+            self._trace(self._base, numerator, p_squared, metric)
         events = []
         if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
             events = self._runs(metric, self._base)

@@ -211,8 +211,7 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
             for stage in plan.stages}
 
 
-def emit_report(results: dict[str, TrialStatistics], out_dir,
-                plan: TrialPlan | None = None) -> list[Path]:
+def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -> list[Path]:
     """Write summary, per-trial, and histogram CSVs; returns the paths.
 
     Output is a pure function of (results, plan): float fields are written
@@ -234,7 +233,7 @@ def emit_report(results: dict[str, TrialStatistics], out_dir,
     for stage, stats in results.items():
         trials = out / f"{stage}_trials.csv"
         columns = [stats.trial_indices, stats.values]
-        if stage == "cfo" and plan is not None:
+        if stage == "cfo":
             write_table(trials, "trial,value,injected_cfo_hz",
                         columns + [[plan.channel.cfo_hz] * len(stats.values)])
         else:

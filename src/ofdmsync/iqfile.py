@@ -8,11 +8,11 @@ whole samples before reading any, then yields finite complex64 blocks of
 them to complex128 in the copy it makes anyway (a detector's workspace, or
 :func:`read_iq`'s one buffer), so no converted block is made; complex64 to
 complex128 is exact, so the samples are those of one whole-file conversion.
-Every CSV the package writes (sample files, ``--trace``
-files, trial reports) goes through :func:`write_table`: one header line,
-then one ``,``-joined row per entry, each field ``str`` of a Python int,
-float (the shortest repr that round-trips) or name. CSV files are not read
-back.
+Every CSV the package writes (sample files, ``--trace`` files, trial
+reports) is one header line, then the rows of :func:`write_rows`, called
+directly or through :func:`write_table`: one ``,``-joined row per entry,
+each field ``str`` of a Python int, float (the shortest repr that
+round-trips) or name. CSV files are not read back.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def read_iq(source, sample_rate: float = DEFAULT_SAMPLE_RATE) -> SampleBuffer:
     return SampleBuffer(samples, sample_rate)
 
 
-def write_table(destination, header: str, columns) -> int:
-    """Write ``header``, then row i of the i-th entry of each column; returns the row count.
+def write_rows(f, columns) -> int:
+    """Write row i of the i-th entry of each column to the text file ``f``; returns the row count.
 
     Columns are equal-length sequences or arrays; boolean columns are
     written as 0/1.
@@ -107,12 +107,17 @@ def write_table(destination, header: str, columns) -> int:
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    for start in range(0, n_rows, ROWS_PER_WRITE):
+        block = [c[start:start + ROWS_PER_WRITE].tolist() for c in columns]
+        f.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
+    return n_rows
+
+
+def write_table(destination, header: str, columns) -> int:
+    """Write ``header``, then the rows of :func:`write_rows`; returns the row count."""
     with Path(destination).open("w") as f:
         f.write(header + "\n")
-        for start in range(0, n_rows, ROWS_PER_WRITE):
-            block = [c[start:start + ROWS_PER_WRITE].tolist() for c in columns]
-            f.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
-    return n_rows
+        return write_rows(f, columns)
 
 
 def write_csv(buf: SampleBuffer, destination) -> int:

@@ -100,6 +100,16 @@ def test_detect_trace_and_pulse_train(tmp_path, capsys):
             assert above == str(int(float(metric) > 0.5))
 
 
+def _trace_rows(buf, mode):
+    """The rows, without the header, that ``detect --trace`` writes for ``buf``."""
+    if len(buf) < 32:  # no room for one lag + window span
+        return []
+    numerator, p_squared, metric = frame_detect.compute_metrics(buf, FrameDetectConfig(
+        metric_mode=mode))
+    return [f"{n},{a!r},{b!r},{c!r},{int(c > 0.5)}" for n, (a, b, c) in enumerate(
+        zip(numerator.tolist(), p_squared.tolist(), metric.tolist()))]
+
+
 @pytest.mark.parametrize("mode", ["exact", "l1_approx"])
 def test_detect_trace_runs_the_kernel_once_per_step(tmp_path, capsys, monkeypatch, mode):
     # 12 920 samples: two kernel steps, which give both the trace and the events
@@ -121,11 +131,7 @@ def test_detect_trace_runs_the_kernel_once_per_step(tmp_path, capsys, monkeypatc
     traced = run(capsys, "detect", "--in", str(path), "--metric-mode", mode, "--trace", str(trace))
     assert len(calls) == 2
     assert traced == plain and plain[0] == 0
-    numerator, p_squared, metric = frame_detect.compute_metrics(read_iq(path), FrameDetectConfig(
-        metric_mode=mode))
-    rows = trace.read_text().splitlines()[1:]
-    assert rows == [f"{n},{a!r},{b!r},{c!r},{int(c > 0.5)}" for n, (a, b, c) in enumerate(
-        zip(numerator.tolist(), p_squared.tolist(), metric.tolist()))]
+    assert trace.read_text().splitlines()[1:] == _trace_rows(read_iq(path), mode)
 
 
 @pytest.mark.parametrize("sub, header", [
@@ -182,6 +188,14 @@ def test_non_finite_sample_in_a_later_block_prints_no_events(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "detect", "--in", str(path))
     assert (code, stdout) == (3, "")
     assert f"sample {bad} is not finite" in stderr and "Traceback" not in stderr
+    # the trace holds the rows of the kernel steps before the bad block
+    trace = tmp_path / "trace.csv"
+    code, stdout, stderr = run(capsys, "detect", "--in", str(path), "--trace", str(trace))
+    assert (code, stdout) == (3, "")
+    assert f"sample {bad} is not finite" in stderr
+    rows = trace.read_text().splitlines()[1:]
+    assert len(rows) == 2 * BLOCK_LEN - 31
+    assert rows == _trace_rows(samples.astype(np.complex64), "exact")[:len(rows)]
     path.write_bytes(words[:2 * bad].tobytes() + b"\0" * 5)  # a torn last sample
     code, stdout, stderr = run(capsys, "detect", "--in", str(path))
     assert (code, stdout) == (3, "")
@@ -194,10 +208,11 @@ def test_non_finite_sample_in_a_later_block_prints_no_events(tmp_path, capsys):
        at_edges=st.lists(st.tuples(st.integers(1, 2), st.integers(-250, 50)), max_size=2),
        anywhere=st.lists(st.integers(0, 3 * BLOCK_LEN), max_size=2),
        noise=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1),
-       mode=st.sampled_from(("exact", "l1_approx")))
+       mode=st.sampled_from(("exact", "l1_approx")), traced=st.booleans())
 @example(n=3 * BLOCK_LEN, at_edges=[(1, -100), (2, -60)], anywhere=[7000], noise=0.05,
-         seed=1, mode="exact")
-def test_streamed_detect_prints_the_batch_events(n, at_edges, anywhere, noise, seed, mode):
+         seed=1, mode="exact", traced=True)
+def test_streamed_detect_prints_the_batch_events(n, at_edges, anywhere, noise, seed, mode,
+                                                 traced):
     # (k, offset) puts a frame at offset from the k-th block edge of the file
     # (the last one, if it has fewer), so that its plateau may span the edge;
     # frames past the end are clipped
@@ -208,12 +223,16 @@ def test_streamed_detect_prints_the_batch_events(n, at_edges, anywhere, noise, s
     for at in edges + anywhere:
         samples[at:at + len(frame)] += frame[:max(n - at, 0)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.iq"
+        path, trace = Path(tmp) / "in.iq", Path(tmp) / "trace.csv"
         _iq_file(path, samples)
-        events = ofdmsync.detect_frames(read_iq(path), FrameDetectConfig(metric_mode=mode))
+        buf = read_iq(path)
+        events = ofdmsync.detect_frames(buf, FrameDetectConfig(metric_mode=mode))
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main(["detect", "--in", str(path), "--metric-mode", mode])
+            code = main(["detect", "--in", str(path), "--metric-mode", mode]
+                        + (["--trace", str(trace)] if traced else []))
+        if traced:  # the file's blocks cut the kernel steps elsewhere than one buffer does
+            assert trace.read_text().splitlines()[1:] == _trace_rows(buf, mode)
     assert stdout.getvalue() == (_event_lines(events) or "no frame detected\n")
     assert code == (0 if events else 1)
 
@@ -235,14 +254,16 @@ print(usage.ru_maxrss, usage.ru_minflt)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_streamed_detect_memory_does_not_grow_with_the_file(tmp_path):
+@pytest.mark.parametrize("pieces, traced", [(64, False), (8, True)], ids=["4M", "512K-trace"])
+def test_streamed_detect_memory_does_not_grow_with_the_file(tmp_path, pieces, traced):
     # 4M samples: reading the whole file would hold 32 MB of words plus 64 MB
-    # of complex128
+    # of complex128. 512K samples with --trace: a whole-file trace pass would
+    # hold 4 MB of words, 8 MB of complex128 and 12 MB of metric arrays.
     rng = np.random.default_rng(2)
     piece = (rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)).astype("<c8")
     path = tmp_path / "long.iq"
     with path.open("wb") as f:
-        for _ in range(64):
+        for _ in range(pieces):
             f.write(piece.tobytes())
     env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
 
@@ -251,12 +272,14 @@ def test_streamed_detect_memory_does_not_grow_with_the_file(tmp_path):
                               capture_output=True, text=True, check=True)
         return np.array(proc.stdout.split()[-2:], dtype=int)
 
-    peak_kib, faults = usage("detect", "--in", str(path)) - usage()
+    trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
+    peak_kib, faults = usage("detect", "--in", str(path), *trace) - usage()
     assert peak_kib < 16 * 1024
     # about 480 here: the detector allocates its workspace once, so faults do
     # not grow with the block count (per-call temporaries past glibc's mmap
-    # threshold, mapped afresh on every call, once cost about 95k)
-    assert faults < 1000
+    # threshold, mapped afresh on every call, once cost about 95k). The
+    # trace's per-step row text is not bounded here: about 17k on 512K samples.
+    assert traced or faults < 1000
 
 
 def test_timesync_landmark(capsys):

@@ -42,3 +42,10 @@ def test_all_finite_copies_no_strided_complex_view():
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # a copy of the view would take 1.6 MB
+
+
+def test_sample_buffers_compare_and_hash_by_identity():
+    samples = np.arange(4, dtype=np.complex128)
+    a, b = SampleBuffer(samples), SampleBuffer(samples)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
