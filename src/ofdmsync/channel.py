@@ -4,18 +4,6 @@
 (+ optional tail), a tapped-delay line, the CFO rotation, then complex white
 Gaussian noise referenced to the average power of the transmitted frame, so
 ``snr_db`` keeps its meaning regardless of how much silence surrounds it.
-
-Only the noise, drawn from :func:`transmit`'s ``seed``, differs between the
-trials of a Monte Carlo run, so :func:`transmit` keeps the last noiseless
-received frame it built, with the input's average power, in one slot and
-reuses it for the same input buffer, config object and ``tail_len``. It
-stores frames only for frozen inputs (such as
-:func:`~ofdmsync.preamble.generate_preamble`'s): samples that are read-only,
-as is every array along their ``.base`` chain. A writable array can change
-in place under the same identity, and so can a read-only view of one. The
-slot is replaced by one assignment of an immutable tuple, so concurrent
-callers never see half of it. It keeps that one frame, as long as the
-transmission it came from, alive until another frame replaces it.
 """
 
 from __future__ import annotations
@@ -27,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int
 from .errors import ConfigError
+from .preamble import generate_preamble
 
 BUILTIN_PROFILES = ("etsi_a", "etsi_c")
 # Far past any physical SNR; keeps the noise power, and the squared sums the
@@ -54,7 +43,7 @@ class ChannelConfig:
     timing_offset: int = 0
 
     def __post_init__(self):
-        taps = tuple((int(d), complex(g)) for d, g in self.taps)
+        taps = tuple((as_int("tap delay", d), complex(g)) for d, g in self.taps)
         if not taps:
             raise ConfigError("channel needs at least one tap")
         delays = [d for d, _ in taps]
@@ -68,6 +57,7 @@ class ChannelConfig:
                               "or be None (noiseless)")
         if not np.isfinite(self.cfo_hz):
             raise ConfigError("cfo_hz must be finite")
+        object.__setattr__(self, "timing_offset", as_int("timing_offset", self.timing_offset))
         if not 0 <= self.timing_offset <= MAX_GENERATED_SAMPLES:
             raise ConfigError(f"timing_offset must lie in [0, {MAX_GENERATED_SAMPLES}], "
                               f"got {self.timing_offset}")
@@ -121,18 +111,9 @@ def _received(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int
     return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), power
 
 
-# (preamble, cfg, tail_len, frame, power) of the last frozen input; see transmit.
-_slot: tuple = (None, None, None, None, 0.0)
-
-
-def _frozen(array: np.ndarray) -> bool:
-    """Whether ``array`` and every array along its ``.base`` chain are
-    read-only, down to an array that owns its memory."""
-    while isinstance(array, np.ndarray) and not array.flags.writeable:
-        if array.base is None:
-            return True
-        array = array.base
-    return False
+# (cfg, tail_len, frame, power) of the last generate_preamble() input, replaced
+# by one assignment, so concurrent callers never see half of it; see transmit.
+_slot: tuple = (None, None, None, 0.0)
 
 
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
@@ -150,28 +131,28 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     config, tail_len, seed). A negative seed, or an SNR on a zero-power
     frame, raises ConfigError.
 
-    For frozen ``preamble.samples`` (read-only down to the array that owns
-    their memory) the noiseless frame comes from the module's one slot while
-    ``preamble`` and ``cfg`` are the objects it was built from and
-    ``tail_len`` is the same; a miss rebuilds it and replaces the slot. Both
-    objects are frozen and the slot holds them, so their ids cannot be
-    reused while it does. Other inputs are rebuilt on every call and never
-    stored. A noiseless call returns a copy, never the slot's array. Outputs
-    are the same bits with or without the slot.
+    Only the noise differs between the trials of a Monte Carlo run, so for
+    ``preamble is generate_preamble()`` the noiseless frame comes from the
+    module's one slot while ``cfg`` is the object it was built from and
+    ``tail_len`` is the same; a miss rebuilds it and replaces the slot. The
+    config is frozen and the slot holds it, so its id cannot be reused while
+    it does. Every other input is rebuilt on every call. A noiseless call
+    returns a copy, never the slot's array. Outputs are the same bits with
+    or without the slot.
     """
     global _slot
     if seed < 0:
         raise ConfigError(f"seed cannot be negative, got {seed}")
-    if not _frozen(preamble.samples):
+    if preamble is not generate_preamble():
         out, power = _received(preamble, cfg, tail_len)
     else:
         slot = _slot
-        if slot[0] is preamble and slot[1] is cfg and slot[2] == tail_len:
-            out, power = slot[3], slot[4]
+        if slot[0] is cfg and slot[1] == tail_len:
+            out, power = slot[2], slot[3]
         else:
             out, power = _received(preamble, cfg, tail_len)
             out.flags.writeable = False
-            _slot = (preamble, cfg, tail_len, out, power)
+            _slot = (cfg, tail_len, out, power)
         if cfg.snr_db is None:
             out = out.copy()
     if cfg.snr_db is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,17 @@ def as_samples(signal) -> np.ndarray:
     if isinstance(signal, SampleBuffer):
         return signal.samples
     return np.asarray(signal, dtype=np.complex128).reshape(-1)
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer, a numpy one too; ConfigError otherwise.
+
+    A float is rejected even when integral, so no size is silently truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def all_finite(values: np.ndarray) -> bool:

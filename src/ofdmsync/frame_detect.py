@@ -17,29 +17,11 @@ window length, the software image of a CIC chain acting as a moving-average
 filter; the exact metric is indifferent to that scaling, while the l1
 approximation needs it to hold at its unit-power operating point.
 
-One kernel computes R, P and the metric, writing every array into a
-workspace carved from one arena, and allocates nothing per call. It has two
-callers: :func:`first_events`, which walks a block of trial rows in place in
-steps of ``BLOCK_LEN`` outputs, and :class:`StreamingFrameDetector`, which
-:func:`detect_blocks` feeds, and through it :func:`detect_frames` and
-:func:`compute_metrics`. A ``trace`` given to :func:`detect_blocks` sees
-each of the detector's kernel steps, so a metric trace of a stream comes
-from the very steps that give its events. A detector allocates its
-workspace once, at ``BLOCK_LEN + lag + window - 1`` samples, so a chunk of
-any length runs in bounded memory; a chunk of any numeric dtype is
-converted to complex128 while it is copied in. While no run is
-open and its held samples give fewer than ``min_plateau`` metric outputs, a
-detector holds them without running the kernel: an event needs
-``min_plateau`` outputs above the threshold and one below, so none can
-close among them and each call's events stay exact. Its ``flush`` runs the
-kernel over the outputs still held before closing.
-
-Every caller scans a step's metric for runs with the detector's ``_runs``.
-When no run is open, the step's last output is not above the threshold and
-fewer than ``min_plateau`` of its outputs are, the scan returns before it
-builds any list: no stretch among those outputs can reach ``min_plateau``,
-and none stays open past the step, so the events and the detector's state
-are those of the full scan.
+One kernel computes R, P and the metric in the workspace that a
+:class:`StreamingFrameDetector` allocates once, in steps of at most
+``BLOCK_LEN`` outputs. :func:`detect_blocks` drives that detector, and every
+metric and event the module reports comes from its steps, so any input runs
+in bounded memory.
 """
 
 from __future__ import annotations
@@ -49,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_LEN, SampleBuffer, as_samples
+from .core import BLOCK_LEN, SampleBuffer, as_int, as_samples
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -65,6 +47,8 @@ class FrameDetectConfig:
     metric_mode: str = "exact"
 
     def __post_init__(self):
+        for name in ("lag", "window", "min_plateau"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.lag < 1 or self.window < 1:
             raise ConfigError("lag and window must be positive")
         if not 0 < self.threshold < 1:
@@ -148,17 +132,12 @@ def _correlate(x, lag: int, window: int, out=None, scratch=(None, None)) -> np.n
     return sliding_sum(products, window, out)
 
 
-def _kernel_len(n_samples: int, cfg: FrameDetectConfig) -> int:
-    """complex128 entries :func:`_metric_kernel` takes from its arena for ``n_samples`` samples."""
-    n = n_samples - cfg.lag
-    return 2 * n + (5 * (n - cfg.window + 1) + 1) // 2
-
-
 def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     """(numerator, p_squared, metric, top) of ``x``, and the metric's max.
 
     ``len(x) >= lag + window``, and ``arena`` is a complex128 array of at
-    least ``_kernel_len(len(x), cfg)`` entries. The kernel carves its arrays
+    least ``2 * n + ceil(5 * k / 2)`` entries, with ``n = len(x) - lag`` and
+    ``k = n - window + 1`` the outputs. The kernel carves its arrays
     out of it: the conjugates (whose float view later holds the powers), the
     lag products, then, as floats, R, p_squared (which holds P until it is
     squared), numerator and metric. Every numpy call writes into one of them,
@@ -237,52 +216,49 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
                  ) -> list[FrameEvent | None]:
     """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
 
-    ``rows`` is a C-contiguous 2-D complex128 array of equal-length buffers
-    laid end to end. The kernel walks them in place as one stream, in steps
-    of ``BLOCK_LEN`` outputs on one arena, and a detector that holds no
-    samples scans each step's runs. The last ``lag + window - 1`` metric
-    indices of a row have windows that reach into the next row; they are set
-    to 0, so no run crosses from one row into the next. Every other metric
-    value depends only on its own row's samples, so it has the bits of that
-    row's own pass. Events index their own row.
+    ``rows`` is a 2-D array of equal-length buffers, which :func:`detect_blocks`
+    takes end to end as one stream. The last ``lag + window - 1`` metric
+    indices of a row have windows that reach into the next row; each step
+    sets them to 0, so no run crosses from one row into the next. Every other
+    metric value depends only on its own row's samples, so it has the bits
+    of that row's own pass. Events index their own row.
     """
     n_rows, row_len = rows.shape
     context = cfg.lag + cfg.window - 1
-    first: list[FrameEvent | None] = [None] * n_rows
-    if row_len <= context:
-        return first
-    x = rows.reshape(-1)
-    arena = np.empty(_kernel_len(min(len(x), BLOCK_LEN + context), cfg), np.complex128)
-    detector = StreamingFrameDetector(cfg)
-    events = []
-    for at in range(0, len(x) - context, BLOCK_LEN):
-        metric = _metric_kernel(x[at:at + BLOCK_LEN + context], cfg, arena)[2]
+
+    def cut(n, numerator, p_squared, metric):
         # the straddling indices of the rows this step reaches
-        for cut in range(at - at % row_len + row_len - context, at + len(metric), row_len):
-            metric[max(cut - at, 0):cut - at + context] = 0
-        events += detector._runs(metric, at)
-    for event in reversed(events + detector.flush()):
+        for at in range(n - n % row_len + row_len - context, n + len(metric), row_len):
+            metric[max(at - n, 0):at - n + context] = 0
+
+    first: list[FrameEvent | None] = [None] * n_rows
+    for event in reversed(detect_blocks([rows.reshape(-1)], cfg, cut)):
         row, start = divmod(event.start_index, row_len)
         first[row] = FrameEvent(start, event.end_index - row * row_len, event.peak_metric)
     return first
 
 
 def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig(),
-                  trace=None) -> list[FrameEvent]:
+                  on_step=None) -> list[FrameEvent]:
     """The events of the stream that ``blocks`` (sample arrays, in order) make up.
 
     One :class:`StreamingFrameDetector` takes every block, so the events
     equal those of the concatenated stream. They are returned only after the
     last block, so an error raised while producing a block leaves none.
-    ``trace``, when given, is called with ``(n, numerator, p_squared,
+
+    ``on_step``, when given, is called with ``(n, numerator, p_squared,
     metric)`` of each kernel step, in order: the step's arrays, as
-    :func:`compute_metrics` defines them, start at metric index ``n``, and
-    the next step overwrites them. The steps cover the stream's metric
-    outputs once each, in order, so an error raised while producing a block
-    leaves the trace with a prefix of them.
+    :func:`compute_metrics` defines them, start at metric index ``n``, cover
+    the stream's metric outputs once each, and are overwritten by the next
+    step. It runs before the step's run scan, and the one change it may make
+    is to set entries of ``metric`` to 0, which the scan then reads:
+    :func:`compute_metrics` copies the arrays, ``detect --trace`` writes
+    them, and :func:`first_events` zeroes the indices that straddle two rows.
+    An error raised while producing a block leaves it called on a prefix of
+    the steps.
     """
     detector = StreamingFrameDetector(cfg)
-    detector._trace = trace
+    detector._on_step = on_step
     events = []
     for block in blocks:
         events += detector.process(block)
@@ -330,13 +306,15 @@ class StreamingFrameDetector:
         self._held = 0  # samples at the front of _workspace
         self._base = 0  # absolute index of _workspace[0]
         self._run = None  # (start, end, peak) of a run still open at the last step's end
-        self._trace = None  # detect_blocks' trace: called with each step's base and arrays
+        self._on_step = None  # detect_blocks' callback: called with each step's base and arrays
 
     def process(self, chunk) -> list[FrameEvent]:
         x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk).reshape(-1)
         cfg, size = self.cfg, self._size
         if self._workspace is None:
-            self._workspace = np.empty(size + _kernel_len(size, cfg), np.complex128)
+            n = size - cfg.lag  # the kernel's arena: see _metric_kernel
+            self._workspace = np.empty(size + 2 * n + (5 * (n - cfg.window + 1) + 1) // 2,
+                                       np.complex128)
         context = cfg.lag + cfg.window - 1
         events: list[FrameEvent] = []
         at = 0
@@ -356,8 +334,8 @@ class StreamingFrameDetector:
         samples = self._workspace[:self._held]
         numerator, p_squared, metric, top = _metric_kernel(samples, self.cfg,
                                                            self._workspace[self._size:])
-        if self._trace is not None:
-            self._trace(self._base, numerator, p_squared, metric)
+        if self._on_step is not None:
+            self._on_step(self._base, numerator, p_squared, metric)
         events = []
         if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
             events = self._runs(metric, self._base)

@@ -1,10 +1,11 @@
 """Monte Carlo evaluation of the synchronizer stages.
 
-Runs N seeded trials of preamble -> channel -> detector, collects the
-per-trial detected values (timing positions in samples, offsets in Hz),
-and reports their sample mean, population variance, and histogram, with
-failed detections counted separately. Reports are written as CSV so the
-histograms and variance tables can be reproduced by any plotting tool.
+Runs N seeded trials of preamble -> channel -> detector and collects the
+per-trial detected values (timing positions in samples, offsets in Hz).
+The reports give, per stage, the trial count, population variance and
+failure count (``summary.csv``), the values by trial, and their histogram.
+They are written as CSV so the histograms and variance tables can be
+reproduced by any plotting tool.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows  # noqa: F401
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer
+from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, detect_frames, first_events  # noqa: F401
 from .iqfile import write_table
@@ -49,6 +50,8 @@ class TrialPlan:
     gap_len: int = 400
 
     def __post_init__(self):
+        for name in ("n_trials", "base_seed", "gap_len"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
         if self.base_seed < 0:
@@ -75,7 +78,6 @@ class TrialPlan:
                     f"{self.gap_len} with a largest tap delay of {max_delay}; "
                     f"gap_len must be at least {least}")
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "gap_len", int(self.gap_len))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_samples
+from .core import as_int, as_samples
 from .errors import ConfigError, SizingError
 from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, STS_LEN,
                        generate_preamble)
@@ -40,10 +40,10 @@ class TimeSyncConfig:
         if self.template not in TEMPLATES:
             raise ConfigError(f"template must be one of {TEMPLATES}")
         if self.search_window is not None:
-            start, length = self.search_window
+            start, length = (as_int("search window bound", v) for v in self.search_window)
             if length < 1:
                 raise ConfigError("search window length must be positive")
-            object.__setattr__(self, "search_window", (int(start), int(length)))
+            object.__setattr__(self, "search_window", (start, length))
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,8 @@ def test_transmit_equals_the_stage_by_stage_chain(preamble, taps, snr_db, cfo_hz
         assert same_bits(got, want)
 
 
-# A second frozen frame, with exact zeros and signed-zero parts.
+# A second read-only frame, with exact zeros and signed-zero parts. Only
+# generate_preamble() is served from the slot, so this one is rebuilt on every call.
 _mixed = np.array([1, 0, -1, 1j, -1j, 0.5 - 0.5j, complex(0.0, -0.0), -2] * 12)
 _mixed.flags.writeable = False
 MIXED = SampleBuffer(_mixed)
@@ -193,8 +194,9 @@ _calls = st.lists(st.tuples(
 def test_interleaved_transmits_equal_the_stage_by_stage_chain(preamble, calls):
     # Each call redraws some fields of the previous call's channel (cfo_hz,
     # taps, timing_offset, snr_db, tail_len) and keeps the previous config
-    # object when none of its fields is redrawn, so slot hits interleave with
-    # misses across both frames. Either way the bits are the chain's.
+    # object when none of its fields is redrawn, so the preamble's slot hits
+    # interleave with its misses and with MIXED's rebuilds. Either way the
+    # bits are the chain's.
     channel = cfg = None
     for frame, redraw, fresh, seed in calls:
         if channel is None or redraw & {0, 1, 2, 3}:
@@ -370,6 +372,15 @@ def test_channel_config_validation():
     for taps in ([], [(-1, 1.0)], [(3, 1.0), (1, 0.5)], [(2, 1.0), (2, 0.5)]):
         with pytest.raises(ConfigError):
             ChannelConfig(taps=taps)
+    # sizes are integers: a float is rejected here, not truncated or left to numpy
+    for bad in (2.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ConfigError, match="timing_offset must be an integer"):
+            ChannelConfig(timing_offset=bad)
+    with pytest.raises(ConfigError, match="tap delay must be an integer"):
+        ChannelConfig(taps=((0, 1.0), (2.5, 0.5)))
+    cfg = ChannelConfig(timing_offset=np.int64(7), taps=((np.int32(0), 1.0), (np.uint8(3), 0.5)))
+    assert cfg.timing_offset == 7 and type(cfg.timing_offset) is int
+    assert [type(d) for d, _ in cfg.taps] == [int, int]
 
 
 @pytest.mark.parametrize("snr_db", [None, 10.0])

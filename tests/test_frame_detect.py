@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import ofdmsync
 
-from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, SampleBuffer, SizingError,
-                      autocorrelation, detect_frames, preamble_train, transmit)
+from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent, SampleBuffer,
+                      SizingError, autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
                                    compute_metrics, detect_blocks, first_events, sliding_sum)
 
@@ -115,6 +115,22 @@ def test_metric_arithmetic_example():
         cfg = FrameDetectConfig(lag=1, window=1, metric_mode=mode)
         got = compute_metrics([3 + 4j, 1], cfg)
         assert [a.tolist() for a in got] == [[numerator], [1.0], [numerator]]
+
+
+def test_frame_detect_config_validation():
+    for kwargs in ({"lag": 0}, {"window": 0}, {"min_plateau": 0}, {"threshold": 1.0},
+                   {"metric_mode": "l2"}):
+        with pytest.raises(ConfigError):
+            FrameDetectConfig(**kwargs)
+    # sizes are integers: a float is rejected here, not left to numpy or rounded
+    for name, bad in (("lag", 16.0), ("window", 16.0), ("min_plateau", 32.5),
+                      ("min_plateau", np.float64(32.0))):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            FrameDetectConfig(**{name: bad})
+    cfg = FrameDetectConfig(lag=np.int64(16), window=np.int32(16), min_plateau=np.uint8(32))
+    assert (cfg.lag, cfg.window, cfg.min_plateau) == (16, 16, 32)
+    assert {type(cfg.lag), type(cfg.window), type(cfg.min_plateau)} == {int}
+    assert cfg == FrameDetectConfig()
 
 
 def test_metric_silence_is_zero_not_nan():
@@ -851,4 +867,22 @@ def test_first_events_across_steps_with_few_outputs_above():
     assert above[-1] and 3 < np.count_nonzero(above) < cfg.min_plateau
     per_row = [next(iter(detect_frames(row, cfg)), None) for row in rows]
     assert [e is None for e in per_row] == [True, True, False, True]
+    assert first_events(rows, cfg) == per_row
+
+
+def test_first_events_with_a_row_edge_just_past_a_step_edge():
+    # Three rows of 4100 samples: row 2 starts 8 outputs past the first
+    # step's last output, so the indices that straddle rows 1 and 2 begin in
+    # the first step and end in the second. A 16-periodic burst covers the
+    # last 300 samples of row 1 and the first 300 of row 2, so the metric
+    # never dips across the edge: only zeroing the second step's share of
+    # those indices keeps row 2's run apart from row 1's.
+    cfg = FrameDetectConfig()
+    row_len = 4100
+    assert 0 < 2 * row_len - BLOCK_LEN < cfg.lag + cfg.window - 1
+    rows = np.zeros((3, row_len), np.complex128)
+    rows.reshape(-1)[2 * row_len - 300:2 * row_len + 300] = _tone(38)[:600]
+    per_row = [next(iter(detect_frames(row, cfg)), None) for row in rows]
+    last = row_len - cfg.lag - cfg.window  # the last metric index within a row
+    assert per_row[0] is None and per_row[1].end_index == last and per_row[2].start_index == 0
     assert first_events(rows, cfg) == per_row

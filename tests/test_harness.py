@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsync import harness
@@ -208,6 +208,9 @@ def per_trial_reference(plan):
        cfo_hz=st.floats(-300e3, 300e3),
        stages=st.lists(st.sampled_from(harness.STAGES), min_size=1, max_size=4, unique=True),
        size=st.sampled_from(["1", "B-1", "B+1", "3B"]), base_seed=st.integers(0, 2**31))
+# one trial buffer longer than a kernel step: each block is one row over two steps
+@example(snr_db=10.0, taps="etsi_c", offset=30, gap_len=9000, cfo_hz=100e3,
+         stages=["frame", "cfo"], size="3B", base_seed=7)
 def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_len, cfo_hz,
                                                     stages, size, base_seed):
     channel = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz, timing_offset=offset,
@@ -314,6 +317,14 @@ def test_plan_validation():
         TrialPlan(gap_len=MAX_GENERATED_SAMPLES + 1)
     with pytest.raises(ConfigError, match="seed cannot be negative"):
         run_trials(TrialPlan(n_trials=1, base_seed=-1))
+    # counts, seeds and lengths are integers: a float is rejected, not truncated
+    for key, bad in (("n_trials", 2.5), ("gap_len", 400.7), ("gap_len", 400.0),
+                     ("base_seed", 1.5)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            TrialPlan(**{key: bad})
+    plan = TrialPlan(n_trials=np.int64(3), gap_len=np.int32(400), base_seed=np.uint16(2))
+    assert (plan.n_trials, plan.gap_len, plan.base_seed) == (3, 400, 2)
+    assert {type(plan.n_trials), type(plan.gap_len), type(plan.base_seed)} == {int}
 
 
 @pytest.mark.parametrize("taps", ["unit", "etsi_a", "etsi_c"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsync import (SampleBuffer, SizingError, TimeSyncConfig, cross_correlate,
+from ofdmsync import (ConfigError, SampleBuffer, SizingError, TimeSyncConfig, cross_correlate,
                       estimate_timing, training_template)
 from ofdmsync.preamble import SHORT_PERIOD
 from ofdmsync.time_sync import default_expected_peak, default_search_window
@@ -199,3 +199,17 @@ def test_signal_shorter_than_template_message(template):
         cfg = TimeSyncConfig(template=template, search_window=window)
         with pytest.raises(SizingError, match=re.escape(message)):
             estimate_timing(np.ones(sym - 1, complex), cfg)
+
+
+def test_time_sync_config_validation():
+    with pytest.raises(ConfigError):
+        TimeSyncConfig(template="xts")
+    with pytest.raises(ConfigError, match="length must be positive"):
+        TimeSyncConfig(search_window=(0, 0))
+    # window bounds are integers: a float is rejected, not truncated
+    for window in ((266.5, 128), (266, 128.0)):
+        with pytest.raises(ConfigError, match="search window bound must be an integer"):
+            TimeSyncConfig(search_window=window)
+    cfg = TimeSyncConfig(search_window=(np.int64(266), np.int32(128)))
+    assert cfg.search_window == (266, 128)
+    assert {type(v) for v in cfg.search_window} == {int}
