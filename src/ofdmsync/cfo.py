@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import apply_cfo
-from .core import SampleBuffer
+from .core import SampleBuffer, as_int, as_int_pair
 from .errors import EstimationError, SizingError
 from .frame_detect import FrameEvent, _correlate
 
@@ -30,7 +30,9 @@ class CfoEstimate:
 
 def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, int, int]:
     """(start, stop, end): the plateau, and the end of the samples its autocorrelation reads."""
-    start, stop = int(plateau[0]), int(plateau[1])
+    if as_int("lag", lag) < 1:
+        raise SizingError(f"lag must be positive, got {lag}")
+    start, stop = as_int_pair("plateau", plateau)
     if stop <= start:
         raise SizingError(f"plateau ({start}, {stop}) is empty")
     # R[n] needs samples n .. n+2*lag-1

@@ -9,6 +9,7 @@ Gaussian noise referenced to the average power of the transmitted frame, so
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -52,15 +53,14 @@ class ChannelConfig:
         for delay, gain in taps:
             if not cmath.isfinite(gain):
                 raise ConfigError(f"tap gain at delay {delay} must be finite, got {gain}")
-        if self.snr_db is not None and not -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB:
+        if self.snr_db is not None and not (isinstance(self.snr_db, numbers.Real)
+                                            and -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB):
             raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
-                              "or be None (noiseless)")
-        if not np.isfinite(self.cfo_hz):
-            raise ConfigError("cfo_hz must be finite")
-        object.__setattr__(self, "timing_offset", as_int("timing_offset", self.timing_offset))
-        if not 0 <= self.timing_offset <= MAX_GENERATED_SAMPLES:
-            raise ConfigError(f"timing_offset must lie in [0, {MAX_GENERATED_SAMPLES}], "
-                              f"got {self.timing_offset}")
+                              f"or be None (noiseless), got {self.snr_db!r}")
+        if not (isinstance(self.cfo_hz, numbers.Real) and np.isfinite(self.cfo_hz)):
+            raise ConfigError(f"cfo_hz must be a finite real number, got {self.cfo_hz!r}")
+        object.__setattr__(self, "timing_offset", as_int(
+            "timing_offset", self.timing_offset, (0, MAX_GENERATED_SAMPLES)))
         object.__setattr__(self, "taps", taps)
 
 
@@ -128,8 +128,9 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     stream of N real draws followed by N imaginary ones. Each scaled row is
     added to its part of the frame, which gives the bits of
     ``frame + scale * (re + 1j * im)``. Deterministic for a fixed (input,
-    config, tail_len, seed). A negative seed, or an SNR on a zero-power
-    frame, raises ConfigError.
+    config, tail_len, seed). A non-integer or negative seed or ``tail_len``,
+    a ``tail_len`` over MAX_GENERATED_SAMPLES, or an SNR on a zero-power
+    frame raises ConfigError.
 
     Only the noise differs between the trials of a Monte Carlo run, so for
     ``preamble is generate_preamble()`` the noiseless frame comes from the
@@ -141,6 +142,8 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     or without the slot.
     """
     global _slot
+    seed = as_int("seed", seed)
+    tail_len = as_int("tail_len", tail_len, (0, MAX_GENERATED_SAMPLES))
     if seed < 0:
         raise ConfigError(f"seed cannot be negative, got {seed}")
     if preamble is not generate_preamble():

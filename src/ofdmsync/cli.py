@@ -57,30 +57,20 @@ def _parse_snr(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
 
 
-def _count(minimum: int):
-    """argparse type: an integer in [minimum, MAX_GENERATED_SAMPLES]."""
-    def parse(text: str) -> int:
+def _in_range(parse=int, low=0, high=MAX_GENERATED_SAMPLES, unit=""):
+    """argparse type: ``parse(text)``, int or float, in [low, high] ``unit``; by default a size."""
+    kind, spec = ("a number", "g") if parse is float else ("an integer", "d")
+
+    def check(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if not minimum <= value <= MAX_GENERATED_SAMPLES:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(
-                f"must lie in [{minimum}, {MAX_GENERATED_SAMPLES}], got {value}")
+                f"must lie in [{low:{spec}}, {high:{spec}}]{unit}, got {value}")
         return value
-    return parse
-
-
-def _sample_rate(text: str) -> float:
-    """argparse type: a sample rate in [MIN_SAMPLE_RATE, MAX_SAMPLE_RATE] Hz."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not MIN_SAMPLE_RATE <= value <= MAX_SAMPLE_RATE:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [{MIN_SAMPLE_RATE:g}, {MAX_SAMPLE_RATE:g}] Hz, got {value}")
-    return value
+    return check
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -100,16 +90,18 @@ def _add_channel_args(sub: argparse.ArgumentParser) -> None:
                      help="carrier frequency offset in Hz (default %(default)s)")
     sub.add_argument("--taps", default=None, metavar="FILE|NAME",
                      help="tap profile file, or built-in name (etsi_a, etsi_c)")
-    sub.add_argument("--timing-offset", type=_count(0), default=0, metavar="N",
+    sub.add_argument("--timing-offset", type=_in_range(), default=0, metavar="N",
                      help="lead samples before the frame (default %(default)s)")
 
 
-def _add_input_args(sub: argparse.ArgumentParser) -> None:
+def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool) -> None:
     sub.add_argument("--in", dest="infile", default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
-    sub.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE,
-                     help="sample rate in Hz for file input (default %(default)s)")
-    sub.add_argument("--gap-len", type=_count(0), default=400, metavar="N",
+    if with_rate:  # only the commands whose output depends on the rate take it
+        sub.add_argument("--sample-rate", default=DEFAULT_SAMPLE_RATE,
+                         type=_in_range(float, MIN_SAMPLE_RATE, MAX_SAMPLE_RATE, " Hz"),
+                         help="sample rate in Hz for file input (default %(default)s)")
+    sub.add_argument("--gap-len", type=_in_range(), default=400, metavar="N",
                      help="idle samples after each generated frame (default %(default)s)")
     _add_channel_args(sub)
 
@@ -120,9 +112,9 @@ def _channel_config(args) -> ChannelConfig:
                          timing_offset=args.timing_offset)
 
 
-def _input_buffer(args) -> SampleBuffer:
+def _input_buffer(args, sample_rate: float) -> SampleBuffer:
     if args.infile:
-        return read_iq(args.infile, args.sample_rate)
+        return read_iq(args.infile, sample_rate)
     pre = generate_preamble()
     return transmit(pre, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
 
@@ -182,13 +174,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_timesync(args) -> int:
-    buf = _input_buffer(args)
-    window = args.window
-    if window is not None:
-        window = (window[0] + args.timing_offset, window[1]) if args.shift_window else window
-    elif args.timing_offset and not args.infile:
-        start, length = default_search_window(args.template)
-        window = (start + args.timing_offset, length)
+    buf = _input_buffer(args, DEFAULT_SAMPLE_RATE)
+    window = args.window or default_search_window(args.template, args.timing_offset)
     cfg = TimeSyncConfig(template=args.template, search_window=window)
     est = estimate_timing(buf, cfg)
     error = ""
@@ -205,7 +192,7 @@ def cmd_timesync(args) -> int:
 
 
 def cmd_cfo(args) -> int:
-    buf = _input_buffer(args)
+    buf = _input_buffer(args, args.sample_rate)
     events = detect_frames(buf, FrameDetectConfig(lag=args.lag))
     if args.trace:
         R = (autocorrelation(buf, args.lag, args.lag) if len(buf) >= 2 * args.lag
@@ -251,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preamble)
 
     p = sub.add_parser("channel", help="impair a frame (or an IQ file) through the channel")
-    _add_input_args(p)
+    _add_input_args(p, with_rate=True)
     p.add_argument("--out", default="channel.iq", help="output file (default %(default)s)")
     p.add_argument("--format", choices=("iq", "csv"), default="iq")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("detect", help="run frame detection")
-    _add_input_args(p)
-    p.add_argument("--frames", type=_count(1), default=1,
+    _add_input_args(p, with_rate=False)
+    p.add_argument("--frames", type=_in_range(low=1), default=1,
                    help="number of repeated frames when generating input (default 1)")
     p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
     p.add_argument("--threshold", type=float, default=0.5,
@@ -271,18 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("timesync", help="estimate symbol timing by cross-correlation")
-    _add_input_args(p)
+    _add_input_args(p, with_rate=False)
     p.add_argument("--template", choices=("sts", "lts"), default="lts")
     p.add_argument("--window", type=_parse_window, default=None, metavar="START:LEN",
-                   help="argmax search window over alignment indices")
-    p.add_argument("--shift-window", action="store_true",
-                   help="shift an explicit --window by --timing-offset")
+                   help="argmax search window over alignment indices of the buffer "
+                   "(default: around the landmark of a frame at --timing-offset)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write |correlation| trace CSV")
     p.set_defaults(func=cmd_timesync)
 
     p = sub.add_parser("cfo", help="estimate (and optionally correct) the frequency offset")
-    _add_input_args(p)
+    _add_input_args(p, with_rate=True)
     p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the offset-corrected samples here")

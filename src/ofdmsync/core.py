@@ -67,15 +67,28 @@ def as_samples(signal) -> np.ndarray:
     return np.asarray(signal, dtype=np.complex128).reshape(-1)
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int if it is an integer, a numpy one too; ConfigError otherwise.
+def as_int(name: str, value, bounds: tuple[int, int] | None = None) -> int:
+    """``value`` as an int if it is an integer, a numpy one too, and inside the
+    closed ``bounds`` when given; ConfigError otherwise.
 
     A float is rejected even when integral, so no size is silently truncated.
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"{name} must lie in [{bounds[0]}, {bounds[1]}], got {value}")
+    return value
+
+
+def as_int_pair(name: str, value) -> tuple[int, int]:
+    """``value``, a pair such as (start, length), as two ints; ConfigError otherwise."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a pair of integers, got {value!r}") from None
+    return as_int(f"{name} bound", first), as_int(f"{name} bound", second)
 
 
 def all_finite(values: np.ndarray) -> bool:

@@ -108,6 +108,8 @@ def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
 def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
     """R[n] = sum_{m<window} r[n+m] * conj(r[n+m+lag]) for every valid n."""
     x = as_samples(r)
+    if as_int("lag", lag) < 1 or as_int("window", window) < 1:
+        raise SizingError(f"lag and window must be positive, got {lag} and {window}")
     _require_window(x, lag, window)
     return _correlate(x, lag, window)
 

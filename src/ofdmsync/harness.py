@@ -50,8 +50,9 @@ class TrialPlan:
     gap_len: int = 400
 
     def __post_init__(self):
-        for name in ("n_trials", "base_seed", "gap_len"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name, bounds in (("n_trials", None), ("base_seed", None),
+                             ("gap_len", (0, MAX_GENERATED_SAMPLES))):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), bounds))
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
         if self.base_seed < 0:
@@ -64,9 +65,6 @@ class TrialPlan:
             raise ConfigError("at least one stage is required")
         if len(set(stages)) != len(stages):
             raise ConfigError(f"each stage may be listed once, got {stages}")
-        if not 0 <= self.gap_len <= MAX_GENERATED_SAMPLES:
-            raise ConfigError(f"gap_len must lie in [0, {MAX_GENERATED_SAMPLES}], "
-                              f"got {self.gap_len}")
         max_delay = self.channel.taps[-1][0]
         for stage, template in _TIMING_STAGES:
             # the gap and the delay spread must reach the last sample the window reads
@@ -126,6 +124,8 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> Sa
     The gaps are silent at the transmitter; they pick up noise in the
     channel like the rest of the stream.
     """
+    count = as_int("count", count, (1, MAX_GENERATED_SAMPLES))
+    gap_len = as_int("gap_len", gap_len, (0, MAX_GENERATED_SAMPLES))
     total = count * (len(preamble) + gap_len)
     if total > MAX_GENERATED_SAMPLES:
         raise ConfigError(f"{count} frames with {gap_len}-sample gaps make {total} samples, "
@@ -180,13 +180,9 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
             values[stage].append(value)
             indices[stage].append(trial)
 
-    timing = []
-    for stage, template in _TIMING_STAGES:
-        if stage in plan.stages:
-            start, length = default_search_window(template)
-            timing.append((stage, TimeSyncConfig(
-                template=template,
-                search_window=(start + plan.channel.timing_offset, length))))
+    timing = [(stage, TimeSyncConfig(
+                  template, default_search_window(template, plan.channel.timing_offset)))
+              for stage, template in _TIMING_STAGES if stage in plan.stages]
     cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
 
     rows = None  # the block workspace

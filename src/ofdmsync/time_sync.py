@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_int, as_samples
+from .core import as_int_pair, as_samples
 from .errors import ConfigError, SizingError
 from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, STS_LEN,
                        generate_preamble)
@@ -28,9 +28,8 @@ class TimeSyncConfig:
     """Template choice plus the argmax search window.
 
     ``search_window`` is (start, length) over template *alignment* indices
-    (where the template's first sample sits). ``None`` picks the default
-    window around the expected landmark, wide enough to absorb one symbol of
-    displacement while excluding the earlier identical correlation peaks.
+    (where the template's first sample sits) of the whole buffer. ``None``
+    picks :func:`default_search_window` for a frame that starts at sample 0.
     """
 
     template: str = "lts"
@@ -40,7 +39,7 @@ class TimeSyncConfig:
         if self.template not in TEMPLATES:
             raise ConfigError(f"template must be one of {TEMPLATES}")
         if self.search_window is not None:
-            start, length = (as_int("search window bound", v) for v in self.search_window)
+            start, length = as_int_pair("search window", self.search_window)
             if length < 1:
                 raise ConfigError("search window length must be positive")
             object.__setattr__(self, "search_window", (start, length))
@@ -92,10 +91,11 @@ def default_expected_peak(template: str) -> int:
     return STS_LEN if template == "sts" else PREAMBLE_LEN
 
 
-def default_search_window(template: str) -> tuple[int, int]:
-    """(start, length) covering +-1 symbol of displacement around the landmark."""
+def default_search_window(template: str, frame_start: int = 0) -> tuple[int, int]:
+    """(start, length) over alignment indices: the reported peak lies from the
+    landmark of a frame that starts at ``frame_start`` to two symbols past it."""
     sym = TEMPLATE_LEN[template]
-    return default_expected_peak(template) - sym, 2 * sym
+    return frame_start + default_expected_peak(template) - sym, 2 * sym
 
 
 def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate:
@@ -110,10 +110,7 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate
     template = training_template(cfg.template)
     x = as_samples(r)
     n_out = _output_length(x, template)
-    window = cfg.search_window
-    if window is None:
-        window = default_search_window(cfg.template)
-    start, length = window
+    start, length = cfg.search_window or default_search_window(cfg.template)
     if start < 0 or start + length > n_out:
         raise SizingError(
             f"search window [{start}, {start + length}) outside correlator output "

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsync import (CfoEstimate, ChannelConfig, EstimationError, SampleBuffer,
+from ofdmsync import (CfoEstimate, ChannelConfig, ConfigError, EstimationError, SampleBuffer,
                       SizingError, apply_cfo, autocorrelation, correct_cfo, detect_frames,
                       estimate_cfo, plateau_from_event, transmit)
 from ofdmsync.cfo import estimate_cfo_rows
@@ -60,6 +60,17 @@ def test_estimate_errors():
         estimate_cfo(zeros, 16, (50, 50))       # empty span
     with pytest.raises(SizingError):
         estimate_cfo(zeros, 16, (380, 395))     # runs past the buffer
+    # a fractional bound is rejected, not truncated; a bad shape or lag is named
+    rows = zeros.samples[np.newaxis]
+    for lag, plateau, error, message in (
+            (16, (0.9, 100.7), ConfigError, "plateau bound must be an integer"),
+            (16, (5,), ConfigError, "plateau must be a pair of integers"),
+            (-3, (0, 50), SizingError, "lag must be positive"),
+            (0, (0, 50), SizingError, "lag must be positive")):
+        with pytest.raises(error, match=message):
+            estimate_cfo(zeros, lag, plateau)
+        with pytest.raises(error, match=message):
+            estimate_cfo_rows(rows, lag, plateau, zeros.sample_rate)
 
 
 def test_rows_give_none_on_zero_rows_and_estimate_cfo_bits_elsewhere(preamble):

@@ -378,6 +378,22 @@ def test_channel_config_validation():
             ChannelConfig(timing_offset=bad)
     with pytest.raises(ConfigError, match="tap delay must be an integer"):
         ChannelConfig(taps=((0, 1.0), (2.5, 0.5)))
+    # offsets and SNRs are real numbers: None or a string is rejected, not left to numpy
+    for name, bad, message in (("cfo_hz", None, "must be a finite real number"),
+                               ("cfo_hz", "1e3", "must be a finite real number"),
+                               ("cfo_hz", 1j, "must be a finite real number"),
+                               ("snr_db", "10", "must lie in")):
+        with pytest.raises(ConfigError, match=f"{name} {message}"):
+            ChannelConfig(**{name: bad})
+    # transmit's own sizes: integers, and a tail past MAX_GENERATED_SAMPLES is
+    # rejected before anything is allocated
+    preamble = generate_preamble()
+    for kwargs, message in (({"tail_len": MAX_GENERATED_SAMPLES + 1}, "tail_len must lie in"),
+                            ({"tail_len": -1}, "tail_len must lie in"),
+                            ({"tail_len": 2.5}, "tail_len must be an integer"),
+                            ({"seed": 1.5}, "seed must be an integer")):
+        with pytest.raises(ConfigError, match=message):
+            transmit(preamble, ChannelConfig(), **kwargs)
     cfg = ChannelConfig(timing_offset=np.int64(7), taps=((np.int32(0), 1.0), (np.uint8(3), 0.5)))
     assert cfg.timing_offset == 7 and type(cfg.timing_offset) is int
     assert [type(d) for d, _ in cfg.taps] == [int, int]

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import FrameDetectConfig, cli, frame_detect, read_iq
+from ofdmsync import (ChannelConfig, FrameDetectConfig, TrialPlan, cli, frame_detect, read_iq,
+                      run_trials)
+from ofdmsync.channel import resolve_taps
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 
@@ -294,6 +296,29 @@ def test_timesync_landmark(capsys):
     assert "error +0" in stdout
 
 
+@pytest.mark.parametrize("frame_start", [0, 30, 200])
+@pytest.mark.parametrize("template", ["sts", "lts"])
+def test_timesync_searches_around_the_frame_start_of_any_input(tmp_path, capsys, template,
+                                                                 frame_start):
+    # run_trials, generated timesync and timesync --in place the search window
+    # by one rule, so a frame starting at --timing-offset gives one peak in all three
+    flags = ["--snr-db", "15", "--cfo-hz", "120e3", "--taps", "etsi_c",
+             "--timing-offset", str(frame_start)]
+    channel = ChannelConfig(snr_db=15.0, cfo_hz=120e3, taps=resolve_taps("etsi_c"),
+                            timing_offset=frame_start)
+    stage = f"time_{template}"
+    for seed in (1, 5, 9):
+        plan = TrialPlan(n_trials=1, channel=channel, stages=(stage,), base_seed=seed,
+                         gap_len=400)
+        want = f"n_xc_max {int(run_trials(plan)[stage].values[0])},"
+        rx = tmp_path / f"rx{seed}.iq"
+        assert run(capsys, "channel", *flags, "--seed", str(seed), "--out", str(rx))[0] == 0
+        for source in (flags + ["--seed", str(seed)],
+                       ["--in", str(rx), "--timing-offset", str(frame_start)]):
+            code, stdout, _ = run(capsys, "timesync", "--template", template, *source)
+            assert code == 0 and want in stdout, (source, stdout)
+
+
 def test_cfo_estimate_and_correct(tmp_path, capsys):
     fixed = tmp_path / "fixed.iq"
     code, stdout, _ = run(capsys, "cfo", "--cfo-hz", "200e3", "--out", str(fixed))
@@ -336,9 +361,12 @@ NAN_TAP = b"0 1 0\n3 nan 0\n"
     (["channel", "--taps", "IN", "--out", "big.iq"], HUGE_TAP, 3),
     (["channel", "--in", "IN", "--snr-db", "10", "--out", "o.iq"], ZERO_IQ, 2),
     (["channel", "--taps", "IN", "--out", "nan.iq"], NAN_TAP, 2),
+    (["timesync", "--window", "266:128", "--shift-window"], None, 2),
+    (["detect", "--sample-rate", "1e6"], None, 2),
+    (["timesync", "--sample-rate", "1e6"], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
-        "non-finite-tap"])
+        "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -499,7 +527,7 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
             words += bytes(draw(st.integers(1, 7)))
         path.write_bytes(words)
         argv.append(f"--in={path}")
-        if draw(st.booleans()):
+        if sub in ("cfo", "channel") and draw(st.booleans()):  # the commands that take a rate
             argv.append("--sample-rate=" + _real(draw, 1e3, 1e9))
     else:
         argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1)))
@@ -525,8 +553,6 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
         argv.append("--template=" + draw(st.sampled_from(("sts", "lts"))))
         if draw(st.booleans()):
             argv.append(f"--window={_number(draw, -50, 1500)}:{_number(draw, -2, 1500)}")
-            if draw(st.booleans()):
-                argv.append("--shift-window")
     elif sub == "cfo":
         argv.append("--lag=" + _number(draw, -1, 600, (0, 1, 16)))
         if draw(st.booleans()):

@@ -89,6 +89,11 @@ def test_sliding_sum_window_errors():
         sliding_sum(np.ones(4), 5)
     with pytest.raises(SizingError):
         autocorrelation(np.ones(20), 16, 16)
+    for lag, window in ((0, 16), (-5, 16), (16, 0)):
+        with pytest.raises(SizingError, match="lag and window must be positive"):
+            autocorrelation(np.ones(64), lag, window)
+    with pytest.raises(ConfigError, match="lag must be an integer"):
+        autocorrelation(np.ones(64), 16.0, 16)
 
 
 def test_sts_plateau_is_period_energy(preamble):

@@ -370,6 +370,12 @@ def test_preamble_train_layout(preamble):
     assert np.array_equal(train.samples[320:420], np.zeros(100))
     with pytest.raises(ConfigError, match="more than"):
         preamble_train(preamble, MAX_GENERATED_SAMPLES // 420 + 1, 100)
+    for count, gap_len, message in ((0, 100, "count must lie in"), (-1, 100, "count must lie in"),
+                                    (2, -1, "gap_len must lie in")):
+        with pytest.raises(ConfigError, match=message):
+            preamble_train(preamble, count, gap_len)
+    with pytest.raises(ConfigError, match="count must be an integer"):
+        preamble_train(preamble, 2.0, 100)
 
 
 # --- reports and plan files ---------------------------------------------------------

@@ -97,6 +97,7 @@ def test_noiseless_landmarks(preamble):
 @pytest.mark.parametrize("template", ["sts", "lts"])
 def test_shift_equivariance_is_exact(preamble, template, d):
     start, length = default_search_window(template)
+    assert default_search_window(template, d) == (start + d, length)
     est = estimate_timing(
         shifted(preamble, d),
         TimeSyncConfig(template=template, search_window=(start + d, length)))
@@ -206,6 +207,9 @@ def test_time_sync_config_validation():
         TimeSyncConfig(template="xts")
     with pytest.raises(ConfigError, match="length must be positive"):
         TimeSyncConfig(search_window=(0, 0))
+    for window in ((5,), (5, 64, 1), 5):
+        with pytest.raises(ConfigError, match="search window must be a pair of integers"):
+            TimeSyncConfig(search_window=window)
     # window bounds are integers: a float is rejected, not truncated
     for window in ((266.5, 128), (266, 128.0)):
         with pytest.raises(ConfigError, match="search window bound must be an integer"):
