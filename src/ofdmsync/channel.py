@@ -9,6 +9,7 @@ Gaussian noise referenced to the average power of the transmitted frame, so
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
@@ -57,7 +58,11 @@ class ChannelConfig:
                                             and -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB):
             raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
                               f"or be None (noiseless), got {self.snr_db!r}")
-        if not (isinstance(self.cfo_hz, numbers.Real) and np.isfinite(self.cfo_hz)):
+        try:
+            finite = isinstance(self.cfo_hz, numbers.Real) and math.isfinite(self.cfo_hz)
+        except OverflowError:  # an int past float64's range
+            finite = False
+        if not finite:
             raise ConfigError(f"cfo_hz must be a finite real number, got {self.cfo_hz!r}")
         object.__setattr__(self, "timing_offset", as_int(
             "timing_offset", self.timing_offset, (0, MAX_GENERATED_SAMPLES)))

@@ -23,7 +23,7 @@ from . import __version__
 from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
-from .errors import EstimationError, IqFormatError, OfdmSyncError
+from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError
 from .frame_detect import FrameDetectConfig, autocorrelation, detect_blocks, detect_frames
 from .harness import emit_report, load_plan, preamble_train, run_trials
 from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_rows, write_table
@@ -81,29 +81,43 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected START:LEN, got {text!r}")
 
 
-def _add_channel_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help="RNG seed (default %(default)s, fixed, not entropy)")
-    sub.add_argument("--snr-db", type=_parse_snr, default=None, metavar="DB|none",
-                     help="channel SNR in dB, or 'none' for noiseless (default)")
-    sub.add_argument("--cfo-hz", type=float, default=0.0,
-                     help="carrier frequency offset in Hz (default %(default)s)")
-    sub.add_argument("--taps", default=None, metavar="FILE|NAME",
-                     help="tap profile file, or built-in name (etsi_a, etsi_c)")
-    sub.add_argument("--timing-offset", type=_in_range(), default=0, metavar="N",
-                     help="lead samples before the frame (default %(default)s)")
+class _GeneratorFlag(argparse.Action):
+    """Store the value and note the flag: it sets up the generated input that
+    ``--in`` replaces, so :func:`main` rejects it next to ``--in``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.generator_flags = (*namespace.generator_flags, self.option_strings[0])
 
 
-def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool) -> None:
+def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
+                    read_with_in: tuple[str, ...] = ()) -> None:
+    """``--in`` and the flags of the generated input, of which those named in
+    ``read_with_in`` also act on a file's samples."""
+    sub.set_defaults(generator_flags=())
+
+    def add(flag, **kwargs):
+        action = "store" if flag in read_with_in else _GeneratorFlag
+        sub.add_argument(flag, action=action, **kwargs)
+
     sub.add_argument("--in", dest="infile", default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
     if with_rate:  # only the commands whose output depends on the rate take it
         sub.add_argument("--sample-rate", default=DEFAULT_SAMPLE_RATE,
                          type=_in_range(float, MIN_SAMPLE_RATE, MAX_SAMPLE_RATE, " Hz"),
                          help="sample rate in Hz for file input (default %(default)s)")
-    sub.add_argument("--gap-len", type=_in_range(), default=400, metavar="N",
-                     help="idle samples after each generated frame (default %(default)s)")
-    _add_channel_args(sub)
+    add("--gap-len", type=_in_range(), default=400, metavar="N",
+        help="idle samples after each generated frame (default %(default)s)")
+    add("--seed", type=int, default=DEFAULT_SEED,
+        help="RNG seed (default %(default)s, fixed, not entropy)")
+    add("--snr-db", type=_parse_snr, default=None, metavar="DB|none",
+        help="channel SNR in dB, or 'none' for noiseless (default)")
+    add("--cfo-hz", type=float, default=0.0,
+        help="carrier frequency offset in Hz (default %(default)s)")
+    add("--taps", default=None, metavar="FILE|NAME",
+        help="tap profile file, or built-in name (etsi_a, etsi_c)")
+    add("--timing-offset", type=_in_range(), default=0, metavar="N",
+        help="lead samples before the frame (default %(default)s)")
 
 
 def _channel_config(args) -> ChannelConfig:
@@ -238,14 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preamble)
 
     p = sub.add_parser("channel", help="impair a frame (or an IQ file) through the channel")
-    _add_input_args(p, with_rate=True)
+    _add_input_args(p, with_rate=True, read_with_in=(
+        "--gap-len", "--seed", "--snr-db", "--cfo-hz", "--taps", "--timing-offset"))
     p.add_argument("--out", default="channel.iq", help="output file (default %(default)s)")
     p.add_argument("--format", choices=("iq", "csv"), default="iq")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("detect", help="run frame detection")
     _add_input_args(p, with_rate=False)
-    p.add_argument("--frames", type=_in_range(low=1), default=1,
+    p.add_argument("--frames", action=_GeneratorFlag, type=_in_range(low=1), default=1,
                    help="number of repeated frames when generating input (default 1)")
     p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
     p.add_argument("--threshold", type=float, default=0.5,
@@ -258,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("timesync", help="estimate symbol timing by cross-correlation")
-    _add_input_args(p, with_rate=False)
+    _add_input_args(p, with_rate=False, read_with_in=("--timing-offset",))
     p.add_argument("--template", choices=("sts", "lts"), default="lts")
     p.add_argument("--window", type=_parse_window, default=None, metavar="START:LEN",
                    help="argmax search window over alignment indices of the buffer "
@@ -288,6 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "infile", None) and args.generator_flags:
+            flags = ", ".join(dict.fromkeys(args.generator_flags))
+            raise ConfigError(f"--in reads the samples from a file; these flags set up "
+                              f"generated samples and cannot be used with it: {flags}")
         return args.func(args)
     except (OfdmSyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,9 @@ in bounded memory.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,8 @@ from .core import BLOCK_LEN, SampleBuffer, as_int, as_samples
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
-_EPS = 1e-30  # keeps silence at metric 0 instead of 0/0
+_EPS = np.float64(1e-30)  # keeps silence at metric 0 instead of 0/0
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,8 @@ class FrameDetectConfig:
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.lag < 1 or self.window < 1:
             raise ConfigError("lag and window must be positive")
-        if not 0 < self.threshold < 1:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not (isinstance(self.threshold, numbers.Real) and 0 < self.threshold < 1):
+            raise ConfigError(f"threshold must be a real number in (0, 1), got {self.threshold!r}")
         if self.min_plateau < 1:
             raise ConfigError("min_plateau must be positive")
         if self.metric_mode not in METRIC_MODES:
@@ -71,38 +74,62 @@ class FrameEvent:
 def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
     """Moving sum over ``window`` entries, each added in one fixed tree order.
 
-    Pairwise passes build sums of 1, 2, 4, ... entries; each output adds those
-    its window's binary digits select, so it depends only on its own entries.
-    The sums go into ``out`` when given. The passes run in ``values`` itself,
-    which they overwrite: a pass writes entry i from entries i and i + width,
-    behind every entry it has still to read, so numpy needs no copy.
+    The order is :func:`_tree_plan`'s: each output depends only on its own
+    entries, so any chunking gives the same bits. The sums go into ``out``
+    when given. The pairwise passes run in ``values`` itself, which they
+    overwrite.
     """
     values = np.asarray(values)
     if window < 1:
         raise SizingError("window must be positive")
     if len(values) < window:
         raise SizingError(f"need at least {window} values, got {len(values)}")
-    n_out = len(values) - window + 1
     if out is None:
-        out = np.empty(n_out, values.dtype)
-    sums = values
-    offset, width = 0, 1  # sums[i] = sum of values[i:i + width]
-    while True:
-        if window & width:
-            if offset:
-                out += sums[offset:offset + n_out]
-            elif sums is not out:
-                out[...] = sums[:n_out]
-            offset += width
-        if 2 * width > window:
-            return out
-        head = sums[:-width]
-        if window == 2 * width:  # a power-of-two window's last pass is its only part
-            sums = np.add(head, sums[width:], out=out)
-        else:
-            head += sums[width:]
-            sums = head
-        width *= 2
+        out = np.empty(len(values) - window + 1, values.dtype)
+    copy, steps = _tree_plan(window)
+    if copy is not None:
+        out[...] = values[copy]
+    for a, b, into_out in steps:
+        head = out if a is None else values[a]
+        np.add(head, values[b], out if into_out else head)
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _tree_plan(window: int):
+    """The one tree order of ``window``-entry sums, as ``(copy, steps)`` of slices.
+
+    Level w holds at index i the sum of ``values[i:i + w]``. A pairwise pass
+    makes level 2w from level w in ``values`` itself, entry i from entries i
+    and i + w: it writes behind every entry it has still to read, so numpy
+    needs no copy. Output i adds the levels that its window's binary digits
+    select, lowest first, each at the offset that the digits below it sum to.
+
+    An odd window's sums start as a copy of level 1, ``values[copy]``; an
+    even one's ``copy`` is None. Each step ``(a, b, into_out)`` adds
+    ``values[b]`` to ``values[a]``, or to the sums when ``a`` is None, and
+    writes the result into the sums when ``into_out``, in place otherwise.
+    An even window's lowest digit has the pass that makes its level run
+    into the sums, for their first outputs, before it runs in place: the
+    same additions as a copy of the level. Stops count from the end of
+    ``values``, so one plan serves every length.
+    """
+    last = window - 1  # the entries past the first output's window
+    copy = slice(0, -last or None) if window & 1 else None
+    steps = []
+    offset, width = window & 1, 1  # offset: where the next digit's level is read
+    while 2 * width <= window:
+        level = 2 * width
+        digit = window & level
+        if digit and not offset:
+            steps.append((slice(0, -last or None), slice(width, -(last - width) or None), True))
+        if level < window:  # a power-of-two window's last level is its sums alone
+            steps.append((slice(0, -(level - 1)), slice(width, -(width - 1) or None), False))
+        if digit and offset:
+            steps.append((None, slice(offset, -(last - offset)), True))
+        offset += digit
+        width = level
+    return copy, tuple(steps)
 
 
 def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
@@ -119,19 +146,22 @@ def _require_window(x: np.ndarray, lag: int, window: int) -> None:
         raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
 
 
+def _lag_products(x, lag: int, conj=None, out=None) -> np.ndarray:
+    """x[n] * conj(x[n + lag]) for n < len(x) - lag, with the conjugates in ``conj``."""
+    n = len(x) - lag
+    # np.multiply, not `*`, which may compute `a * temporary` in the temporary
+    # with the operands swapped; and never in place, which numpy may round
+    # differently (seen for one sample): either can change the last bit
+    return np.multiply(x[:n], np.conjugate(x[lag:], conj), out)
+
+
 def _correlate(x, lag: int, window: int, out=None, scratch=(None, None)) -> np.ndarray:
     """The window sums of x[n] * conj(x[n + lag]).
 
     ``scratch``, two complex arrays of ``len(x) - lag`` entries, takes the
     conjugates and then the products instead of new arrays.
     """
-    n = len(x) - lag
-    conj, products = scratch
-    # np.multiply, not `*`, which may compute `a * temporary` in the temporary
-    # with the operands swapped; and never in place, which numpy may round
-    # differently (seen for one sample): either can change the last bit
-    products = np.multiply(x[:n], np.conjugate(x[lag:], out=conj), out=products)
-    return sliding_sum(products, window, out)
+    return sliding_sum(_lag_products(x, lag, *scratch), window, out)
 
 
 def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
@@ -140,48 +170,56 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     ``len(x) >= lag + window``, and ``arena`` is a complex128 array of at
     least ``2 * n + ceil(5 * k / 2)`` entries, with ``n = len(x) - lag`` and
     ``k = n - window + 1`` the outputs. The kernel carves its arrays
-    out of it: the conjugates (whose float view later holds the powers), the
+    out of it: the conjugates (whose float view then holds the powers), the
     lag products, then, as floats, R, p_squared (which holds P until it is
     squared), numerator and metric. Every numpy call writes into one of them,
-    so the kernel allocates nothing the size of ``x``. The bits are those of
-    ``autocorrelation(x) / window``, ``sliding_sum(abs(x[lag:])**2, window) /
-    window`` and so on. The returned arrays are views into ``arena``; ``top``
-    is NaN when any metric value is.
+    so the kernel allocates nothing the size of ``x``. Both window sums run
+    :func:`_tree_plan`'s steps, as :func:`sliding_sum` does, and unless a
+    metric value is not finite, the one Python function the kernel calls is
+    :func:`_lag_products`: the rest of a step is a fixed run of numpy calls.
+    The bits are those of ``autocorrelation(x) / window``,
+    ``sliding_sum(abs(x[lag:])**2, window) / window`` and so on. The
+    returned arrays are views into ``arena``; ``top`` is NaN when any metric
+    value is.
     """
     lag, window = cfg.lag, cfg.window
     n = len(x) - lag
     k = n - window + 1
-    floats = arena.view(np.float64)
-    scratch, R = (arena[:n], arena[n:2 * n]), arena[2 * n:2 * n + k]
+    floats = arena.view(_FLOAT64)
+    conj, products, R = arena[:n], arena[n:2 * n], arena[2 * n:2 * n + k]
     R_floats, powers = floats[4 * n:4 * n + 2 * k], floats[:n]
     P = p_squared = floats[4 * n + 2 * k:4 * n + 3 * k]
     numerator, metric = floats[4 * n + 3 * k:4 * n + 4 * k], floats[4 * n + 4 * k:4 * n + 5 * k]
-    _correlate(x, lag, window, R, scratch)
-    np.multiply(R_floats, 1.0 / window, out=R_floats)
-    np.square(np.abs(x[lag:], out=powers), out=powers)
-    sliding_sum(powers, window, P)
-    np.divide(P, float(window), out=P)  # a float converts faster than an int
-    np.square(P, out=p_squared)
-    top = _metric(R, cfg.metric_mode, p_squared, numerator, metric)
-    if not math.isfinite(top):
+    _lag_products(x, lag, conj, products)
+    np.square(np.abs(x[lag:], powers), powers)
+    copy, steps = _tree_plan(window)
+    for values, sums in ((products, R), (powers, P)):
+        if copy is not None:
+            sums[...] = values[copy]
+        for a, b, into_out in steps:
+            head = sums if a is None else values[a]
+            np.add(head, values[b], sums if into_out else head)
+    # numpy scalars, which numpy converts faster than Python numbers
+    np.multiply(R_floats, np.float64(1.0 / window), R_floats)
+    np.divide(P, np.float64(window), P)
+    np.square(P, p_squared)
+    exact = cfg.metric_mode == "exact"
+    for divided in (False, True):
+        if exact:
+            np.add(np.square(R.real, numerator), np.square(R.imag, metric), numerator)
+        else:
+            np.add(np.abs(R.real, numerator), np.abs(R.imag, metric), numerator)
+        np.divide(numerator, np.add(p_squared, _EPS, metric), metric)
+        top = metric[metric.argmax()]  # argmax finds the first NaN too, and costs less
+        if divided or math.isfinite(top):
+            break
         # numpy divides a complex by a real w with Smith's algorithm at ratio 0,
         # ((re + im*0) * (1/w), (im - re*0) * (1/w)): the multiply above up to
         # signed zeros while R is finite, but NaN in a part once the other is
         # not. A finite metric means a finite R; otherwise divide.
-        _correlate(x, lag, window, R, scratch)
+        _correlate(x, lag, window, R, (conj, products))
         np.divide(R, window, out=R)
-        top = _metric(R, cfg.metric_mode, p_squared, numerator, metric)
     return numerator, p_squared, metric, top
-
-
-def _metric(R, mode: str, p_squared, numerator, metric) -> float:
-    """Fill numerator and metric from R and p_squared; return the metric's max."""
-    if mode == "exact":
-        np.add(np.square(R.real, out=numerator), np.square(R.imag, out=metric), out=numerator)
-    else:
-        np.add(np.abs(R.real, out=numerator), np.abs(R.imag, out=metric), out=numerator)
-    np.divide(numerator, np.add(p_squared, _EPS, out=metric), out=metric)
-    return np.maximum.reduce(metric)
 
 
 def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):

@@ -382,6 +382,7 @@ def test_channel_config_validation():
     for name, bad, message in (("cfo_hz", None, "must be a finite real number"),
                                ("cfo_hz", "1e3", "must be a finite real number"),
                                ("cfo_hz", 1j, "must be a finite real number"),
+                               ("cfo_hz", 10**400, "must be a finite real number"),
                                ("snr_db", "10", "must lie in")):
         with pytest.raises(ConfigError, match=f"{name} {message}"):
             ChannelConfig(**{name: bad})

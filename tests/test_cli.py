@@ -364,9 +364,13 @@ NAN_TAP = b"0 1 0\n3 nan 0\n"
     (["timesync", "--window", "266:128", "--shift-window"], None, 2),
     (["detect", "--sample-rate", "1e6"], None, 2),
     (["timesync", "--sample-rate", "1e6"], None, 2),
+    (["detect", "--in", "IN", "--snr-db", "40"], ZERO_IQ, 2),
+    (["cfo", "--in", "IN", "--seed", "7"], ZERO_IQ, 2),
+    (["timesync", "--in", "IN", "--gap-len", "9", "--template", "sts"], ZERO_IQ, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
-        "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate"])
+        "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
+        "detect-in-snr", "cfo-in-seed", "timesync-in-gap"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -380,13 +384,39 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is HUGE_TAP:
         assert "sample 0 is not finite" in proc.stderr
         assert not (tmp_path / "big.iq").exists()
-    if words is ZERO_IQ:
+    if words is ZERO_IQ and argv[0] != "channel":  # rejected before the file is read
+        assert f"cannot be used with it: {argv[3]}" in proc.stderr
+    elif words is ZERO_IQ:
         assert "cannot set an SNR on a zero-power signal" in proc.stderr
         assert not (tmp_path / "o.iq").exists()
     if words is NAN_TAP:
         assert "tap gain at delay 3 must be finite" in proc.stderr
         assert "sample buffer" not in proc.stderr
         assert not (tmp_path / "nan.iq").exists()
+
+
+def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):
+    # a flag that only sets up generated samples would be silently ignored next
+    # to --in; timesync --in reads --timing-offset, and channel --in every flag
+    rx, out = tmp_path / "rx.iq", tmp_path / "out.iq"
+    flags = {"--snr-db": "40", "--cfo-hz": "1e5", "--taps": "etsi_a", "--seed": "7",
+             "--gap-len": "9", "--timing-offset": "30", "--frames": "2"}
+    assert run(capsys, "channel", "--snr-db", "20", "--timing-offset", "30",
+               "--out", str(rx))[0] == 0
+    for sub, read in (("detect", ()), ("cfo", ()), ("timesync", ("--timing-offset",))):
+        assert run(capsys, sub, "--in", str(rx))[0] == 0
+        for flag, value in flags.items():
+            if flag == "--frames" and sub != "detect":
+                continue
+            code, stdout, stderr = run(capsys, sub, "--in", str(rx), flag, value)
+            if flag in read:
+                assert code == 0
+            else:
+                assert (code, stdout) == (2, ""), (sub, flag)
+                assert stderr == ("error: --in reads the samples from a file; these flags set "
+                                  f"up generated samples and cannot be used with it: {flag}\n")
+    args = [arg for flag, value in flags.items() if flag != "--frames" for arg in (flag, value)]
+    assert run(capsys, "channel", "--in", str(rx), "--out", str(out), *args)[0] == 0
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -510,7 +540,8 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
     """
     sub = draw(st.sampled_from(("detect", "timesync", "cfo", "channel")))
     argv = [sub]
-    if draw(st.booleans()):
+    from_file = draw(st.booleans())
+    if from_file:
         path = tmp / "in.iq"
         n = draw(st.integers(0, 400))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -532,16 +563,19 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
     else:
         argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1)))
         argv.append("--timing-offset=" + _size(draw, -3, 1200, (0, -1)))
-    if draw(st.booleans()):
-        argv.append("--snr-db=" + draw(st.sampled_from(("none", "noiseless"))
-                                       | st.floats(-30, 60).map(repr) | st.floats().map(repr)))
-    if draw(st.booleans()):
-        argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5))
-    if draw(st.booleans()):
-        argv.append("--taps=" + draw(st.sampled_from(("etsi_a", "etsi_c", str(tmp / "no.taps")))))
-    argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1)))
+    if not from_file or sub == "channel":  # the other commands reject these next to --in
+        if draw(st.booleans()):
+            argv.append("--snr-db=" + draw(st.sampled_from(("none", "noiseless"))
+                                           | st.floats(-30, 60).map(repr)
+                                           | st.floats().map(repr)))
+        if draw(st.booleans()):
+            argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5))
+        if draw(st.booleans()):
+            argv.append("--taps=" + draw(st.sampled_from(("etsi_a", "etsi_c",
+                                                          str(tmp / "no.taps")))))
+        argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1)))
     if sub == "detect":
-        if not any(arg.startswith("--in=") for arg in argv):
+        if not from_file:
             # from MAX // 320 + 1 frames up, even a gapless train is too long
             argv.append("--frames=" + _size(draw, -1, 4, (0,),
                                             huge_from=MAX_GENERATED_SAMPLES // 320 + 1))

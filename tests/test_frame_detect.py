@@ -132,6 +132,10 @@ def test_frame_detect_config_validation():
                       ("min_plateau", np.float64(32.0))):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             FrameDetectConfig(**{name: bad})
+    # the threshold is a real number: a string or None is rejected, not left to `<`
+    for bad in ("0.5", None):
+        with pytest.raises(ConfigError, match="threshold must be a real number"):
+            FrameDetectConfig(threshold=bad)
     cfg = FrameDetectConfig(lag=np.int64(16), window=np.int32(16), min_plateau=np.uint8(32))
     assert (cfg.lag, cfg.window, cfg.min_plateau) == (16, 16, 32)
     assert {type(cfg.lag), type(cfg.window), type(cfg.min_plateau)} == {int}
@@ -177,6 +181,23 @@ def reference_sliding_sum(values, window):
             return out
         sums = sums[:-width] + sums[width:]
         width *= 2
+
+
+def test_sliding_sum_equals_the_reference_tree_order():
+    # every window to 130 (eight binary digits), on one and two outputs, a few
+    # hundred and more than one kernel step's; the longer ones hold infinities
+    # of both signs and NaNs, whose windows must give what the reference gives
+    gen = np.random.default_rng(130)
+    for window in range(1, 131):
+        for length in (window, window + 1, window + 300, BLOCK_LEN + 3):
+            for values in (spread(gen, length), spread(gen, length).real):
+                if length > window + 1:
+                    values[gen.integers(0, length, 3)] = (np.inf, -np.inf, np.nan)
+                with np.errstate(invalid="ignore"):
+                    want = reference_sliding_sum(values, window)
+                    got = sliding_sum(values.copy(), window)
+                assert got.dtype == values.dtype
+                np.testing.assert_array_equal(got, want, err_msg=f"{window}, {length}")
 
 
 def reference_metrics(x, cfg):
