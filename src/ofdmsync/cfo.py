@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import apply_cfo
-from .core import SampleBuffer, as_int, as_int_pair
+from .core import SampleBuffer, as_int, as_int_pair, shown
 from .errors import EstimationError, SizingError
 from .frame_detect import FrameEvent, _correlate
 
@@ -31,7 +31,7 @@ class CfoEstimate:
 def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, int, int]:
     """(start, stop, end): the plateau, and the end of the samples its autocorrelation reads."""
     if as_int("lag", lag) < 1:
-        raise SizingError(f"lag must be positive, got {lag}")
+        raise SizingError(f"lag must be positive, got {shown(lag)}")
     start, stop = as_int_pair("plateau", plateau)
     if stop <= start:
         raise SizingError(f"plateau ({start}, {stop}) is empty")

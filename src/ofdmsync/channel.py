@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
 from .errors import ConfigError
 from .preamble import generate_preamble
 
@@ -57,13 +57,13 @@ class ChannelConfig:
         if self.snr_db is not None and not (isinstance(self.snr_db, numbers.Real)
                                             and -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB):
             raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
-                              f"or be None (noiseless), got {self.snr_db!r}")
+                              f"or be None (noiseless), got {shown(self.snr_db)}")
         try:
             finite = isinstance(self.cfo_hz, numbers.Real) and math.isfinite(self.cfo_hz)
         except OverflowError:  # an int past float64's range
             finite = False
         if not finite:
-            raise ConfigError(f"cfo_hz must be a finite real number, got {self.cfo_hz!r}")
+            raise ConfigError(f"cfo_hz must be a finite real number, got {shown(self.cfo_hz)}")
         object.__setattr__(self, "timing_offset", as_int(
             "timing_offset", self.timing_offset, (0, MAX_GENERATED_SAMPLES)))
         object.__setattr__(self, "taps", taps)
@@ -150,7 +150,7 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     seed = as_int("seed", seed)
     tail_len = as_int("tail_len", tail_len, (0, MAX_GENERATED_SAMPLES))
     if seed < 0:
-        raise ConfigError(f"seed cannot be negative, got {seed}")
+        raise ConfigError(f"seed cannot be negative, got {shown(seed)}")
     if preamble is not generate_preamble():
         out, power = _received(preamble, cfg, tail_len)
     else:

@@ -73,6 +73,12 @@ def _in_range(parse=int, low=0, high=MAX_GENERATED_SAMPLES, unit=""):
     return check
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty one")
+    return text
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         start, length = text.split(":")
@@ -100,7 +106,7 @@ def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
         action = "store" if flag in read_with_in else _GeneratorFlag
         sub.add_argument(flag, action=action, **kwargs)
 
-    sub.add_argument("--in", dest="infile", default=None, metavar="FILE",
+    sub.add_argument("--in", dest="infile", type=_path, default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
     if with_rate:  # only the commands whose output depends on the rate take it
         sub.add_argument("--sample-rate", default=DEFAULT_SAMPLE_RATE,

@@ -67,6 +67,18 @@ def as_samples(signal) -> np.ndarray:
     return np.asarray(signal, dtype=np.complex128).reshape(-1)
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut to at most 60 characters.
+
+    An int of more than 200 bits is shown by its bit count instead: Python
+    refuses to write one of more than 4300 digits as text.
+    """
+    if isinstance(value, int) and value.bit_length() > 200:
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def as_int(name: str, value, bounds: tuple[int, int] | None = None) -> int:
     """``value`` as an int if it is an integer, a numpy one too, and inside the
     closed ``bounds`` when given; ConfigError otherwise.
@@ -76,9 +88,9 @@ def as_int(name: str, value, bounds: tuple[int, int] | None = None) -> int:
     try:
         value = operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}") from None
     if bounds is not None and not bounds[0] <= value <= bounds[1]:
-        raise ConfigError(f"{name} must lie in [{bounds[0]}, {bounds[1]}], got {value}")
+        raise ConfigError(f"{name} must lie in [{bounds[0]}, {bounds[1]}], got {shown(value)}")
     return value
 
 
@@ -87,7 +99,7 @@ def as_int_pair(name: str, value) -> tuple[int, int]:
     try:
         first, second = value
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a pair of integers, got {value!r}") from None
+        raise ConfigError(f"{name} must be a pair of integers, got {shown(value)}") from None
     return as_int(f"{name} bound", first), as_int(f"{name} bound", second)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_LEN, SampleBuffer, as_int, as_samples
+from .core import BLOCK_LEN, SampleBuffer, as_int, as_samples, shown
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -55,7 +55,8 @@ class FrameDetectConfig:
         if self.lag < 1 or self.window < 1:
             raise ConfigError("lag and window must be positive")
         if not (isinstance(self.threshold, numbers.Real) and 0 < self.threshold < 1):
-            raise ConfigError(f"threshold must be a real number in (0, 1), got {self.threshold!r}")
+            raise ConfigError(
+                f"threshold must be a real number in (0, 1), got {shown(self.threshold)}")
         if self.min_plateau < 1:
             raise ConfigError("min_plateau must be positive")
         if self.metric_mode not in METRIC_MODES:
@@ -80,6 +81,7 @@ def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
     overwrite.
     """
     values = np.asarray(values)
+    window = as_int("window", window)
     if window < 1:
         raise SizingError("window must be positive")
     if len(values) < window:
@@ -252,8 +254,8 @@ def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[Frame
     return detect_blocks([r], cfg)
 
 
-def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
-                 ) -> list[FrameEvent | None]:
+def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
+                 prefix: int | None = None) -> list[FrameEvent | None]:
     """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
 
     ``rows`` is a 2-D array of equal-length buffers, which :func:`detect_blocks`
@@ -262,7 +264,39 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig()
     sets them to 0, so no run crosses from one row into the next. Every other
     metric value depends only on its own row's samples, so it has the bits
     of that row's own pass. Events index their own row.
+
+    With a ``prefix``, a first pass takes a contiguous copy of each row's
+    first ``prefix`` samples, and a row's first event from it stands when it
+    :func:`settles` there. The other rows (no event, or one whose run the end
+    of the prefix may have cut) are then taken whole, so the events are
+    those of the whole rows either way.
     """
+    if prefix is not None:
+        first = _first_events(rows[:, :prefix], cfg)
+        rescan = [row for row, event in enumerate(first) if not settles(event, prefix, cfg)]
+        if rescan:
+            for row, event in zip(rescan, _first_events(rows[rescan], cfg)):
+                first[row] = event
+        return first
+    return _first_events(rows, cfg)
+
+
+def settles(event: FrameEvent | None, prefix: int | None, cfg: FrameDetectConfig) -> bool:
+    """Whether ``event``, the first event of a row or of the row's first
+    ``prefix`` samples, has settled in that prefix: the output after the
+    event's end, which closes its run, is one of the ``prefix - lag - window
+    + 1`` that the prefix gives.
+
+    Every output up to that one has the same bits in the prefix and in the
+    whole row, so both then have the same runs up to it and the same first
+    event; when one pass's first event has not settled, neither has the
+    other's. None (no event, or no prefix) never settles.
+    """
+    return event is not None and prefix is not None and (
+        event.end_index + cfg.lag + cfg.window < prefix)
+
+
+def _first_events(rows: np.ndarray, cfg: FrameDetectConfig) -> list[FrameEvent | None]:
     n_rows, row_len = rows.shape
     context = cfg.lag + cfg.window - 1
 

@@ -20,9 +20,9 @@ import numpy as np
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows  # noqa: F401
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int
+from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
 from .errors import ConfigError
-from .frame_detect import FrameDetectConfig, detect_frames, first_events  # noqa: F401
+from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
 from .iqfile import write_table
 from .preamble import PREAMBLE_LEN, STS_LEN, generate_preamble
 from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, estimate_timing
@@ -56,7 +56,7 @@ class TrialPlan:
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
         if self.base_seed < 0:
-            raise ConfigError(f"seed cannot be negative, got base_seed {self.base_seed}")
+            raise ConfigError(f"seed cannot be negative, got base_seed {shown(self.base_seed)}")
         stages = tuple(self.stages)
         for stage in stages:
             if stage not in STAGES:
@@ -159,7 +159,23 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     allocated once per run, and the frame and cfo stages each take a whole
     block in one pass (:func:`~ofdmsync.frame_detect.first_events`,
     :func:`~ofdmsync.cfo.estimate_cfo_rows`), with the bits of a pass per
-    trial. The channel call and the timing stages stay per trial: each
+    trial. The cfo stage reads each buffer's short-training span, and each
+    timing stage its search window.
+
+    The frame stage first reads each buffer only through the short training
+    of the latest path: its first ``timing_offset + STS_LEN + (largest tap
+    delay) + 1 + lag + window - 1`` samples, whose metric outputs run one
+    past that training's last sample. A buffer's first event from that pass
+    stands when it has settled there, that is when the output after its end
+    is one of those outputs (:func:`~ofdmsync.frame_detect.settles`). The
+    buffers with no settled event (no event, or a run that the end of the
+    pass may have cut) are scanned whole, so the events are those of whole
+    buffers. A block takes the short pass only when every buffer of the
+    block before it settled there, and the first block takes it; otherwise
+    it scans every buffer whole. Where few buffers settle (etsi_c below about
+    8 dB), the blocks after the first so scan whole once instead of twice.
+
+    The channel call and the timing stages stay per trial: each
     trial's noise comes from its own ``transmit`` call, and each timing
     estimate cuts its template from ``generate_preamble``. The benchmark
     counts those calls (``bench/test_bench.py`` asks for ``n_trials`` to
@@ -184,6 +200,10 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
                   template, default_search_window(template, plan.channel.timing_offset)))
               for stage, template in _TIMING_STAGES if stage in plan.stages]
     cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
+    # the frame stage's first pass: each trial through the latest path's short training
+    prefix = (plan.channel.timing_offset + STS_LEN + plan.channel.taps[-1][0] + 1
+              + detect_cfg.lag + detect_cfg.window - 1)
+    short = True  # whether the block takes that pass: every row of the last one settled in it
 
     rows = None  # the block workspace
     for i in range(plan.n_trials):
@@ -198,7 +218,9 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
             continue
         block, first = rows[:k + 1], i - k
         if "frame" in values:
-            for trial, event in enumerate(first_events(block, detect_cfg), first):
+            events = first_events(block, detect_cfg, prefix if short else None)
+            short = all(settles(event, prefix, detect_cfg) for event in events)
+            for trial, event in enumerate(events, first):
                 record("frame", trial, None if event is None else float(event.start_index))
         if "cfo" in values:
             for trial, offset in enumerate(

@@ -386,6 +386,10 @@ def test_channel_config_validation():
                                ("snr_db", "10", "must lie in")):
         with pytest.raises(ConfigError, match=f"{name} {message}"):
             ChannelConfig(**{name: bad})
+    # an int too long for Python to write as text is shown by its bit count
+    for name, message in (("snr_db", "must lie in"), ("cfo_hz", "must be a finite real number")):
+        with pytest.raises(ConfigError, match=f"{name} {message}.*got an int of 16610 bits$"):
+            ChannelConfig(**{name: 10**5000})
     # transmit's own sizes: integers, and a tail past MAX_GENERATED_SAMPLES is
     # rejected before anything is allocated
     preamble = generate_preamble()

@@ -367,10 +367,15 @@ NAN_TAP = b"0 1 0\n3 nan 0\n"
     (["detect", "--in", "IN", "--snr-db", "40"], ZERO_IQ, 2),
     (["cfo", "--in", "IN", "--seed", "7"], ZERO_IQ, 2),
     (["timesync", "--in", "IN", "--gap-len", "9", "--template", "sts"], ZERO_IQ, 2),
+    (["detect", "--in=", "--seed", "4"], None, 2),
+    (["timesync", "--in", ""], None, 2),
+    (["cfo", "--in="], None, 2),
+    (["channel", "--in=", "--out", "o.iq"], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
-        "detect-in-snr", "cfo-in-seed", "timesync-in-gap"])
+        "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
+        "timesync-empty-in", "cfo-empty-in", "channel-empty-in"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -389,6 +394,9 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     elif words is ZERO_IQ:
         assert "cannot set an SNR on a zero-power signal" in proc.stderr
         assert not (tmp_path / "o.iq").exists()
+    if "" in argv or "--in=" in argv:  # an empty path is not taken as no --in
+        assert "argument --in: expected a file path, got an empty one" in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "o.iq").exists()
     if words is NAN_TAP:
         assert "tap gain at delay 3 must be finite" in proc.stderr
         assert "sample buffer" not in proc.stderr

@@ -13,7 +13,8 @@ import ofdmsync
 from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent, SampleBuffer,
                       SizingError, autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
-                                   compute_metrics, detect_blocks, first_events, sliding_sum)
+                                   compute_metrics, detect_blocks, first_events, settles,
+                                   sliding_sum)
 
 from conftest import random_buffer
 
@@ -94,6 +95,8 @@ def test_sliding_sum_window_errors():
             autocorrelation(np.ones(64), lag, window)
     with pytest.raises(ConfigError, match="lag must be an integer"):
         autocorrelation(np.ones(64), 16.0, 16)
+    with pytest.raises(ConfigError, match="window must be an integer"):
+        sliding_sum(np.ones(40), 16.0)
 
 
 def test_sts_plateau_is_period_energy(preamble):
@@ -136,6 +139,12 @@ def test_frame_detect_config_validation():
     for bad in ("0.5", None):
         with pytest.raises(ConfigError, match="threshold must be a real number"):
             FrameDetectConfig(threshold=bad)
+    # the bad value's text is bounded, and an int too long to write is shown by its bit count
+    with pytest.raises(ConfigError, match="got an int of 16610 bits$"):
+        FrameDetectConfig(threshold=10**5000)
+    with pytest.raises(ConfigError, match=r"got 'xxx[x]*\.\.\.$") as excinfo:
+        FrameDetectConfig(threshold="x" * 500)
+    assert len(str(excinfo.value).split("got ")[1]) == 60
     cfg = FrameDetectConfig(lag=np.int64(16), window=np.int32(16), min_plateau=np.uint8(32))
     assert (cfg.lag, cfg.window, cfg.min_plateau) == (16, 16, 32)
     assert {type(cfg.lag), type(cfg.window), type(cfg.min_plateau)} == {int}
@@ -397,10 +406,13 @@ def test_first_events_keep_runs_that_touch_a_row_boundary_apart(preamble):
 @given(n_rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        row_len=st.one_of(st.integers(32, 400), st.integers(BLOCK_LEN - 200, 2 * BLOCK_LEN)),
        bursts=st.lists(st.tuples(st.integers(0, 2 * BLOCK_LEN), st.integers(1, 300)),
-                       max_size=12))
-def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, seed, bursts):
+                       max_size=12),
+       prefix=st.integers(0, 2 * BLOCK_LEN + 40))
+def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, seed, bursts,
+                                                    prefix):
     # Noise with periodic bursts anywhere in the block, so runs open and close
-    # near row ends and near the kernel's step boundaries.
+    # near row ends, near the kernel's step boundaries and near the end of a
+    # first pass over each row's first ``prefix`` samples.
     gen = np.random.default_rng(seed)
     flat = 0.3 * (gen.standard_normal(n_rows * row_len) + 1j * gen.standard_normal(n_rows * row_len))
     period = preamble.samples[:16]
@@ -408,7 +420,30 @@ def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, s
         burst = np.tile(period, length // 16 + 1)[:length]
         flat[at:at + length] = burst[:len(flat[at:at + length])]
     rows = flat.reshape(n_rows, row_len)
-    assert first_events(rows) == [next(iter(detect_frames(row)), None) for row in rows]
+    want = [next(iter(detect_frames(row)), None) for row in rows]
+    assert first_events(rows) == want
+    assert first_events(rows, prefix=prefix) == want
+
+
+@pytest.mark.parametrize("cut", [-2, -1, 0, 1, 40])
+def test_a_prefix_event_stands_only_when_the_prefix_gives_the_output_that_closes_it(cut):
+    # Row 0 holds a run that ends at output 199; row 1 the same run 40 samples
+    # later, and row 2 none. The first pass takes PREFIX = 200 + lag + window +
+    # cut samples, whose outputs run to 200 + cut: at cut 0 and past it output
+    # 200, which closes row 0's run, is one of them, and the event stands.
+    # Below it, the pass ends the run at its last output, which at cut -1 is
+    # the run's own end by chance, and only the scan of the whole row settles
+    # its bounds and peak.
+    cfg = FrameDetectConfig()
+    rows = np.zeros((3, 600), np.complex128)
+    rows[0, 100:216] = rows[1, 140:256] = _tone(8)[:116]
+    want = [next(iter(detect_frames(row, cfg)), None) for row in rows]
+    assert want[0].end_index == 199 and want[1].end_index == 239 and want[2] is None
+    prefix = 200 + cfg.lag + cfg.window + cut
+    assert [settles(event, prefix, cfg) for event in want] == [cut >= 0, cut >= 40, False]
+    assert not settles(want[0], None, cfg)
+    assert first_events(rows, cfg, prefix) == want
+    assert first_events(rows[:, :prefix], cfg)[0].end_index == min(199, 200 + cut)
 
 
 @pytest.mark.parametrize("row_len", [1, 31, 32])

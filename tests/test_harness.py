@@ -39,6 +39,10 @@ MULTIPATH_FOUR_STAGE = {
 # values moved by at most 9 ULP, every frame and timing byte stayed.
 REPORT_SHA256_FOUR_STAGE = "e14075775f2d82cbb510dc76ba511a57401c71dac7fdf7316fae2d8b718ae675"
 REPORT_SHA256_CLEAN = "ebace244cd1c7784f593ff8893e28e8795b0b98b7af074f92da60e09b1bf2352"
+# The four-stage plan above at 0 dB, where no trial has a frame event: the frame
+# stage's first block is scanned again whole after its short first pass, and
+# every later block whole at once. Written down before that pass existed.
+REPORT_SHA256_FOUR_STAGE_0DB = "76af72e4a2a32abe22de14b6f684e1da73e49169ee7dcf49b484e5862da043a1"
 
 
 def two_pass_variance(values):
@@ -211,10 +215,29 @@ def per_trial_reference(plan):
 # one trial buffer longer than a kernel step: each block is one row over two steps
 @example(snr_db=10.0, taps="etsi_c", offset=30, gap_len=9000, cfo_hz=100e3,
          stages=["frame", "cfo"], size="3B", base_seed=7)
+# The frame stage's short first pass reads each row's first PREFIX = offset + 160
+# + (largest tap delay) + 32 samples. The first block's rows 0, 1, 6 and 9 have no
+# event settled there and are scanned whole; the second block, all settled, is
+# scanned whole after them, and the third takes the short pass again.
+@example(snr_db=8.0, taps="etsi_c", offset=30, gap_len=400, cfo_hz=100e3,
+         stages=list(harness.STAGES), size="3B", base_seed=63)
+# Paths every 16 samples keep the metric 16-periodic past the short training, and a
+# faint last path sets the prefix: the noiseless run ends at output 347, which
+# with the last path at delay 188 is the last output but one that PREFIX gives,
+# so the output that closes it is the last one; at delay 186 the run goes on past
+# the prefix, and the pass over it closes the run at the prefix's end instead.
+@example(snr_db=None, taps=((0, 1), (16, 1), (32, 1), (48, 1), (188, 1e-3)), offset=0,
+         gap_len=400, cfo_hz=0.0, stages=["frame"], size="B+1", base_seed=0)
+@example(snr_db=None, taps=((0, 1), (16, 1), (32, 1), (48, 1), (186, 1e-3)), offset=0,
+         gap_len=400, cfo_hz=0.0, stages=["frame"], size="B+1", base_seed=0)
+# a prefix longer than a kernel step, in blocks of one row
+@example(snr_db=10.0, taps="etsi_c", offset=9000, gap_len=400, cfo_hz=100e3,
+         stages=list(harness.STAGES), size="B+1", base_seed=3)
 def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_len, cfo_hz,
                                                     stages, size, base_seed):
-    channel = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz, timing_offset=offset,
-                            taps=harness.UNIT_TAP if taps == "unit" else resolve_taps(taps))
+    if isinstance(taps, str):
+        taps = harness.UNIT_TAP if taps == "unit" else resolve_taps(taps)
+    channel = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz, timing_offset=offset, taps=taps)
     max_delay = channel.taps[-1][0]
     if "time_lts" in stages:
         gap_len = max(gap_len, 127 - max_delay)
@@ -245,7 +268,11 @@ def report_sha256(plan, out_dir):
     (TrialPlan(n_trials=50, stages=("frame", "time_sts", "time_lts", "cfo"),
                channel=ChannelConfig(cfo_hz=-75e3, timing_offset=13)),
      REPORT_SHA256_CLEAN),
-], ids=["etsi_c-four-stage", "clean-noiseless"])
+    (TrialPlan(n_trials=200, stages=("frame", "time_sts", "time_lts", "cfo"),
+               channel=ChannelConfig(snr_db=0.0, cfo_hz=100e3, timing_offset=30,
+                                     taps=resolve_taps("etsi_c"))),
+     REPORT_SHA256_FOUR_STAGE_0DB),
+], ids=["etsi_c-four-stage", "clean-noiseless", "etsi_c-four-stage-0db"])
 def test_report_bytes_pinned(plan, digest, tmp_path):
     assert report_sha256(plan, tmp_path) == digest
 
