@@ -34,11 +34,12 @@ def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, i
         raise SizingError(f"lag must be positive, got {shown(lag)}")
     start, stop = as_int_pair("plateau", plateau)
     if stop <= start:
-        raise SizingError(f"plateau ({start}, {stop}) is empty")
+        raise SizingError(f"plateau ({shown(start)}, {shown(stop)}) is empty")
     # R[n] needs samples n .. n+2*lag-1
     end = stop - 1 + 2 * lag
     if start < 0 or end > n_samples:
-        raise SizingError(f"plateau ({start}, {stop}) with lag {lag} exceeds the buffer")
+        raise SizingError(
+            f"plateau ({shown(start)}, {shown(stop)}) with lag {shown(lag)} exceeds the buffer")
     return start, stop, end
 
 
@@ -95,6 +96,14 @@ def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:
     return apply_cfo(r, -delta_f_hz)
 
 
+def span_within(first: int, last: int, lag: int) -> tuple[int, int]:
+    """The half-open (start, stop) autocorrelation indices from ``first`` whose
+    ``2*lag`` samples end by sample ``last``: ``(first, last - 2*lag + 2)``,
+    and never empty, so at least ``(first, first + 1)``.
+    """
+    return first, max(last - 2 * lag + 2, first + 1)
+
+
 def plateau_from_event(event: FrameEvent, lag: int = 16) -> tuple[int, int]:
     """Shrink a detection run to indices whose windows lie inside the STS.
 
@@ -102,8 +111,6 @@ def plateau_from_event(event: FrameEvent, lag: int = 16) -> tuple[int, int]:
     training because partially overlapping windows still correlate; those
     trailing points mix in guard-interval content and would bias the phase
     average, so the right edge is pulled in by one full correlation span
-    (``2*lag - 1`` samples).
+    (``2*lag - 1`` samples): :func:`span_within` of the run's bounds.
     """
-    stop = event.end_index - (2 * lag - 1) + 1
-    start = event.start_index
-    return start, max(stop, start + 1)
+    return span_within(event.start_index, event.end_index, lag)

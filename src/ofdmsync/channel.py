@@ -45,12 +45,15 @@ class ChannelConfig:
     timing_offset: int = 0
 
     def __post_init__(self):
-        taps = tuple((as_int("tap delay", d), complex(g)) for d, g in self.taps)
+        try:
+            pairs = [(d, complex(g)) for d, g in self.taps]
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int gain past float64
+            raise ConfigError(f"taps must be (delay, gain) pairs, got {shown(self.taps)}") from None
+        taps = tuple((as_int("tap delay", d, (0, MAX_GENERATED_SAMPLES)), g) for d, g in pairs)
         if not taps:
             raise ConfigError("channel needs at least one tap")
-        delays = [d for d, _ in taps]
-        if delays[0] < 0 or any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ConfigError("tap delays must be non-negative and strictly increasing")
+        if any(b[0] <= a[0] for a, b in zip(taps, taps[1:])):
+            raise ConfigError("tap delays must be strictly increasing")
         for delay, gain in taps:
             if not cmath.isfinite(gain):
                 raise ConfigError(f"tap gain at delay {delay} must be finite, got {gain}")

@@ -24,11 +24,12 @@ from .cfo import correct_cfo, estimate_cfo, plateau_from_event
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError
-from .frame_detect import FrameDetectConfig, autocorrelation, detect_blocks, detect_frames
-from .harness import emit_report, load_plan, preamble_train, run_trials
+from .frame_detect import (METRIC_MODES, FrameDetectConfig, autocorrelation, detect_blocks,
+                           detect_frames)
+from .harness import TrialPlan, emit_report, load_plan, preamble_train, run_trials
 from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_rows, write_table
 from .preamble import generate_preamble
-from .time_sync import (TimeSyncConfig, cross_correlate, default_expected_peak,
+from .time_sync import (TEMPLATES, TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
 
 DEFAULT_SEED = 0
@@ -112,17 +113,17 @@ def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
         sub.add_argument("--sample-rate", default=DEFAULT_SAMPLE_RATE,
                          type=_in_range(float, MIN_SAMPLE_RATE, MAX_SAMPLE_RATE, " Hz"),
                          help="sample rate in Hz for file input (default %(default)s)")
-    add("--gap-len", type=_in_range(), default=400, metavar="N",
+    add("--gap-len", type=_in_range(), default=TrialPlan.gap_len, metavar="N",
         help="idle samples after each generated frame (default %(default)s)")
     add("--seed", type=int, default=DEFAULT_SEED,
         help="RNG seed (default %(default)s, fixed, not entropy)")
-    add("--snr-db", type=_parse_snr, default=None, metavar="DB|none",
+    add("--snr-db", type=_parse_snr, default=ChannelConfig.snr_db, metavar="DB|none",
         help="channel SNR in dB, or 'none' for noiseless (default)")
-    add("--cfo-hz", type=float, default=0.0,
+    add("--cfo-hz", type=float, default=ChannelConfig.cfo_hz,
         help="carrier frequency offset in Hz (default %(default)s)")
     add("--taps", default=None, metavar="FILE|NAME",
         help="tap profile file, or built-in name (etsi_a, etsi_c)")
-    add("--timing-offset", type=_in_range(), default=0, metavar="N",
+    add("--timing-offset", type=_in_range(), default=ChannelConfig.timing_offset, metavar="N",
         help="lead samples before the frame (default %(default)s)")
 
 
@@ -267,20 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run frame detection")
     _add_input_args(p, with_rate=False)
     p.add_argument("--frames", action=_GeneratorFlag, type=_in_range(low=1), default=1,
-                   help="number of repeated frames when generating input (default 1)")
-    p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="detection threshold (default 0.5)")
-    p.add_argument("--min-plateau", type=int, default=32,
-                   help="required above-threshold run length (default 32)")
-    p.add_argument("--metric-mode", choices=("exact", "l1_approx"), default="exact")
+                   help="number of repeated frames when generating input (default %(default)s)")
+    p.add_argument("--lag", type=int, default=FrameDetectConfig.lag,
+                   help="autocorrelation lag (default %(default)s)")
+    p.add_argument("--threshold", type=float, default=FrameDetectConfig.threshold,
+                   help="detection threshold (default %(default)s)")
+    p.add_argument("--min-plateau", type=int, default=FrameDetectConfig.min_plateau,
+                   help="required above-threshold run length (default %(default)s)")
+    p.add_argument("--metric-mode", choices=METRIC_MODES, default=FrameDetectConfig.metric_mode)
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write per-sample metric trace CSV")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("timesync", help="estimate symbol timing by cross-correlation")
     _add_input_args(p, with_rate=False, read_with_in=("--timing-offset",))
-    p.add_argument("--template", choices=("sts", "lts"), default="lts")
+    p.add_argument("--template", choices=TEMPLATES, default=TimeSyncConfig.template)
     p.add_argument("--window", type=_parse_window, default=None, metavar="START:LEN",
                    help="argmax search window over alignment indices of the buffer "
                    "(default: around the landmark of a frame at --timing-offset)")
@@ -290,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cfo", help="estimate (and optionally correct) the frequency offset")
     _add_input_args(p, with_rate=True)
-    p.add_argument("--lag", type=int, default=16, help="autocorrelation lag (default 16)")
+    p.add_argument("--lag", type=int, default=FrameDetectConfig.lag,
+                   help="autocorrelation lag (default %(default)s)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the offset-corrected samples here")
     p.add_argument("--format", choices=("iq", "csv"), default="iq")

@@ -39,8 +39,13 @@ class SampleBuffer:
         samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
         if not all_finite(samples):
             raise ConfigError("sample buffer contains non-finite values")
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ConfigError(f"sample rate must be positive and finite, got {self.sample_rate}")
+        try:
+            valid = self.sample_rate > 0 and math.isfinite(self.sample_rate)
+        except (TypeError, ValueError, OverflowError):  # not a real number, or past float64
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"sample rate must be positive and finite, got {shown(self.sample_rate)}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
@@ -71,11 +76,15 @@ def shown(value) -> str:
     """``repr(value)`` for an error message, cut to at most 60 characters.
 
     An int of more than 200 bits is shown by its bit count instead: Python
-    refuses to write one of more than 4300 digits as text.
+    refuses to write one of more than 4300 digits as text, which also stops
+    the ``repr`` of a container that holds one.
     """
     if isinstance(value, int) and value.bit_length() > 200:
         return f"an int of {value.bit_length()} bits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an int too long to write"
     return text if len(text) <= 60 else text[:57] + "..."
 
 

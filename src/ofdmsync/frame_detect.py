@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_LEN, SampleBuffer, as_int, as_samples, shown
+from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_samples, shown
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -51,14 +51,11 @@ class FrameDetectConfig:
 
     def __post_init__(self):
         for name in ("lag", "window", "min_plateau"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.lag < 1 or self.window < 1:
-            raise ConfigError("lag and window must be positive")
+            object.__setattr__(self, name, as_int(name, getattr(self, name),
+                                                  (1, MAX_GENERATED_SAMPLES)))
         if not (isinstance(self.threshold, numbers.Real) and 0 < self.threshold < 1):
             raise ConfigError(
                 f"threshold must be a real number in (0, 1), got {shown(self.threshold)}")
-        if self.min_plateau < 1:
-            raise ConfigError("min_plateau must be positive")
         if self.metric_mode not in METRIC_MODES:
             raise ConfigError(f"metric_mode must be one of {METRIC_MODES}")
 
@@ -85,7 +82,7 @@ def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
     if window < 1:
         raise SizingError("window must be positive")
     if len(values) < window:
-        raise SizingError(f"need at least {window} values, got {len(values)}")
+        raise SizingError(f"need at least {shown(window)} values, got {len(values)}")
     if out is None:
         out = np.empty(len(values) - window + 1, values.dtype)
     copy, steps = _tree_plan(window)
@@ -138,14 +135,15 @@ def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
     """R[n] = sum_{m<window} r[n+m] * conj(r[n+m+lag]) for every valid n."""
     x = as_samples(r)
     if as_int("lag", lag) < 1 or as_int("window", window) < 1:
-        raise SizingError(f"lag and window must be positive, got {lag} and {window}")
+        raise SizingError(f"lag and window must be positive, got {shown(lag)} and {shown(window)}")
     _require_window(x, lag, window)
     return _correlate(x, lag, window)
 
 
 def _require_window(x: np.ndarray, lag: int, window: int) -> None:
     if len(x) < lag + window:
-        raise SizingError(f"buffer of {len(x)} samples is shorter than lag+window={lag + window}")
+        raise SizingError(
+            f"buffer of {len(x)} samples is shorter than lag+window={shown(lag + window)}")
 
 
 def _lag_products(x, lag: int, conj=None, out=None) -> np.ndarray:
@@ -265,15 +263,15 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
     metric value depends only on its own row's samples, so it has the bits
     of that row's own pass. Events index their own row.
 
-    With a ``prefix``, a first pass takes a contiguous copy of each row's
-    first ``prefix`` samples, and a row's first event from it stands when it
-    :func:`settles` there. The other rows (no event, or one whose run the end
-    of the prefix may have cut) are then taken whole, so the events are
-    those of the whole rows either way.
+    With a ``prefix``, a first pass takes a contiguous copy of the samples
+    that give each row's first ``prefix`` metric outputs, and a row's first
+    event from it stands when it :func:`settles` there. The other rows (no
+    event, or one whose run the end of the prefix may have cut) are then
+    taken whole, so the events are those of the whole rows either way.
     """
     if prefix is not None:
-        first = _first_events(rows[:, :prefix], cfg)
-        rescan = [row for row, event in enumerate(first) if not settles(event, prefix, cfg)]
+        first = _first_events(rows[:, :prefix + cfg.lag + cfg.window - 1], cfg)
+        rescan = [row for row, event in enumerate(first) if not settles(event, prefix)]
         if rescan:
             for row, event in zip(rescan, _first_events(rows[rescan], cfg)):
                 first[row] = event
@@ -281,19 +279,18 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
     return _first_events(rows, cfg)
 
 
-def settles(event: FrameEvent | None, prefix: int | None, cfg: FrameDetectConfig) -> bool:
-    """Whether ``event``, the first event of a row or of the row's first
-    ``prefix`` samples, has settled in that prefix: the output after the
-    event's end, which closes its run, is one of the ``prefix - lag - window
-    + 1`` that the prefix gives.
+def settles(event: FrameEvent | None, prefix: int | None) -> bool:
+    """Whether ``event``, the first event of a row or of the samples that
+    give the row's first ``prefix`` metric outputs, has settled in that
+    prefix: the output after the event's end, which closes its run, is one
+    of those outputs.
 
     Every output up to that one has the same bits in the prefix and in the
     whole row, so both then have the same runs up to it and the same first
     event; when one pass's first event has not settled, neither has the
     other's. None (no event, or no prefix) never settles.
     """
-    return event is not None and prefix is not None and (
-        event.end_index + cfg.lag + cfg.window < prefix)
+    return event is not None and prefix is not None and event.end_index + 1 < prefix
 
 
 def _first_events(rows: np.ndarray, cfg: FrameDetectConfig) -> list[FrameEvent | None]:
@@ -306,9 +303,10 @@ def _first_events(rows: np.ndarray, cfg: FrameDetectConfig) -> list[FrameEvent |
             metric[max(at - n, 0):at - n + context] = 0
 
     first: list[FrameEvent | None] = [None] * n_rows
-    for event in reversed(detect_blocks([rows.reshape(-1)], cfg, cut)):
+    for event in detect_blocks([rows.reshape(-1)], cfg, cut):
         row, start = divmod(event.start_index, row_len)
-        first[row] = FrameEvent(start, event.end_index - row * row_len, event.peak_metric)
+        if first[row] is None:
+            first[row] = FrameEvent(start, event.end_index - row * row_len, event.peak_metric)
     return first
 
 

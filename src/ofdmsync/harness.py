@@ -10,7 +10,7 @@ reproduced by any plotting tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ import numpy as np
 # detect_frames and estimate_cfo are the per-trial forms of the block stages.
 # run_trials no longer calls them; bench/spans.py still traces them under
 # these names, and bench/test_bench.py requires each traced name to exist.
-from .cfo import estimate_cfo, estimate_cfo_rows  # noqa: F401
-from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
+from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
+from .channel import ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
@@ -117,7 +117,7 @@ def _statistics(values: list[float], indices: list[int], failures: int) -> Trial
                            _histogram(values), failures)
 
 
-def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> SampleBuffer:
+def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBuffer:
     """``count`` copies of the frame, each followed by ``gap_len`` zeros,
     mirroring a transmitter that repeats the preamble back-to-back.
 
@@ -132,12 +132,6 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int = 400) -> Sa
                           f"more than {MAX_GENERATED_SAMPLES}")
     gap = np.zeros(gap_len, np.complex128)
     return SampleBuffer(np.concatenate([preamble.samples, gap] * count), preamble.sample_rate)
-
-
-def _sts_plateau(cfg: ChannelConfig, lag: int) -> tuple[int, int]:
-    # Every index whose correlation windows sit fully inside the short training.
-    start = cfg.timing_offset
-    return start, start + STS_LEN - 2 * lag + 1
 
 
 def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
@@ -159,16 +153,18 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     allocated once per run, and the frame and cfo stages each take a whole
     block in one pass (:func:`~ofdmsync.frame_detect.first_events`,
     :func:`~ofdmsync.cfo.estimate_cfo_rows`), with the bits of a pass per
-    trial. The cfo stage reads each buffer's short-training span, and each
-    timing stage its search window.
+    trial. The cfo stage reads each buffer's short-training span
+    (:func:`~ofdmsync.cfo.span_within` of the short training's samples), and
+    each timing stage its search window.
 
     The frame stage first reads each buffer only through the short training
     of the latest path: its first ``timing_offset + STS_LEN + (largest tap
-    delay) + 1 + lag + window - 1`` samples, whose metric outputs run one
-    past that training's last sample. A buffer's first event from that pass
-    stands when it has settled there, that is when the output after its end
-    is one of those outputs (:func:`~ofdmsync.frame_detect.settles`). The
-    buffers with no settled event (no event, or a run that the end of the
+    delay) + 1`` metric outputs, which run one past that training's last
+    sample (:func:`~ofdmsync.frame_detect.first_events` adds the samples of
+    the detector's context). A buffer's first event from that pass stands
+    when it has settled there, that is when the output after its end is one
+    of those outputs (:func:`~ofdmsync.frame_detect.settles`). The buffers
+    with no settled event (no event, or a run that the end of the
     pass may have cut) are scanned whole, so the events are those of whole
     buffers. A block takes the short pass only when every buffer of the
     block before it settled there, and the first block takes it; otherwise
@@ -196,13 +192,12 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
             values[stage].append(value)
             indices[stage].append(trial)
 
-    timing = [(stage, TimeSyncConfig(
-                  template, default_search_window(template, plan.channel.timing_offset)))
+    offset = plan.channel.timing_offset
+    timing = [(stage, TimeSyncConfig(template, default_search_window(template, offset)))
               for stage, template in _TIMING_STAGES if stage in plan.stages]
-    cfo_span = _sts_plateau(plan.channel, detect_cfg.lag)
+    cfo_span = span_within(offset, offset + STS_LEN - 1, detect_cfg.lag)
     # the frame stage's first pass: each trial through the latest path's short training
-    prefix = (plan.channel.timing_offset + STS_LEN + plan.channel.taps[-1][0] + 1
-              + detect_cfg.lag + detect_cfg.window - 1)
+    prefix = offset + STS_LEN + plan.channel.taps[-1][0] + 1
     short = True  # whether the block takes that pass: every row of the last one settled in it
 
     rows = None  # the block workspace
@@ -219,7 +214,7 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
         block, first = rows[:k + 1], i - k
         if "frame" in values:
             events = first_events(block, detect_cfg, prefix if short else None)
-            short = all(settles(event, prefix, detect_cfg) for event in events)
+            short = all(settles(event, prefix) for event in events)
             for trial, event in enumerate(events, first):
                 record("frame", trial, None if event is None else float(event.start_index))
         if "cfo" in values:
@@ -268,19 +263,22 @@ def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -
     return paths
 
 
-_PLAN_KEYS = ("n_trials", "base_seed", "stages", "snr_db", "cfo_hz",
-              "timing_offset", "taps", "gap_len")
-
-
 def load_plan(path) -> TrialPlan:
     """Parse a ``key = value`` plan file ('#' comments allowed).
 
     Keys: n_trials, base_seed, stages (comma list), snr_db (number or
     'none'/'noiseless'), cfo_hz, timing_offset, taps (profile name or path,
     relative to the plan file), gap_len (idle samples after the frame; they
-    carry the channel noise).
+    carry the channel noise). A key left out keeps its config's default
+    (:class:`TrialPlan`, :class:`~ofdmsync.channel.ChannelConfig`).
     """
     path = Path(path)
+    parsers = {  # each key's parser, in the order the unknown-key message lists them
+        "n_trials": int, "base_seed": int,
+        "stages": lambda text: tuple(s.strip() for s in text.split(",")),
+        "snr_db": parse_snr, "cfo_hz": float, "timing_offset": int,
+        "taps": lambda text: _plan_taps(text, path.parent), "gap_len": int,
+    }
     if not path.is_file():
         raise ConfigError(f"plan file not found: {path}")
     raw: dict[str, str] = {}
@@ -291,35 +289,21 @@ def load_plan(path) -> TrialPlan:
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _PLAN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; valid keys: {_PLAN_KEYS}")
+        if key not in parsers:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: {tuple(parsers)}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
     try:
-        channel = ChannelConfig(
-            cfo_hz=float(raw.get("cfo_hz", "0")),
-            snr_db=parse_snr(raw.get("snr_db", "none")),
-            taps=_plan_taps(raw.get("taps"), path.parent),
-            timing_offset=int(raw.get("timing_offset", "0")),
-        )
-        stages = tuple(s.strip() for s in raw.get("stages", "time_sts,time_lts").split(","))
-        return TrialPlan(
-            n_trials=int(raw.get("n_trials", "300")),
-            channel=channel,
-            stages=stages,
-            base_seed=int(raw.get("base_seed", "0")),
-            gap_len=int(raw.get("gap_len", "400")),
-        )
+        given = {key: parse(raw[key]) for key, parse in parsers.items() if key in raw}
+        channel = {f.name: given.pop(f.name) for f in fields(ChannelConfig) if f.name in given}
+        return TrialPlan(channel=ChannelConfig(**channel), **given)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _plan_taps(value: str | None, base_dir: Path):
-    if value is None:
-        return UNIT_TAP
-    candidate = Path(value)
-    if not candidate.is_absolute() and (base_dir / candidate).is_file():
-        return resolve_taps(base_dir / candidate)
-    return resolve_taps(value)
+def _plan_taps(value: str, base_dir: Path):
+    local = base_dir / value  # an absolute value is its own path
+    return resolve_taps(local if local.is_file() else value)

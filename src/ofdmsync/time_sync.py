@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_int_pair, as_samples
+from .core import as_int_pair, as_samples, shown
 from .errors import ConfigError, SizingError
 from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, STS_LEN,
                        generate_preamble)
@@ -113,7 +113,7 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate
     start, length = cfg.search_window or default_search_window(cfg.template)
     if start < 0 or start + length > n_out:
         raise SizingError(
-            f"search window [{start}, {start + length}) outside correlator output "
+            f"search window [{shown(start)}, {shown(start + length)}) outside correlator output "
             f"of length {n_out}")
     magnitude = _magnitude(x[start:start + length + len(template) - 1], template)
     local = int(magnitude.argmax())

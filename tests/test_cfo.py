@@ -66,7 +66,12 @@ def test_estimate_errors():
             (16, (0.9, 100.7), ConfigError, "plateau bound must be an integer"),
             (16, (5,), ConfigError, "plateau must be a pair of integers"),
             (-3, (0, 50), SizingError, "lag must be positive"),
-            (0, (0, 50), SizingError, "lag must be positive")):
+            (0, (0, 50), SizingError, "lag must be positive"),
+            # an int too long for Python to write is shown by its bit count
+            (16, (10**5000, 10**5000 + 5), SizingError,
+             r"plateau \(an int of 16610 bits, an int of 16610 bits\) with lag 16 exceeds"),
+            (16, (0, 10**5000), SizingError, r"plateau \(0, an int of 16610 bits\)"),
+            (10**5000, (0, 50), SizingError, "with lag an int of 16610 bits exceeds")):
         with pytest.raises(error, match=message):
             estimate_cfo(zeros, lag, plateau)
         with pytest.raises(error, match=message):

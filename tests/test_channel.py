@@ -378,6 +378,16 @@ def test_channel_config_validation():
             ChannelConfig(timing_offset=bad)
     with pytest.raises(ConfigError, match="tap delay must be an integer"):
         ChannelConfig(taps=((0, 1.0), (2.5, 0.5)))
+    # a tap that is no (delay, gain) pair of numbers, a gain past float64's range
+    # or a delay past MAX_GENERATED_SAMPLES is a config error, not Python's own
+    for taps, message in ((((0, 10**5000),), "got a tuple holding an int too long to write$"),
+                          (((0, "a"),), r"got \(\(0, 'a'\),\)$"),
+                          (((0,),), r"got \(\(0,\),\)$"), (5, "got 5$")):
+        with pytest.raises(ConfigError, match=f"taps must be \\(delay, gain\\) pairs.*{message}"):
+            ChannelConfig(taps=taps)
+    for delay in (MAX_GENERATED_SAMPLES + 1, 10**20, 10**5000):
+        with pytest.raises(ConfigError, match="tap delay must lie in"):
+            ChannelConfig(taps=((0, 1.0), (delay, 0.5)))
     # offsets and SNRs are real numbers: None or a string is rejected, not left to numpy
     for name, bad, message in (("cfo_hz", None, "must be a finite real number"),
                                ("cfo_hz", "1e3", "must be a finite real number"),

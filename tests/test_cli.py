@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import (ChannelConfig, FrameDetectConfig, TrialPlan, cli, frame_detect, read_iq,
-                      run_trials)
+from ofdmsync import (ChannelConfig, FrameDetectConfig, TimeSyncConfig, TrialPlan, cli,
+                      frame_detect, read_iq, run_trials)
 from ofdmsync.channel import resolve_taps
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
@@ -35,6 +35,18 @@ def test_help_exits_zero(sub, capsys):
         main([sub, "--help"])
     assert excinfo.value.code == 0
     assert "--" in capsys.readouterr().out
+
+
+def test_parsed_defaults_build_the_default_configs():
+    # each flag's default is its config field's, so a bare command runs the default configs
+    parser = cli.build_parser()
+    args = parser.parse_args(["detect"])
+    assert FrameDetectConfig(lag=args.lag, threshold=args.threshold, min_plateau=args.min_plateau,
+                             metric_mode=args.metric_mode) == FrameDetectConfig()
+    assert cli._channel_config(args) == ChannelConfig()
+    assert args.gap_len == TrialPlan().gap_len
+    assert TimeSyncConfig(template=parser.parse_args(["timesync"]).template) == TimeSyncConfig()
+    assert FrameDetectConfig(lag=parser.parse_args(["cfo"]).lag) == FrameDetectConfig()
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -371,11 +383,14 @@ NAN_TAP = b"0 1 0\n3 nan 0\n"
     (["timesync", "--in", ""], None, 2),
     (["cfo", "--in="], None, 2),
     (["channel", "--in=", "--out", "o.iq"], None, 2),
+    (["detect", "--lag", "99999999999999999999"], None, 2),
+    (["cfo", "--lag", "99999999999999999999"], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
         "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
-        "timesync-empty-in", "cfo-empty-in", "channel-empty-in"])
+        "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
+        "cfo-huge-lag"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -401,6 +416,8 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
         assert "tap gain at delay 3 must be finite" in proc.stderr
         assert "sample buffer" not in proc.stderr
         assert not (tmp_path / "nan.iq").exists()
+    if "99999999999999999999" in argv:  # no workspace is sized from it
+        assert "lag must lie in [1, 16777216], got 99999999999999999999" in proc.stderr
 
 
 def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):
@@ -587,8 +604,8 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
             # from MAX // 320 + 1 frames up, even a gapless train is too long
             argv.append("--frames=" + _size(draw, -1, 4, (0,),
                                             huge_from=MAX_GENERATED_SAMPLES // 320 + 1))
-        argv += ["--lag=" + _number(draw, -1, 600, (0, 1, 16)),
-                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32)),
+        argv += ["--lag=" + _number(draw, -1, 600, (0, 1, 16, 10**20)),
+                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32, 10**20)),
                  "--threshold=" + _real(draw, -0.5, 1.5),
                  "--metric-mode=" + draw(st.sampled_from(("exact", "l1_approx")))]
     elif sub == "timesync":
@@ -596,7 +613,7 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
         if draw(st.booleans()):
             argv.append(f"--window={_number(draw, -50, 1500)}:{_number(draw, -2, 1500)}")
     elif sub == "cfo":
-        argv.append("--lag=" + _number(draw, -1, 600, (0, 1, 16)))
+        argv.append("--lag=" + _number(draw, -1, 600, (0, 1, 16, 10**20)))
         if draw(st.booleans()):
             argv.append(f"--out={tmp / 'fixed.iq'}")
     else:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,19 @@ def test_sample_buffer_rejects_a_non_finite_part_of_a_strided_view():
     assert len(SampleBuffer(samples[::2])) == 10
     with pytest.raises(ConfigError, match="non-finite"):
         SampleBuffer(samples[1::2])
+
+
+@pytest.mark.parametrize("rate, shown", [
+    (0, "0"), (-1.0, "-1.0"), (float("inf"), "inf"), (float("nan"), "nan"), (None, "None"),
+    ("x", "'x'"), (1j, "1j"), (10**5000, "an int of 16610 bits")],
+    ids=["zero", "negative", "inf", "nan", "none", "string", "complex", "huge-int"])
+def test_sample_buffer_rejects_a_rate_that_is_not_a_positive_finite_number(rate, shown):
+    # a string, a complex or an int past float64's range is a config error,
+    # not the TypeError or OverflowError of the comparison that finds it
+    with pytest.raises(ConfigError, match=f"sample rate must be positive and finite, got "
+                                          f"{re.escape(shown)}$"):
+        SampleBuffer(np.ones(3), sample_rate=rate)
+    assert SampleBuffer(np.ones(3), sample_rate=np.int64(5)).sample_rate == 5.0
 
 
 def test_all_finite_copies_no_strided_complex_view():

@@ -12,6 +12,7 @@ import ofdmsync
 
 from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent, SampleBuffer,
                       SizingError, autocorrelation, detect_frames, preamble_train, transmit)
+from ofdmsync.core import MAX_GENERATED_SAMPLES
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
                                    compute_metrics, detect_blocks, first_events, settles,
                                    sliding_sum)
@@ -97,6 +98,13 @@ def test_sliding_sum_window_errors():
         autocorrelation(np.ones(64), 16.0, 16)
     with pytest.raises(ConfigError, match="window must be an integer"):
         sliding_sum(np.ones(40), 16.0)
+    # an int too long for Python to write is shown by its bit count
+    with pytest.raises(SizingError, match="need at least an int of 16610 bits values"):
+        sliding_sum(np.ones(40), 10**5000)
+    with pytest.raises(SizingError, match="lag[+]window=an int of 16610 bits$"):
+        autocorrelation(np.ones(40), 10**5000, 16)
+    with pytest.raises(SizingError, match="positive, got an int of 16610 bits and 16$"):
+        autocorrelation(np.ones(40), -10**5000, 16)
 
 
 def test_sts_plateau_is_period_energy(preamble):
@@ -130,6 +138,11 @@ def test_frame_detect_config_validation():
                    {"metric_mode": "l2"}):
         with pytest.raises(ConfigError):
             FrameDetectConfig(**kwargs)
+    # sizes are bounded, so no workspace is sized from a huge one
+    for name in ("lag", "window", "min_plateau"):
+        for bad in (0, -1, MAX_GENERATED_SAMPLES + 1, 10**20, 10**5000):
+            with pytest.raises(ConfigError, match=f"{name} must lie in \\[1, "):
+                FrameDetectConfig(**{name: bad})
     # sizes are integers: a float is rejected here, not left to numpy or rounded
     for name, bad in (("lag", 16.0), ("window", 16.0), ("min_plateau", 32.5),
                       ("min_plateau", np.float64(32.0))):
@@ -407,12 +420,12 @@ def test_first_events_keep_runs_that_touch_a_row_boundary_apart(preamble):
        row_len=st.one_of(st.integers(32, 400), st.integers(BLOCK_LEN - 200, 2 * BLOCK_LEN)),
        bursts=st.lists(st.tuples(st.integers(0, 2 * BLOCK_LEN), st.integers(1, 300)),
                        max_size=12),
-       prefix=st.integers(0, 2 * BLOCK_LEN + 40))
+       prefix=st.integers(0, 2 * BLOCK_LEN + 9))
 def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, seed, bursts,
                                                     prefix):
     # Noise with periodic bursts anywhere in the block, so runs open and close
     # near row ends, near the kernel's step boundaries and near the end of a
-    # first pass over each row's first ``prefix`` samples.
+    # first pass over each row's first ``prefix`` metric outputs.
     gen = np.random.default_rng(seed)
     flat = 0.3 * (gen.standard_normal(n_rows * row_len) + 1j * gen.standard_normal(n_rows * row_len))
     period = preamble.samples[:16]
@@ -428,22 +441,22 @@ def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, s
 @pytest.mark.parametrize("cut", [-2, -1, 0, 1, 40])
 def test_a_prefix_event_stands_only_when_the_prefix_gives_the_output_that_closes_it(cut):
     # Row 0 holds a run that ends at output 199; row 1 the same run 40 samples
-    # later, and row 2 none. The first pass takes PREFIX = 200 + lag + window +
-    # cut samples, whose outputs run to 200 + cut: at cut 0 and past it output
-    # 200, which closes row 0's run, is one of them, and the event stands.
-    # Below it, the pass ends the run at its last output, which at cut -1 is
-    # the run's own end by chance, and only the scan of the whole row settles
-    # its bounds and peak.
+    # later, and row 2 none. The first pass takes PREFIX = 201 + cut outputs,
+    # which run to 200 + cut: at cut 0 and past it output 200, which closes
+    # row 0's run, is one of them, and the event stands. Below it, the pass
+    # ends the run at its last output, which at cut -1 is the run's own end by
+    # chance, and only the scan of the whole row settles its bounds and peak.
     cfg = FrameDetectConfig()
     rows = np.zeros((3, 600), np.complex128)
     rows[0, 100:216] = rows[1, 140:256] = _tone(8)[:116]
     want = [next(iter(detect_frames(row, cfg)), None) for row in rows]
     assert want[0].end_index == 199 and want[1].end_index == 239 and want[2] is None
-    prefix = 200 + cfg.lag + cfg.window + cut
-    assert [settles(event, prefix, cfg) for event in want] == [cut >= 0, cut >= 40, False]
-    assert not settles(want[0], None, cfg)
+    prefix = 201 + cut
+    assert [settles(event, prefix) for event in want] == [cut >= 0, cut >= 40, False]
+    assert not settles(want[0], None)
     assert first_events(rows, cfg, prefix) == want
-    assert first_events(rows[:, :prefix], cfg)[0].end_index == min(199, 200 + cut)
+    samples = prefix + cfg.lag + cfg.window - 1  # the samples that give PREFIX outputs
+    assert first_events(rows[:, :samples], cfg)[0].end_index == min(199, 200 + cut)
 
 
 @pytest.mark.parametrize("row_len", [1, 31, 32])

@@ -11,7 +11,7 @@ from ofdmsync import (ChannelConfig, ConfigError, EstimationError, TimeSyncConfi
                       detect_frames, emit_report, estimate_cfo, estimate_timing,
                       generate_preamble, load_plan, preamble_train, run_trials, transmit,
                       variance)
-from ofdmsync.channel import resolve_taps
+from ofdmsync.channel import UNIT_TAP, resolve_taps
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 from ofdmsync.time_sync import default_search_window
@@ -236,7 +236,7 @@ def per_trial_reference(plan):
 def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_len, cfo_hz,
                                                     stages, size, base_seed):
     if isinstance(taps, str):
-        taps = harness.UNIT_TAP if taps == "unit" else resolve_taps(taps)
+        taps = UNIT_TAP if taps == "unit" else resolve_taps(taps)
     channel = ChannelConfig(snr_db=snr_db, cfo_hz=cfo_hz, timing_offset=offset, taps=taps)
     max_delay = channel.taps[-1][0]
     if "time_lts" in stages:
@@ -358,7 +358,7 @@ def test_plan_validation():
 def test_plan_rejects_an_lts_window_past_the_trial_buffer(taps):
     # The long template's search window ends 127 samples past the frame's
     # last sample, which the gap and the channel's delay spread must cover.
-    channel = ChannelConfig(taps=harness.UNIT_TAP if taps == "unit" else resolve_taps(taps),
+    channel = ChannelConfig(taps=UNIT_TAP if taps == "unit" else resolve_taps(taps),
                             timing_offset=9)
     least = 127 - channel.taps[-1][0]
     with pytest.raises(ConfigError, match=f"gap_len {least - 1} .*at least {least}$"):
@@ -463,6 +463,13 @@ def test_load_plan_noiseless_and_defaults(tmp_path):
     assert plan.channel.snr_db is None
     assert plan.n_trials == 300
     assert plan.stages == ("time_sts", "time_lts")
+
+
+def test_a_plan_of_comments_only_loads_the_default_plan(tmp_path):
+    # a key a plan leaves out keeps its config's default
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("# nothing set\n\n   # indented\n")
+    assert load_plan(cfg) == TrialPlan()
 
 
 def test_load_plan_taps_profile(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ofdmsync import (ConfigError, SampleBuffer, SizingError, TimeSyncConfig, cross_correlate,
                       estimate_timing, training_template)
+from ofdmsync.core import shown
 from ofdmsync.preamble import SHORT_PERIOD
 from ofdmsync.time_sync import default_expected_peak, default_search_window
 
@@ -180,13 +181,14 @@ def test_windowed_estimate_matches_full_correlation(preamble, data):
     (400, lambda n_out: n_out - 5, 6),
     (400, lambda n_out: 0, 1000),
     (400, lambda n_out: n_out, 1),
+    (400, lambda n_out: 10**5000, 2),  # shown by its bit count: Python will not write it
 ])
 def test_window_out_of_range_message(template, n, start_of, length):
     sym = len(training_template(template))
     n_out = n - sym + 1
     start = start_of(n_out)
     cfg = TimeSyncConfig(template=template, search_window=(start, length))
-    message = (f"search window [{start}, {start + length}) outside correlator output "
+    message = (f"search window [{shown(start)}, {shown(start + length)}) outside correlator output "
                f"of length {n_out}")
     with pytest.raises(SizingError, match=re.escape(message)):
         estimate_timing(np.zeros(n, complex), cfg)
