@@ -16,7 +16,7 @@ import numpy as np
 from .channel import apply_cfo
 from .core import SampleBuffer, as_int, as_int_pair, shown
 from .errors import EstimationError, SizingError
-from .frame_detect import FrameEvent, _correlate
+from .frame_detect import FrameDetectConfig, FrameEvent, _correlate
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def span_within(first: int, last: int, lag: int) -> tuple[int, int]:
     return first, max(last - 2 * lag + 2, first + 1)
 
 
-def plateau_from_event(event: FrameEvent, lag: int = 16) -> tuple[int, int]:
+def plateau_from_event(event: FrameEvent, lag: int = FrameDetectConfig.lag) -> tuple[int, int]:
     """Shrink a detection run to indices whose windows lie inside the STS.
 
     The detection metric stays above threshold a little past the short

@@ -131,7 +131,8 @@ def _tree_plan(window: int):
     return copy, tuple(steps)
 
 
-def autocorrelation(r, lag: int = 16, window: int = 16) -> np.ndarray:
+def autocorrelation(r, lag: int = FrameDetectConfig.lag,
+                    window: int = FrameDetectConfig.window) -> np.ndarray:
     """R[n] = sum_{m<window} r[n+m] * conj(r[n+m+lag]) for every valid n."""
     x = as_samples(r)
     if as_int("lag", lag) < 1 or as_int("window", window) < 1:
@@ -181,13 +182,20 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     ``sliding_sum(abs(x[lag:])**2, window) / window`` and so on. The
     returned arrays are views into ``arena``; ``top`` is NaN when any metric
     value is.
+
+    R's floats and P are adjacent in the arena. For a power-of-two window,
+    one multiply by ``1 / window`` scales both: that reciprocal is exact, so
+    the multiply and the divide by ``window`` each round the same real
+    number once and give the same bits, subnormals and overflow included.
+    Another window's reciprocal is rounded, so R is multiplied by it (which
+    is how numpy divides a complex by a real) and P is divided.
     """
     lag, window = cfg.lag, cfg.window
     n = len(x) - lag
     k = n - window + 1
     floats = arena.view(_FLOAT64)
     conj, products, R = arena[:n], arena[n:2 * n], arena[2 * n:2 * n + k]
-    R_floats, powers = floats[4 * n:4 * n + 2 * k], floats[:n]
+    powers, scaled = floats[:n], floats[4 * n:4 * n + 3 * k]  # scaled: R's floats, then P
     P = p_squared = floats[4 * n + 2 * k:4 * n + 3 * k]
     numerator, metric = floats[4 * n + 3 * k:4 * n + 4 * k], floats[4 * n + 4 * k:4 * n + 5 * k]
     _lag_products(x, lag, conj, products)
@@ -200,8 +208,12 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
             head = sums if a is None else values[a]
             np.add(head, values[b], sums if into_out else head)
     # numpy scalars, which numpy converts faster than Python numbers
-    np.multiply(R_floats, np.float64(1.0 / window), R_floats)
-    np.divide(P, np.float64(window), P)
+    if window & (window - 1):
+        R_floats = scaled[:2 * k]
+        np.multiply(R_floats, np.float64(1.0 / window), R_floats)
+        np.divide(P, np.float64(window), P)
+    else:
+        np.multiply(scaled, np.float64(1.0 / window), scaled)
     np.square(P, p_squared)
     exact = cfg.metric_mode == "exact"
     for divided in (False, True):
@@ -353,8 +365,16 @@ class StreamingFrameDetector:
     step, then those fed since), then the metric kernel's arrays for that
     many samples. A chunk of any numeric dtype, or a :class:`SampleBuffer`,
     is converted to complex128 while it is copied in, so no converted copy
-    of the chunk is made. A step fills at most what is left of the
-    workspace, so memory stays bounded whatever the chunk length.
+    of the chunk is made. A step holds at most that many samples, so memory
+    stays bounded whatever the chunk length.
+
+    The held samples are ``_workspace[_first:_held]``. A step moves
+    ``_first`` past the samples whose outputs it gave, so the context stays
+    where it is, and the next chunk is copied in behind it. Only a piece
+    that would run past the end of the room moves the held samples to the
+    front first. Steps depend on the number of held samples alone, not on
+    where they lie, so they fall where they would if every step moved its
+    context to the front.
 
     While no run is open, the held samples give fewer than ``min_plateau``
     metric outputs and the workspace has room, the kernel does not run and
@@ -373,46 +393,57 @@ class StreamingFrameDetector:
 
     def __init__(self, cfg: FrameDetectConfig = FrameDetectConfig()):
         self.cfg = cfg
-        self._size = BLOCK_LEN + cfg.lag + cfg.window - 1  # samples the workspace holds
+        context = cfg.lag + cfg.window - 1
+        self._size = BLOCK_LEN + context  # samples the workspace holds
+        # a step runs once this many samples are held (or a run is open)
+        self._step_at = min(context + cfg.min_plateau, self._size)
         self._workspace = None  # the held samples, then from _size on the kernel's arena
-        self._held = 0  # samples at the front of _workspace
-        self._base = 0  # absolute index of _workspace[0]
+        self._arena = None  # _workspace[_size:]
+        self._first = 0  # the held samples are _workspace[_first:_held]
+        self._held = 0
+        self._base = 0  # absolute index of _workspace[_first]
         self._run = None  # (start, end, peak) of a run still open at the last step's end
         self._on_step = None  # detect_blocks' callback: called with each step's base and arrays
 
     def process(self, chunk) -> list[FrameEvent]:
-        x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk).reshape(-1)
-        cfg, size = self.cfg, self._size
-        if self._workspace is None:
-            n = size - cfg.lag  # the kernel's arena: see _metric_kernel
-            self._workspace = np.empty(size + 2 * n + (5 * (n - cfg.window + 1) + 1) // 2,
-                                       np.complex128)
-        context = cfg.lag + cfg.window - 1
+        x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk)
+        if x.ndim != 1:
+            x = x.reshape(-1)
+        size = self._size
+        workspace = self._workspace
+        if workspace is None:
+            n = size - self.cfg.lag  # the kernel's arena: see _metric_kernel
+            workspace = self._workspace = np.empty(
+                size + 2 * n + (5 * (n - self.cfg.window + 1) + 1) // 2, np.complex128)
+            self._arena = workspace[size:]
         events: list[FrameEvent] = []
         at = 0
         while at < len(x):
-            piece = x[at:at + size - self._held]
+            room = size - self._held + self._first
+            piece = x if not at and len(x) <= room else x[at:at + room]
             at += len(piece)
+            if self._held + len(piece) > size:  # move the held samples to the front
+                self._held -= self._first
+                workspace[:self._held] = workspace[self._first:self._first + self._held]
+                self._first = 0
             end = self._held + len(piece)
-            self._workspace[self._held:end] = piece
+            workspace[self._held:end] = piece
             self._held = end
             # an open run implies held context, so the kernel has an output
-            if self._run is not None or end - context >= cfg.min_plateau or end == size:
+            if self._run is not None or end - self._first >= self._step_at:
                 events += self._step()
         return events
 
     def _step(self) -> list[FrameEvent]:
         """Run the kernel over the held samples; keep ``lag + window - 1`` of them as context."""
-        samples = self._workspace[:self._held]
-        numerator, p_squared, metric, top = _metric_kernel(samples, self.cfg,
-                                                           self._workspace[self._size:])
+        numerator, p_squared, metric, top = _metric_kernel(
+            self._workspace[self._first:self._held], self.cfg, self._arena)
         if self._on_step is not None:
             self._on_step(self._base, numerator, p_squared, metric)
         events = []
         if self._run is not None or not top <= self.cfg.threshold:  # NaN top: look anyway
             events = self._runs(metric, self._base)
-        self._held -= len(metric)
-        samples[:self._held] = samples[len(metric):]
+        self._first += len(metric)
         self._base += len(metric)
         return events
 
@@ -453,5 +484,6 @@ class StreamingFrameDetector:
 
     def flush(self) -> list[FrameEvent]:
         """Run the kernel over any held outputs, then close any run still open; resets run state."""
-        events = self._step() if self._held > self.cfg.lag + self.cfg.window - 1 else []
+        held = self._held - self._first
+        events = self._step() if held > self.cfg.lag + self.cfg.window - 1 else []
         return events + ([] if self._run is None else self._close())

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import os
 import subprocess
@@ -47,6 +48,19 @@ def test_parsed_defaults_build_the_default_configs():
     assert args.gap_len == TrialPlan().gap_len
     assert TimeSyncConfig(template=parser.parse_args(["timesync"]).template) == TimeSyncConfig()
     assert FrameDetectConfig(lag=parser.parse_args(["cfo"]).lag) == FrameDetectConfig()
+
+
+def test_lag_and_window_defaults_are_the_configs():
+    # the functions that take a lag or window on their own default to the config's
+    cfg = FrameDetectConfig()
+    assert _defaults(frame_detect.autocorrelation) == {"lag": cfg.lag, "window": cfg.window}
+    assert _defaults(ofdmsync.plateau_from_event) == {"lag": cfg.lag}
+
+
+def _defaults(function):
+    return {name: parameter.default
+            for name, parameter in inspect.signature(function).parameters.items()
+            if parameter.default is not inspect.Parameter.empty}
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -534,25 +548,32 @@ def test_trials_byte_identical_reruns(tmp_path, capsys):
 
 # --- exit-code fuzzing -------------------------------------------------------------
 
-def _number(draw, low, high, edges=()):
-    """An integer argument as text: mostly in [low, high], sometimes an edge value."""
+def _number(draw, low, high, edges=(), least=None):
+    """An integer argument as text: mostly in [low, high], sometimes an edge value.
+
+    With ``least``, the flag's least valid value, only values in [least, high].
+    """
+    if least is not None:
+        low, edges = least, [edge for edge in edges if least <= edge <= high]
     return str(draw(st.sampled_from(edges) | st.integers(low, high) if edges
                     else st.integers(low, high)))
 
 
-def _size(draw, low, high, edges=(), huge_from=MAX_GENERATED_SAMPLES + 1):
+def _size(draw, low, high, edges=(), huge_from=MAX_GENERATED_SAMPLES + 1, least=None):
     """A length or count as text: small, or from ``huge_from`` up to 10**15.
 
     Sizes in between would allocate hundreds of megabytes, so they are not drawn.
+    With ``least``, only the small ones, as :func:`_number` draws them.
     """
-    if draw(st.booleans()):
-        return _number(draw, low, high, edges)
+    if least is not None or draw(st.booleans()):
+        return _number(draw, low, high, edges, least)
     return str(draw(st.integers(huge_from, 10**15)))
 
 
-def _real(draw, low, high):
-    """A float argument as text, from [low, high] or anywhere (nan and inf included)."""
-    return repr(draw(st.floats(low, high) | st.floats()))
+def _real(draw, low, high, valid=False):
+    """A float argument as text, from [low, high] or, unless ``valid``, anywhere
+    (nan and inf included)."""
+    return repr(draw(st.floats(low, high) if valid else st.floats(low, high) | st.floats()))
 
 
 def _fuzz_argv(draw, tmp: Path) -> list[str]:
@@ -561,14 +582,22 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
     Lengths and counts are either small, which keeps each run cheap, or too
     large to generate, which must be rejected before anything is allocated.
     Values are joined to their flags with ``=`` so that argparse reads
-    ``-1e-05`` as a value, not a flag.
+    ``-1e-05`` as a value, not a flag. A ``--lag`` of 10**20 for ``detect``
+    or ``cfo`` comes with every other flag valid, so that the command reaches
+    the detector's config, which must reject it before it sizes a workspace.
     """
     sub = draw(st.sampled_from(("detect", "timesync", "cfo", "channel")))
+    lag = _number(draw, -1, 600, (0, 1, 16, 10**20)) if sub in ("detect", "cfo") else None
+    valid = lag == str(10**20)
+
+    def least(value):
+        return value if valid else None
+
     argv = [sub]
     from_file = draw(st.booleans())
     if from_file:
         path = tmp / "in.iq"
-        n = draw(st.integers(0, 400))
+        n = draw(st.integers(1 if valid else 0, 400))  # a sample, so the detector runs
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         words = rng.standard_normal(2 * n).astype("<f4").tobytes()
         if draw(st.booleans()):  # a capture that holds a frame
@@ -579,41 +608,42 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
             interleaved = np.empty(2 * n, "<f4")
             interleaved[0::2], interleaved[1::2] = samples.real, samples.imag
             words = interleaved.tobytes()
-        if draw(st.booleans()):  # a torn final sample
+        if not valid and draw(st.booleans()):  # a torn final sample
             words += bytes(draw(st.integers(1, 7)))
         path.write_bytes(words)
         argv.append(f"--in={path}")
         if sub in ("cfo", "channel") and draw(st.booleans()):  # the commands that take a rate
-            argv.append("--sample-rate=" + _real(draw, 1e3, 1e9))
+            argv.append("--sample-rate=" + _real(draw, 1e3, 1e9, valid))
     else:
-        argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1)))
-        argv.append("--timing-offset=" + _size(draw, -3, 1200, (0, -1)))
+        argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1), least=least(0)))
+        argv.append("--timing-offset=" + _size(draw, -3, 1200, (0, -1), least=least(0)))
     if not from_file or sub == "channel":  # the other commands reject these next to --in
         if draw(st.booleans()):
-            argv.append("--snr-db=" + draw(st.sampled_from(("none", "noiseless"))
-                                           | st.floats(-30, 60).map(repr)
-                                           | st.floats().map(repr)))
+            snr = st.sampled_from(("none", "noiseless")) | st.floats(-30, 60).map(repr)
+            argv.append("--snr-db=" + draw(snr if valid else snr | st.floats().map(repr)))
         if draw(st.booleans()):
-            argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5))
+            argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5, valid))
         if draw(st.booleans()):
-            argv.append("--taps=" + draw(st.sampled_from(("etsi_a", "etsi_c",
-                                                          str(tmp / "no.taps")))))
-        argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1)))
+            taps = ("etsi_a", "etsi_c") if valid else ("etsi_a", "etsi_c", str(tmp / "no.taps"))
+            argv.append("--taps=" + draw(st.sampled_from(taps)))
+        argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1), least(0)))
     if sub == "detect":
         if not from_file:
             # from MAX // 320 + 1 frames up, even a gapless train is too long
-            argv.append("--frames=" + _size(draw, -1, 4, (0,),
+            argv.append("--frames=" + _size(draw, -1, 4, (0,), least=least(1),
                                             huge_from=MAX_GENERATED_SAMPLES // 320 + 1))
-        argv += ["--lag=" + _number(draw, -1, 600, (0, 1, 16, 10**20)),
-                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32, 10**20)),
-                 "--threshold=" + _real(draw, -0.5, 1.5),
+        threshold = (repr(draw(st.floats(0, 1, exclude_min=True, exclude_max=True))) if valid
+                     else _real(draw, -0.5, 1.5))
+        argv += ["--lag=" + lag,
+                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32, 10**20), least(1)),
+                 "--threshold=" + threshold,
                  "--metric-mode=" + draw(st.sampled_from(("exact", "l1_approx")))]
     elif sub == "timesync":
         argv.append("--template=" + draw(st.sampled_from(("sts", "lts"))))
         if draw(st.booleans()):
             argv.append(f"--window={_number(draw, -50, 1500)}:{_number(draw, -2, 1500)}")
     elif sub == "cfo":
-        argv.append("--lag=" + _number(draw, -1, 600, (0, 1, 16, 10**20)))
+        argv.append("--lag=" + lag)
         if draw(st.booleans()):
             argv.append(f"--out={tmp / 'fixed.iq'}")
     else:

@@ -248,6 +248,16 @@ def reference_metrics(x, cfg):
 @example(lag=16, window=16, extra=50, metric_mode="exact", exponent=-160.0, seed=3, zeros=[])
 # one product: numpy rounds a one-sample complex multiply written in place differently
 @example(lag=2, window=1, extra=1, metric_mode="exact", exponent=0.0, seed=0, zeros=[])
+# both scalings of R and P, against the reference's divide: power-of-two windows
+# (one multiply by the exact reciprocal) and another one, at subnormal P and overflow
+@example(lag=16, window=1, extra=40, metric_mode="exact", exponent=-160.0, seed=4, zeros=[])
+@example(lag=16, window=1, extra=40, metric_mode="exact", exponent=155.0, seed=5, zeros=[])
+@example(lag=3, window=2, extra=40, metric_mode="l1_approx", exponent=-160.0, seed=6, zeros=[])
+@example(lag=3, window=2, extra=40, metric_mode="exact", exponent=155.0, seed=7, zeros=[])
+@example(lag=16, window=64, extra=80, metric_mode="exact", exponent=-160.0, seed=8, zeros=[])
+@example(lag=16, window=64, extra=80, metric_mode="l1_approx", exponent=155.0, seed=9,
+         zeros=[(40, 30)])
+@example(lag=16, window=48, extra=80, metric_mode="exact", exponent=-160.0, seed=10, zeros=[])
 def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_mode, exponent,
                                                      seed, zeros):
     gen = np.random.default_rng(seed)
@@ -303,6 +313,7 @@ def test_workspace_grows_to_one_step_and_no_further():
     for size in (1, 40, 5000, 3 * BLOCK_LEN + 7, 100, 20 * BLOCK_LEN):
         detector.process(np.ones(size))
         assert detector._size <= cap
+        assert 0 <= detector._first <= detector._held <= detector._size
         workspaces.add(id(detector._workspace))
     assert detector._size == cap and len(workspaces) == 1
 
@@ -784,10 +795,74 @@ def test_held_samples_never_grow_the_workspace_past_one_step():
     for value in x[:100]:
         events += detector.process([value])
         assert detector._size <= cap
+        assert 0 <= detector._first <= detector._held <= detector._size
     events += detector.process(x[100:])  # 20 * BLOCK_LEN samples
     assert detector._size <= cap
+    assert 0 <= detector._first <= detector._held <= detector._size
     events += detector.flush()
     assert len(events) == 1 and events == detect_frames(x, cfg)
+
+
+def _noise_with_tone(n, tone_at, tone_stop, seed):
+    gen = np.random.default_rng(seed)
+    x = 0.3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    x[tone_at:tone_stop] = np.tile(np.exp(2j * np.pi * gen.uniform(size=16)),
+                                   BLOCK_LEN)[:tone_stop - tone_at]
+    return x
+
+
+def _recording_detector(cfg):
+    """A detector, and the list its steps append their (n, numerator, p_squared, metric) to."""
+    detector, rows = StreamingFrameDetector(cfg), []
+    detector._on_step = lambda n, *arrays: rows.append((n, *(a.copy() for a in arrays)))
+    return detector, rows
+
+
+def _assert_batch_bits(x, cfg, events, rows):
+    """The events are detect_frames', and the step rows, end to end, compute_metrics'."""
+    assert events == detect_frames(x, cfg)
+    starts = [row[0] for row in rows]
+    assert starts == [0, *np.cumsum([len(row[3]) for row in rows[:-1]]).tolist()]
+    for got, want in zip((np.concatenate(column) for column in list(zip(*rows))[1:]),
+                         compute_metrics(x, cfg)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_held_samples_move_to_the_front_while_a_run_is_open():
+    # a run from about sample 3000 keeps every call stepping; the third chunk
+    # would run past the workspace end, so the context moves to the front first
+    cfg = FrameDetectConfig()
+    context = cfg.lag + cfg.window - 1
+    x = _noise_with_tone(16_000, 3000, 12_000, seed=11)
+    detector, rows = _recording_detector(cfg)
+    events = detector.process(x[:4000]) + detector.process(x[4000:8000])
+    assert detector._run is not None and detector._held == 8000
+    events += detector.process(x[8000:12_000])
+    assert (detector._first, detector._held) == (4000, 4000 + context)  # moved, then stepped
+    events += detector.process(x[12_000:]) + detector.flush()
+    assert len(events) == 1 and events[0].start_index < 8000 < events[0].end_index
+    _assert_batch_bits(x, cfg, events, rows)
+
+
+def test_held_samples_move_to_the_front_with_unstepped_samples():
+    # with min_plateau 200 the 50-sample chunks are held unstepped; the third
+    # of them would run past the workspace end, so 131 held samples move, the
+    # first samples of a tone among them
+    cfg = FrameDetectConfig(min_plateau=200)
+    context = cfg.lag + cfg.window - 1
+    x = _noise_with_tone(9000, 8120, 8700, seed=12)
+    detector, rows = _recording_detector(cfg)
+    events = detector.process(x[:8100])
+    for at in (8100, 8150):
+        events += detector.process(x[at:at + 50])
+    assert (detector._first, detector._held) == (8100 - context, 8200)
+    events += detector.process(x[8200:8250])
+    assert (detector._first, detector._held) == (0, 8250 - 8100 + context)  # moved, not stepped
+    for at in range(8250, 9000, 50):
+        events += detector.process(x[at:at + 50])
+    events += detector.flush()
+    assert len(events) == 1 and 8069 < events[0].start_index < 8200
+    _assert_batch_bits(x, cfg, events, rows)
 
 
 def test_any_numeric_chunk_gives_the_complex128_events():
