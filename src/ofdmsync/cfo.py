@@ -28,10 +28,17 @@ class CfoEstimate:
     plateau_span: tuple[int, int]  # half-open (start, stop) autocorrelation indices
 
 
+def _positive_lag(lag) -> int:
+    """``lag`` as an int: ConfigError when it is not an integer, SizingError below 1."""
+    lag = as_int("lag", lag)
+    if lag < 1:
+        raise SizingError(f"lag must be positive, got {shown(lag)}")
+    return lag
+
+
 def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, int, int]:
     """(start, stop, end): the plateau, and the end of the samples its autocorrelation reads."""
-    if as_int("lag", lag) < 1:
-        raise SizingError(f"lag must be positive, got {shown(lag)}")
+    lag = _positive_lag(lag)
     start, stop = as_int_pair("plateau", plateau)
     if stop <= start:
         raise SizingError(f"plateau ({shown(start)}, {shown(stop)}) is empty")
@@ -99,9 +106,10 @@ def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:
 def span_within(first: int, last: int, lag: int) -> tuple[int, int]:
     """The half-open (start, stop) autocorrelation indices from ``first`` whose
     ``2*lag`` samples end by sample ``last``: ``(first, last - 2*lag + 2)``,
-    and never empty, so at least ``(first, first + 1)``.
+    and never empty, so at least ``(first, first + 1)``. ``lag`` is checked
+    as :func:`estimate_cfo` checks it.
     """
-    return first, max(last - 2 * lag + 2, first + 1)
+    return first, max(last - 2 * _positive_lag(lag) + 2, first + 1)
 
 
 def plateau_from_event(event: FrameEvent, lag: int = FrameDetectConfig.lag) -> tuple[int, int]:

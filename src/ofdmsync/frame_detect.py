@@ -12,8 +12,8 @@ provided:
   gain^4, its decisions are only meaningful near unit signal power.
 
 Every R, P and M value depends only on its own samples, so any chunking
-gives the same bits. :func:`compute_metrics` divides both window sums by the
-window length, the software image of a CIC chain acting as a moving-average
+gives the same bits. The kernel divides both window sums by the window
+length, the software image of a CIC chain acting as a moving-average
 filter; the exact metric is indifferent to that scaling, while the l1
 approximation needs it to hold at its unit-power operating point.
 
@@ -234,27 +234,6 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     return numerator, p_squared, metric, top
 
 
-def compute_metrics(r, cfg: FrameDetectConfig = FrameDetectConfig()):
-    """(numerator, p_squared, metric) arrays for a buffer; index n matches the buffer index.
-
-    With R and P the window-averaged correlation and power, numerator is
-    |R|^2 in ``exact`` mode and |Re R| + |Im R| in ``l1_approx`` mode,
-    p_squared is P^2, and metric = numerator / (p_squared + 1e-30). The
-    arrays are filled from the kernel steps of :func:`detect_blocks` on the
-    one buffer, so beyond the three arrays it returns, memory stays bounded.
-    """
-    x = as_samples(r)
-    _require_window(x, cfg.lag, cfg.window)
-    out = np.empty((3, len(x) - cfg.lag - cfg.window + 1))
-
-    def keep(n, *arrays):
-        for row, values in zip(out, arrays):
-            row[n:n + len(values)] = values
-
-    detect_blocks([x], cfg, keep)
-    return tuple(out)
-
-
 def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent]:
     """All maximal above-threshold runs of length >= min_plateau.
 
@@ -331,13 +310,15 @@ def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig(),
     last block, so an error raised while producing a block leaves none.
 
     ``on_step``, when given, is called with ``(n, numerator, p_squared,
-    metric)`` of each kernel step, in order: the step's arrays, as
-    :func:`compute_metrics` defines them, start at metric index ``n``, cover
-    the stream's metric outputs once each, and are overwritten by the next
-    step. It runs before the step's run scan, and the one change it may make
-    is to set entries of ``metric`` to 0, which the scan then reads:
-    :func:`compute_metrics` copies the arrays, ``detect --trace`` writes
-    them, and :func:`first_events` zeroes the indices that straddle two rows.
+    metric)`` of each kernel step, in order. With R and P the
+    window-averaged correlation and power, numerator is |R|^2 in ``exact``
+    mode and |Re R| + |Im R| in ``l1_approx`` mode, p_squared is P^2, and
+    metric = numerator / (p_squared + 1e-30). The step's arrays start at
+    metric index ``n``, cover the stream's metric outputs once each, and are
+    overwritten by the next step. It runs before the step's run scan, and
+    the one change it may make is to set entries of ``metric`` to 0, which
+    the scan then reads: ``detect --trace`` writes the arrays, and
+    :func:`first_events` zeroes the indices that straddle two rows.
     An error raised while producing a block leaves it called on a prefix of
     the steps.
     """

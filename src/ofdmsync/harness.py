@@ -10,6 +10,8 @@ reproduced by any plotting tool.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -20,15 +22,83 @@ import numpy as np
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
 from .channel import ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
+from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
 from .iqfile import write_table
 from .preamble import PREAMBLE_LEN, STS_LEN, generate_preamble
 from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, estimate_timing
 
-STAGES = ("frame", "time_sts", "time_lts", "cfo")
-_TIMING_STAGES = (("time_sts", "sts"), ("time_lts", "lts"))
+# What run_trials, TrialPlan and emit_report know of one stage:
+# - build: plan -> the stage's block function, which maps rows (a 2-D block
+#   of trial buffers) to one value per row, None where the trial failed;
+# - least_gap: the least gap_len + largest tap delay that its window needs, or None;
+# - columns: the extra columns of <stage>_trials.csv, as (header, value of the plan).
+_Stage = namedtuple("_Stage", "build least_gap columns")
+
+
+def _frame(plan: TrialPlan) -> Callable[[np.ndarray], list[float | None]]:
+    """frame -> start index of the first detection run, if any.
+
+    A block's first events come from
+    :func:`~ofdmsync.frame_detect.first_events`, with the bits of
+    ``detect_frames`` on each trial. Its first pass reads each buffer only
+    through the short training of the latest path: the first
+    ``timing_offset + STS_LEN + (largest tap delay) + 1`` metric outputs,
+    which run one past that training's last sample. A buffer's first event
+    from that pass stands when it has settled there
+    (:func:`~ofdmsync.frame_detect.settles`); the other buffers are scanned
+    whole. A block takes the short pass only when every buffer of the block
+    before it settled there, and the first block takes it; otherwise it
+    scans every buffer whole. Where few buffers settle (etsi_c below about
+    8 dB), the blocks after the first so scan whole once instead of twice.
+    """
+    prefix = plan.channel.timing_offset + STS_LEN + plan.channel.taps[-1][0] + 1
+    short = True  # whether the next block takes the short pass
+
+    def block(rows):
+        nonlocal short
+        events = first_events(rows, prefix=prefix if short else None)
+        short = all(settles(event, prefix) for event in events)
+        return [None if event is None else float(event.start_index) for event in events]
+    return block
+
+
+def _timing(template: str) -> _Stage:
+    """time_sts, time_lts -> the short- or long-template timing estimate of
+    each row (landmark 160 or 320, plus the delay), searched in the
+    template's default window at the plan's timing offset. The template at
+    the window's last alignment ends ``least_gap`` samples past the last
+    sample of the frame's first path.
+    """
+    def build(plan):
+        cfg = TimeSyncConfig(template, default_search_window(template, plan.channel.timing_offset))
+        return lambda rows: [float(estimate_timing(row, cfg).n_xc_max) for row in rows]
+    window_end = sum(default_search_window(template))
+    return _Stage(build, window_end + TEMPLATE_LEN[template] - 1 - PREAMBLE_LEN, ())
+
+
+def _cfo(plan: TrialPlan) -> Callable[[np.ndarray], list[float | None]]:
+    """cfo -> offset estimate in Hz over the known short-training span, ground-truth
+    aided so the estimator is measured on every trial, including SNRs where frame
+    detection gives up.
+
+    The span is :func:`~ofdmsync.cfo.span_within` of the short training's
+    samples, and :func:`~ofdmsync.cfo.estimate_cfo_rows` takes a whole block
+    in one pass, at the preamble's sample rate.
+    """
+    lag, offset = FrameDetectConfig.lag, plan.channel.timing_offset
+    span = span_within(offset, offset + STS_LEN - 1, lag)
+    return lambda rows: estimate_cfo_rows(rows, lag, span, DEFAULT_SAMPLE_RATE)
+
+
+_STAGE_TABLE = {
+    "frame": _Stage(_frame, None, ()),
+    "time_sts": _timing("sts"),
+    "time_lts": _timing("lts"),
+    "cfo": _Stage(_cfo, None, (("injected_cfo_hz", lambda plan: plan.channel.cfo_hz),)),
+}
+STAGES = tuple(_STAGE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -40,7 +110,8 @@ class TrialPlan:
     ``gap_len`` is the length of the idle stretch that follows each
     transmitted preamble; the received buffer keeps capturing through it, so
     it carries the channel noise, which also gives the long-template
-    correlator room to search past the frame.
+    correlator room to search past the frame. ``stages`` is a sequence of
+    names from :data:`STAGES`, each listed once.
     """
 
     n_trials: int = 300
@@ -57,24 +128,25 @@ class TrialPlan:
             raise ConfigError("n_trials must be at least 1")
         if self.base_seed < 0:
             raise ConfigError(f"seed cannot be negative, got base_seed {shown(self.base_seed)}")
+        if not isinstance(self.channel, ChannelConfig):
+            raise ConfigError(f"channel must be a ChannelConfig, got {shown(self.channel)}")
+        if isinstance(self.stages, (str, bytes)) or not isinstance(self.stages, Iterable):
+            raise ConfigError(f"stages must be a sequence of stage names, got {shown(self.stages)}")
         stages = tuple(self.stages)
         for stage in stages:
             if stage not in STAGES:
-                raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
+                raise ConfigError(f"unknown stage {shown(stage)}; choose from {STAGES}")
         if not stages:
             raise ConfigError("at least one stage is required")
         if len(set(stages)) != len(stages):
             raise ConfigError(f"each stage may be listed once, got {stages}")
         max_delay = self.channel.taps[-1][0]
-        for stage, template in _TIMING_STAGES:
-            # the gap and the delay spread must reach the last sample the window reads
-            start, length = default_search_window(template)
-            least = start + length + TEMPLATE_LEN[template] - 1 - PREAMBLE_LEN - max_delay
-            if stage in stages and self.gap_len < least:
-                raise ConfigError(
-                    f"the {stage} search window runs past the trial buffer: gap_len "
-                    f"{self.gap_len} with a largest tap delay of {max_delay}; "
-                    f"gap_len must be at least {least}")
+        for stage in stages:
+            least = _STAGE_TABLE[stage].least_gap
+            if least is not None and self.gap_len + max_delay < least:
+                raise ConfigError(f"the {stage} window runs past the trial buffer: gap_len "
+                                  f"{self.gap_len} with a largest tap delay of {max_delay}; "
+                                  f"gap_len must be at least {least - max_delay}")
         object.__setattr__(self, "stages", stages)
 
 
@@ -110,11 +182,14 @@ def _histogram(values: list[float]) -> list[tuple[float, int]]:
     return [(float(c), int(n)) for c, n in zip(centers, counts)]
 
 
-def _statistics(values: list[float], indices: list[int], failures: int) -> TrialStatistics:
+def _statistics(outcomes: list[float | None]) -> TrialStatistics:
+    """Statistics of one stage's values in trial order, None for a failed trial."""
+    indices = [trial for trial, value in enumerate(outcomes) if value is not None]
+    values = [outcomes[trial] for trial in indices]
     if not values:
-        return TrialStatistics([], [], float("nan"), float("nan"), [], failures)
+        return TrialStatistics([], [], float("nan"), float("nan"), [], len(outcomes))
     return TrialStatistics(values, indices, float(np.mean(values)), variance(values),
-                           _histogram(values), failures)
+                           _histogram(values), len(outcomes) - len(values))
 
 
 def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBuffer:
@@ -137,93 +212,35 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBu
 def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     """Run the plan and return statistics per requested stage.
 
-    Per trial: transmit the preamble through ``plan.channel``, the same
-    config object in every trial, with seed base_seed+i, then
-      frame    -> start index of the first detection run, if any;
-      time_sts -> short-template timing estimate (landmark 160 + delay);
-      time_lts -> long-template timing estimate (landmark 320 + delay);
-      cfo      -> offset estimate in Hz over the known short-training span
-                  (ground-truth aided so the estimator is measured on every
-                  trial, including SNRs where frame detection gives up).
-    Trials with nothing to record count as failures for that stage, and the
-    statistics cover the successes only.
+    Trial i transmits the preamble through ``plan.channel``, the same config
+    object in every trial, with seed ``base_seed + i``. Trials run in blocks
+    of ``max(1, BLOCK_LEN // N)``, N the length of one trial buffer: each
+    buffer is copied into one block workspace, allocated once per run, and
+    each requested stage's block function (built once per run from the plan)
+    gives a value for every row of the block. A None counts as a failure for
+    that stage, and the statistics cover the successes only.
 
-    Trials run in blocks of ``max(1, BLOCK_LEN // N)``, N the length of one
-    trial buffer. Each trial's buffer is copied into one block workspace,
-    allocated once per run, and the frame and cfo stages each take a whole
-    block in one pass (:func:`~ofdmsync.frame_detect.first_events`,
-    :func:`~ofdmsync.cfo.estimate_cfo_rows`), with the bits of a pass per
-    trial. The cfo stage reads each buffer's short-training span
-    (:func:`~ofdmsync.cfo.span_within` of the short training's samples), and
-    each timing stage its search window.
-
-    The frame stage first reads each buffer only through the short training
-    of the latest path: its first ``timing_offset + STS_LEN + (largest tap
-    delay) + 1`` metric outputs, which run one past that training's last
-    sample (:func:`~ofdmsync.frame_detect.first_events` adds the samples of
-    the detector's context). A buffer's first event from that pass stands
-    when it has settled there, that is when the output after its end is one
-    of those outputs (:func:`~ofdmsync.frame_detect.settles`). The buffers
-    with no settled event (no event, or a run that the end of the
-    pass may have cut) are scanned whole, so the events are those of whole
-    buffers. A block takes the short pass only when every buffer of the
-    block before it settled there, and the first block takes it; otherwise
-    it scans every buffer whole. Where few buffers settle (etsi_c below about
-    8 dB), the blocks after the first so scan whole once instead of twice.
-
-    The channel call and the timing stages stay per trial: each
-    trial's noise comes from its own ``transmit`` call, and each timing
-    estimate cuts its template from ``generate_preamble``. The benchmark
-    counts those calls (``bench/test_bench.py`` asks for ``n_trials`` to
-    ``transmit`` and ``2 * n_trials + 1`` to ``generate_preamble``), so they
-    stay, with their fixed cost cut: one noise draw added part by part, and
-    one correlation over each search window.
+    The channel call stays per trial, and the timing stages call
+    ``estimate_timing`` per row, which cuts its template from
+    ``generate_preamble``: the benchmark counts those calls
+    (``bench/test_bench.py`` asks for ``n_trials`` to ``transmit`` and
+    ``2 * n_trials + 1`` to ``generate_preamble``).
     """
     pre = generate_preamble()
-    detect_cfg = FrameDetectConfig()
-    values: dict[str, list[float]] = {stage: [] for stage in plan.stages}
-    indices: dict[str, list[int]] = {stage: [] for stage in plan.stages}
-    failures = dict.fromkeys(plan.stages, 0)
-
-    def record(stage: str, trial: int, value: float | None) -> None:
-        if value is None:
-            failures[stage] += 1
-        else:
-            values[stage].append(value)
-            indices[stage].append(trial)
-
-    offset = plan.channel.timing_offset
-    timing = [(stage, TimeSyncConfig(template, default_search_window(template, offset)))
-              for stage, template in _TIMING_STAGES if stage in plan.stages]
-    cfo_span = span_within(offset, offset + STS_LEN - 1, detect_cfg.lag)
-    # the frame stage's first pass: each trial through the latest path's short training
-    prefix = offset + STS_LEN + plan.channel.taps[-1][0] + 1
-    short = True  # whether the block takes that pass: every row of the last one settled in it
-
+    blocks = {stage: _STAGE_TABLE[stage].build(plan) for stage in plan.stages}
+    outcomes: dict[str, list[float | None]] = {stage: [] for stage in plan.stages}
     rows = None  # the block workspace
     for i in range(plan.n_trials):
         rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=plan.base_seed + i)
-        for stage, sync_cfg in timing:
-            record(stage, i, float(estimate_timing(rx, sync_cfg).n_xc_max))
         if rows is None:
             rows = np.empty((max(1, BLOCK_LEN // len(rx)), len(rx)), np.complex128)
         k = i % len(rows)
         rows[k] = rx.samples
         if k + 1 < len(rows) and i + 1 < plan.n_trials:
             continue
-        block, first = rows[:k + 1], i - k
-        if "frame" in values:
-            events = first_events(block, detect_cfg, prefix if short else None)
-            short = all(settles(event, prefix) for event in events)
-            for trial, event in enumerate(events, first):
-                record("frame", trial, None if event is None else float(event.start_index))
-        if "cfo" in values:
-            for trial, offset in enumerate(
-                    estimate_cfo_rows(block, detect_cfg.lag, cfo_span, rx.sample_rate), first):
-                record("cfo", trial, offset)
-
-    return {stage: _statistics(values[stage], indices[stage], failures[stage])
-            for stage in plan.stages}
+        for stage, block in blocks.items():
+            outcomes[stage] += block(rows[:k + 1])
+    return {stage: _statistics(values) for stage, values in outcomes.items()}
 
 
 def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -> list[Path]:
@@ -236,31 +253,21 @@ def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -
     out.mkdir(parents=True, exist_ok=True)
     if not results:
         raise ConfigError("no statistics to report")
-    paths = []
-
-    summary = out / "summary.csv"
     stage_stats = results.values()
-    write_table(summary, "algorithm,trials,sigma2,failures",
-                (list(results), [len(s.values) + s.failures for s in stage_stats],
-                 [s.variance for s in stage_stats], [s.failures for s in stage_stats]))
-    paths.append(summary)
-
+    tables = [("summary.csv", "algorithm,trials,sigma2,failures",
+               (list(results), [len(s.values) + s.failures for s in stage_stats],
+                [s.variance for s in stage_stats], [s.failures for s in stage_stats]))]
     for stage, stats in results.items():
-        trials = out / f"{stage}_trials.csv"
-        columns = [stats.trial_indices, stats.values]
-        if stage == "cfo":
-            write_table(trials, "trial,value,injected_cfo_hz",
-                        columns + [[plan.channel.cfo_hz] * len(stats.values)])
-        else:
-            write_table(trials, "trial,value", columns)
-        paths.append(trials)
-
-        hist = out / f"{stage}_histogram.csv"
-        write_table(hist, "bin_center,count", ([c for c, _ in stats.histogram],
-                                               [n for _, n in stats.histogram]))
-        paths.append(hist)
-
-    return paths
+        header, columns = "trial,value", [stats.trial_indices, stats.values]
+        for name, value in _STAGE_TABLE[stage].columns:
+            header += f",{name}"
+            columns.append([value(plan)] * len(stats.values))
+        tables += [(f"{stage}_trials.csv", header, columns),
+                   (f"{stage}_histogram.csv", "bin_center,count",
+                    ([c for c, _ in stats.histogram], [n for _, n in stats.histogram]))]
+    for name, header, columns in tables:
+        write_table(out / name, header, columns)
+    return [out / name for name, _, _ in tables]
 
 
 def load_plan(path) -> TrialPlan:

@@ -217,3 +217,10 @@ def test_plateau_from_event_never_empty():
     from ofdmsync import FrameEvent
     span = plateau_from_event(FrameEvent(10, 12, 1.0), 16)
     assert span == (10, 11)
+    # the lag is checked as estimate_cfo checks it, so no float span comes back
+    with pytest.raises(ConfigError, match="lag must be an integer, got 1.5"):
+        plateau_from_event(FrameEvent(0, 100, 1.0), 1.5)
+    with pytest.raises(SizingError, match="lag must be positive, got 0"):
+        plateau_from_event(FrameEvent(0, 100, 1.0), 0)
+    span = plateau_from_event(FrameEvent(0, 100, 1.0), np.int64(16))
+    assert span == (0, 70) and {type(bound) for bound in span} == {int}

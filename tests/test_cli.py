@@ -19,6 +19,8 @@ from ofdmsync.channel import resolve_taps
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
 
+from metric_reference import compute_metrics
+
 SUBCOMMANDS = ("preamble", "channel", "detect", "timesync", "cfo", "trials")
 
 
@@ -132,8 +134,7 @@ def _trace_rows(buf, mode):
     """The rows, without the header, that ``detect --trace`` writes for ``buf``."""
     if len(buf) < 32:  # no room for one lag + window span
         return []
-    numerator, p_squared, metric = frame_detect.compute_metrics(buf, FrameDetectConfig(
-        metric_mode=mode))
+    numerator, p_squared, metric = compute_metrics(buf, FrameDetectConfig(metric_mode=mode))
     return [f"{n},{a!r},{b!r},{c!r},{int(c > 0.5)}" for n, (a, b, c) in enumerate(
         zip(numerator.tolist(), p_squared.tolist(), metric.tolist()))]
 

@@ -43,6 +43,11 @@ REPORT_SHA256_CLEAN = "ebace244cd1c7784f593ff8893e28e8795b0b98b7af074f92da60e09b
 # stage's first block is scanned again whole after its short first pass, and
 # every later block whole at once. Written down before that pass existed.
 REPORT_SHA256_FOUR_STAGE_0DB = "76af72e4a2a32abe22de14b6f684e1da73e49169ee7dcf49b484e5862da043a1"
+# Two etsi_a plans, written down before the stages became one table: the
+# four-stage plan above on etsi_a, and a stage subset in a non-canonical order
+# (cfo, time_lts, frame; 12 dB, -50 kHz, offset 7, base_seed 5).
+REPORT_SHA256_ETSI_A = "cd4a8e35d04b6f10bd2dc4f0524490015caca884381db0dbcc8e4cbd539c8f3e"
+REPORT_SHA256_ETSI_A_SUBSET = "a73657f928f8c309efef3a5fdf815ee306604e96e45fc8a5f60854f44063fac1"
 
 
 def two_pass_variance(values):
@@ -272,7 +277,16 @@ def report_sha256(plan, out_dir):
                channel=ChannelConfig(snr_db=0.0, cfo_hz=100e3, timing_offset=30,
                                      taps=resolve_taps("etsi_c"))),
      REPORT_SHA256_FOUR_STAGE_0DB),
-], ids=["etsi_c-four-stage", "clean-noiseless", "etsi_c-four-stage-0db"])
+    (TrialPlan(n_trials=200, stages=("frame", "time_sts", "time_lts", "cfo"),
+               channel=ChannelConfig(snr_db=10.0, cfo_hz=100e3, timing_offset=30,
+                                     taps=resolve_taps("etsi_a"))),
+     REPORT_SHA256_ETSI_A),
+    (TrialPlan(n_trials=200, stages=("cfo", "time_lts", "frame"), base_seed=5,
+               channel=ChannelConfig(snr_db=12.0, cfo_hz=-50e3, timing_offset=7,
+                                     taps=resolve_taps("etsi_a"))),
+     REPORT_SHA256_ETSI_A_SUBSET),
+], ids=["etsi_c-four-stage", "clean-noiseless", "etsi_c-four-stage-0db", "etsi_a-four-stage",
+        "etsi_a-stage-subset"])
 def test_report_bytes_pinned(plan, digest, tmp_path):
     assert report_sha256(plan, tmp_path) == digest
 
@@ -338,6 +352,15 @@ def test_plan_validation():
         TrialPlan(stages=("nope",))
     with pytest.raises(ConfigError, match="listed once"):
         TrialPlan(n_trials=5, stages=("cfo", "cfo"))
+    # stages is a sequence of names: neither a number nor one name's letters
+    for bad in (5, "frame", None):
+        with pytest.raises(ConfigError, match="stages must be a sequence of stage names"):
+            TrialPlan(stages=bad)
+    with pytest.raises(ConfigError, match=r"unknown stage \['x'\]"):
+        TrialPlan(stages=(["x"],))
+    for bad in (5, None, {"snr_db": 10}):
+        with pytest.raises(ConfigError, match="channel must be a ChannelConfig"):
+            TrialPlan(channel=bad)
     with pytest.raises(ConfigError):
         TrialPlan(gap_len=-1)
     with pytest.raises(ConfigError, match="gap_len must lie in"):
