@@ -251,8 +251,8 @@ def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not results:
-        raise ConfigError("no statistics to report")
+    if not results or not set(results) <= set(STAGES):
+        raise ConfigError(f"results must map stages {STAGES} to statistics, got {shown(results)}")
     stage_stats = results.values()
     tables = [("summary.csv", "algorithm,trials,sigma2,failures",
                (list(results), [len(s.values) + s.failures for s in stage_stats],

@@ -451,6 +451,14 @@ def test_emit_report_files(tmp_path):
     assert hist[0] == "bin_center,count"
 
 
+def test_emit_report_takes_the_statistics_of_known_stages(tmp_path):
+    plan = TrialPlan(n_trials=2, stages=("time_sts",))
+    stats = run_trials(plan)["time_sts"]
+    for results in ({}, {"nope": stats}, {"time_sts": stats, "frames": stats}):
+        with pytest.raises(ConfigError, match="results must map stages"):
+            emit_report(results, tmp_path, plan)
+
+
 def test_emit_report_noiseless_sigma_zero(tmp_path):
     plan = TrialPlan(n_trials=5, channel=ChannelConfig(), stages=("time_sts",))
     paths = emit_report(run_trials(plan), tmp_path, plan)
