@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import apply_cfo
-from .core import SampleBuffer, as_int, as_int_pair, shown
+from .core import SampleBuffer, as_int_pair, as_positive, shown
 from .errors import EstimationError, SizingError
 from .frame_detect import FrameDetectConfig, FrameEvent, _correlate
 
@@ -28,17 +28,9 @@ class CfoEstimate:
     plateau_span: tuple[int, int]  # half-open (start, stop) autocorrelation indices
 
 
-def _positive_lag(lag) -> int:
-    """``lag`` as an int: ConfigError when it is not an integer, SizingError below 1."""
-    lag = as_int("lag", lag)
-    if lag < 1:
-        raise SizingError(f"lag must be positive, got {shown(lag)}")
-    return lag
-
-
 def _segment(n_samples: int, lag: int, plateau: tuple[int, int]) -> tuple[int, int, int]:
     """(start, stop, end): the plateau, and the end of the samples its autocorrelation reads."""
-    lag = _positive_lag(lag)
+    lag = as_positive("lag", lag)
     start, stop = as_int_pair("plateau", plateau)
     if stop <= start:
         raise SizingError(f"plateau ({shown(start)}, {shown(stop)}) is empty")
@@ -79,8 +71,10 @@ def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEsti
     equivalent to a single-point read in the clean case and lower-variance
     under noise. It is :func:`estimate_cfo_rows` on one row. Raises
     EstimationError when the mean has no phase (no coherent short training
-    present).
+    present), and TypeError when ``r`` is no SampleBuffer.
     """
+    if not isinstance(r, SampleBuffer):
+        raise TypeError(f"estimate_cfo takes a SampleBuffer, got {type(r).__name__}")
     offset, = _offsets(r.samples[np.newaxis], lag, plateau, r.sample_rate)
     if offset is None:
         raise EstimationError("autocorrelation over the plateau has zero magnitude")
@@ -109,7 +103,7 @@ def span_within(first: int, last: int, lag: int) -> tuple[int, int]:
     and never empty, so at least ``(first, first + 1)``. ``lag`` is checked
     as :func:`estimate_cfo` checks it.
     """
-    return first, max(last - 2 * _positive_lag(lag) + 2, first + 1)
+    return first, max(last - 2 * as_positive("lag", lag) + 2, first + 1)
 
 
 def plateau_from_event(event: FrameEvent, lag: int = FrameDetectConfig.lag) -> tuple[int, int]:

@@ -9,15 +9,13 @@ Gaussian noise referenced to the average power of the transmitted frame, so
 from __future__ import annotations
 
 import cmath
-import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, shown
 from .errors import ConfigError
 from .preamble import generate_preamble
 
@@ -57,16 +55,11 @@ class ChannelConfig:
         for delay, gain in taps:
             if not cmath.isfinite(gain):
                 raise ConfigError(f"tap gain at delay {delay} must be finite, got {gain}")
-        if self.snr_db is not None and not (isinstance(self.snr_db, numbers.Real)
-                                            and -MAX_ABS_SNR_DB <= self.snr_db <= MAX_ABS_SNR_DB):
-            raise ConfigError(f"snr_db must lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, "
-                              f"or be None (noiseless), got {shown(self.snr_db)}")
-        try:
-            finite = isinstance(self.cfo_hz, numbers.Real) and math.isfinite(self.cfo_hz)
-        except OverflowError:  # an int past float64's range
-            finite = False
-        if not finite:
-            raise ConfigError(f"cfo_hz must be a finite real number, got {shown(self.cfo_hz)}")
+        if self.snr_db is not None:
+            as_real("snr_db", self.snr_db,
+                    f"lie in [-{MAX_ABS_SNR_DB}, {MAX_ABS_SNR_DB}] dB, or be None (noiseless)",
+                    lambda snr: -MAX_ABS_SNR_DB <= snr <= MAX_ABS_SNR_DB)
+        as_real("cfo_hz", self.cfo_hz)
         object.__setattr__(self, "timing_offset", as_int(
             "timing_offset", self.timing_offset, (0, MAX_GENERATED_SAMPLES)))
         object.__setattr__(self, "taps", taps)
@@ -81,9 +74,10 @@ def parse_snr(text: str) -> float | None:
 
 def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
     """exp(+j*2*pi*cfo_hz*n*Ts) for n < length."""
-    cycles = abs(cfo_hz) * length / sample_rate
+    # in Python floats, which turn an overflow into inf for the test below
+    cycles = abs(float(as_real("cfo_hz", cfo_hz))) / sample_rate * length
     if not cycles < MAX_ROTATION_CYCLES:
-        raise ConfigError(f"cfo_hz {cfo_hz} turns {cycles:.3g} cycles over {length} samples "
+        raise ConfigError(f"cfo_hz {shown(cfo_hz)} turns {cycles:.3g} cycles over {length} samples "
                           f"at {sample_rate} Hz; float64 keeps no phase past 2**52")
     n = np.arange(length)
     return np.exp(2j * np.pi * cfo_hz * n / sample_rate)

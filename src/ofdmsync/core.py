@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SizingError
 
 DEFAULT_SAMPLE_RATE = 20e6  # Hz
 # Upper bound on each generated stretch (lead, gap, frame train): 256 MiB of
@@ -36,18 +37,12 @@ class SampleBuffer:
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
+        samples = as_samples(self.samples)
         if not all_finite(samples):
             raise ConfigError("sample buffer contains non-finite values")
-        try:
-            valid = self.sample_rate > 0 and math.isfinite(self.sample_rate)
-        except (TypeError, ValueError, OverflowError):  # not a real number, or past float64
-            valid = False
-        if not valid:
-            raise ConfigError(
-                f"sample rate must be positive and finite, got {shown(self.sample_rate)}")
+        rate = as_real("sample rate", self.sample_rate, "be positive and finite", lambda r: r > 0)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "sample_rate", float(rate))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -66,10 +61,35 @@ class SampleBuffer:
 
 
 def as_samples(signal) -> np.ndarray:
-    """Accept a SampleBuffer or any array-like and return complex128 samples."""
+    """A SampleBuffer's samples, or any array-like as a 1-D complex128 array.
+
+    What numpy cannot convert (bytes, a ragged sequence, an int past
+    float64's range) is a ConfigError naming the value.
+    """
     if isinstance(signal, SampleBuffer):
         return signal.samples
-    return np.asarray(signal, dtype=np.complex128).reshape(-1)
+    try:
+        return np.asarray(signal, dtype=np.complex128).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"samples must convert to complex128, got {shown(signal)}") from None
+
+
+def as_real(name: str, value, rule: str = "be a finite real number", within=None):
+    """``value``, unchanged, if it is a finite real number (a numpy one too)
+    for which the caller's range test ``within`` holds; ConfigError
+    "<name> must <rule>, got <value>" otherwise.
+
+    The value keeps its type, so an np.float32 keeps its bits. An int past
+    float64's range is not finite.
+    """
+    try:  # float first: the ABC's isinstance costs several times more
+        valid = ((isinstance(value, float) or isinstance(value, numbers.Real))
+                 and math.isfinite(value) and (within is None or within(value)))
+    except OverflowError:  # math.isfinite of an int past float64
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must {rule}, got {shown(value)}")
+    return value
 
 
 def shown(value) -> str:
@@ -100,6 +120,14 @@ def as_int(name: str, value, bounds: tuple[int, int] | None = None) -> int:
         raise ConfigError(f"{name} must be an integer, got {shown(value)}") from None
     if bounds is not None and not bounds[0] <= value <= bounds[1]:
         raise ConfigError(f"{name} must lie in [{bounds[0]}, {bounds[1]}], got {shown(value)}")
+    return value
+
+
+def as_positive(name: str, value) -> int:
+    """``value`` as an int: ConfigError when it is not an integer, SizingError below 1."""
+    value = as_int(name, value)
+    if value < 1:
+        raise SizingError(f"{name} must be positive, got {shown(value)}")
     return value
 
 

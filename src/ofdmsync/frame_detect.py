@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_samples, shown
+from .core import (BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_positive, as_real,
+                   as_samples, shown)
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -53,9 +53,7 @@ class FrameDetectConfig:
         for name in ("lag", "window", "min_plateau"):
             object.__setattr__(self, name, as_int(name, getattr(self, name),
                                                   (1, MAX_GENERATED_SAMPLES)))
-        if not (isinstance(self.threshold, numbers.Real) and 0 < self.threshold < 1):
-            raise ConfigError(
-                f"threshold must be a real number in (0, 1), got {shown(self.threshold)}")
+        as_real("threshold", self.threshold, "be a real number in (0, 1)", lambda t: 0 < t < 1)
         if self.metric_mode not in METRIC_MODES:
             raise ConfigError(f"metric_mode must be one of {METRIC_MODES}")
 
@@ -78,13 +76,16 @@ def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
     overwrite.
     """
     values = np.asarray(values)
-    window = as_int("window", window)
-    if window < 1:
-        raise SizingError("window must be positive")
+    window = as_positive("window", window)
     if len(values) < window:
         raise SizingError(f"need at least {shown(window)} values, got {len(values)}")
     if out is None:
         out = np.empty(len(values) - window + 1, values.dtype)
+    return _tree_sums(values, window, out)
+
+
+def _tree_sums(values: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+    """Run :func:`_tree_plan`'s steps: ``values``' window sums into ``out``."""
     copy, steps = _tree_plan(window)
     if copy is not None:
         out[...] = values[copy]
@@ -135,8 +136,7 @@ def autocorrelation(r, lag: int = FrameDetectConfig.lag,
                     window: int = FrameDetectConfig.window) -> np.ndarray:
     """R[n] = sum_{m<window} r[n+m] * conj(r[n+m+lag]) for every valid n."""
     x = as_samples(r)
-    if as_int("lag", lag) < 1 or as_int("window", window) < 1:
-        raise SizingError(f"lag and window must be positive, got {shown(lag)} and {shown(window)}")
+    lag, window = as_positive("lag", lag), as_positive("window", window)
     _require_window(x, lag, window)
     return _correlate(x, lag, window)
 
@@ -174,9 +174,9 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     out of it: the conjugates (whose float view then holds the powers), the
     lag products, then, as floats, R, p_squared (which holds P until it is
     squared), numerator and metric. Every numpy call writes into one of them,
-    so the kernel allocates nothing the size of ``x``. Both window sums run
-    :func:`_tree_plan`'s steps, as :func:`sliding_sum` does, and unless a
-    metric value is not finite, the one Python function the kernel calls is
+    so the kernel allocates nothing the size of ``x``. Both window sums are
+    :func:`_tree_sums`, as :func:`sliding_sum`'s are, and unless a metric
+    value is not finite, the Python functions the kernel calls are it and
     :func:`_lag_products`: the rest of a step is a fixed run of numpy calls.
     The bits are those of ``autocorrelation(x) / window``,
     ``sliding_sum(abs(x[lag:])**2, window) / window`` and so on. The
@@ -200,13 +200,8 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     numerator, metric = floats[4 * n + 3 * k:4 * n + 4 * k], floats[4 * n + 4 * k:4 * n + 5 * k]
     _lag_products(x, lag, conj, products)
     np.square(np.abs(x[lag:], powers), powers)
-    copy, steps = _tree_plan(window)
-    for values, sums in ((products, R), (powers, P)):
-        if copy is not None:
-            sums[...] = values[copy]
-        for a, b, into_out in steps:
-            head = sums if a is None else values[a]
-            np.add(head, values[b], sums if into_out else head)
+    _tree_sums(products, window, R)
+    _tree_sums(powers, window, P)
     # numpy scalars, which numpy converts faster than Python numbers
     if window & (window - 1):
         R_floats = scaled[:2 * k]
@@ -344,10 +339,11 @@ class StreamingFrameDetector:
     the first chunk: room for ``BLOCK_LEN + lag + window - 1`` held samples
     (the ``lag + window - 1`` samples of context kept from the last kernel
     step, then those fed since), then the metric kernel's arrays for that
-    many samples. A chunk of any numeric dtype, or a :class:`SampleBuffer`,
+    many samples. A numeric array of any dtype, or a :class:`SampleBuffer`,
     is converted to complex128 while it is copied in, so no converted copy
-    of the chunk is made. A step holds at most that many samples, so memory
-    stays bounded whatever the chunk length.
+    of the chunk is made; any other chunk goes through
+    :func:`~ofdmsync.core.as_samples` first. A step holds at most that many
+    samples, so memory stays bounded whatever the chunk length.
 
     The held samples are ``_workspace[_first:_held]``. A step moves
     ``_first`` past the samples whose outputs it gave, so the context stays
@@ -387,8 +383,10 @@ class StreamingFrameDetector:
         self._on_step = None  # detect_blocks' callback: called with each step's base and arrays
 
     def process(self, chunk) -> list[FrameEvent]:
-        x = chunk.samples if isinstance(chunk, SampleBuffer) else np.asarray(chunk)
-        if x.ndim != 1:
+        x = chunk.samples if isinstance(chunk, SampleBuffer) else chunk
+        if not isinstance(x, np.ndarray) or x.dtype.kind not in "biufc":
+            x = as_samples(x)  # the workspace takes only numeric arrays
+        elif x.ndim != 1:
             x = x.reshape(-1)
         size = self._size
         workspace = self._workspace

@@ -22,7 +22,8 @@ import numpy as np
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
 from .channel import ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, shown
+from .core import (BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, all_finite,
+                   as_int, as_samples, shown)
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
 from .iqfile import write_table
@@ -163,11 +164,14 @@ class TrialStatistics:
 
 
 def variance(values) -> float:
-    """Population variance (denominator N)."""
-    data = np.asarray(values, dtype=np.float64)
+    """Population variance (denominator N) of finite real values."""
+    data = as_samples(values)
     if data.size == 0:
         raise ConfigError("variance of an empty sequence is undefined")
-    return float(np.var(data))
+    if not all_finite(data) or data.imag.any():
+        raise ConfigError(f"variance needs finite real values, got {shown(values)}")
+    # a contiguous copy: the bits of np.var(np.asarray(values, np.float64))
+    return float(np.var(data.real.copy()))
 
 
 def _histogram(values: list[float]) -> list[tuple[float, int]]:

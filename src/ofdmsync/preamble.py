@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .core import DEFAULT_SAMPLE_RATE, SampleBuffer
+from .core import DEFAULT_SAMPLE_RATE, SampleBuffer, as_samples
 from .errors import SizingError
 
 SHORT_PERIOD = 16
@@ -59,8 +59,8 @@ LONG_TRAINING_FREQ.flags.writeable = False
 
 def inverse_dft(freq_values) -> np.ndarray:
     """Inverse DFT with 1/N normalization; N must be a power of two."""
-    freq = np.asarray(freq_values, dtype=np.complex128)
-    if freq.ndim != 1:
+    freq = as_samples(freq_values)
+    if np.ndim(freq_values) != 1:
         raise SizingError("inverse_dft expects a 1-D vector")
     n = freq.shape[0]
     if n == 0 or n & (n - 1):

@@ -213,6 +213,14 @@ def test_plateau_from_event_trims_guard_contamination(preamble):
     assert abs(est.delta_f_hz - 200e3) < 1.0
 
 
+def test_estimate_cfo_names_the_buffer_type_it_takes(preamble):
+    # an array is no buffer: a TypeError that says so, not an AttributeError
+    for bad in (preamble.samples, list(preamble.samples), None):
+        with pytest.raises(TypeError, match=f"^estimate_cfo takes a SampleBuffer, "
+                                            f"got {type(bad).__name__}$"):
+            estimate_cfo(bad, 16, PURE_STS_SPAN)
+
+
 def test_plateau_from_event_never_empty():
     from ofdmsync import FrameEvent
     span = plateau_from_event(FrameEvent(10, 12, 1.0), 16)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,9 +92,13 @@ def test_sliding_sum_window_errors():
         sliding_sum(np.ones(4), 5)
     with pytest.raises(SizingError):
         autocorrelation(np.ones(20), 16, 16)
-    for lag, window in ((0, 16), (-5, 16), (16, 0)):
-        with pytest.raises(SizingError, match="lag and window must be positive"):
+    for lag, window, message in ((0, 16, "lag must be positive, got 0"),
+                                 (-5, 16, "lag must be positive, got -5"),
+                                 (16, 0, "window must be positive, got 0")):
+        with pytest.raises(SizingError, match=f"^{re.escape(message)}$"):
             autocorrelation(np.ones(64), lag, window)
+    with pytest.raises(SizingError, match="^window must be positive, got 0$"):
+        sliding_sum(np.ones(40), 0)
     with pytest.raises(ConfigError, match="lag must be an integer"):
         autocorrelation(np.ones(64), 16.0, 16)
     with pytest.raises(ConfigError, match="window must be an integer"):
@@ -103,7 +108,7 @@ def test_sliding_sum_window_errors():
         sliding_sum(np.ones(40), 10**5000)
     with pytest.raises(SizingError, match="lag[+]window=an int of 16610 bits$"):
         autocorrelation(np.ones(40), 10**5000, 16)
-    with pytest.raises(SizingError, match="positive, got an int of 16610 bits and 16$"):
+    with pytest.raises(SizingError, match="^lag must be positive, got an int of 16610 bits$"):
         autocorrelation(np.ones(40), -10**5000, 16)
 
 

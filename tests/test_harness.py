@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_variance_single_sample():
 def test_variance_empty_errors():
     with pytest.raises(ConfigError):
         variance([])
+
+
+def test_variance_rejects_what_is_no_finite_real_value(rng):
+    # numpy's variance of a NaN or an infinity is NaN, with an "invalid value"
+    # warning; a complex value or text is no real value either. Each is named
+    for values, text in (([1.0, math.inf], "[1.0, inf]"), ([math.nan], "[nan]"),
+                         ([-math.inf], "[-inf]"), ([1 + 1j], "[(1+1j)]"),
+                         (np.complex64([2j]), "array([0.+2.j], dtype=complex64)")):
+        with pytest.raises(ConfigError,
+                           match=f"^variance needs finite real values, got {re.escape(text)}$"):
+            variance(values)
+    for values in (["x"], [10**5000]):
+        with pytest.raises(ConfigError, match="^samples must convert to complex128"):
+            variance(values)
+    # the float values keep the bits of numpy's own variance of them
+    values = (rng.standard_normal(1000) * 3e5).tolist() + [7, np.float32(0.1)]
+    assert variance(values) == float(np.var(np.asarray(values, np.float64)))
 
 
 def test_variance_matches_two_pass_oracle(rng):
