@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import apply_cfo
-from .core import SampleBuffer, as_int_pair, as_positive, shown
+from .core import SampleBuffer, as_int_pair, as_positive, of_type, shown
 from .errors import EstimationError, SizingError
 from .frame_detect import FrameDetectConfig, FrameEvent, _correlate
 
@@ -73,8 +73,7 @@ def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEsti
     EstimationError when the mean has no phase (no coherent short training
     present), and TypeError when ``r`` is no SampleBuffer.
     """
-    if not isinstance(r, SampleBuffer):
-        raise TypeError(f"estimate_cfo takes a SampleBuffer, got {type(r).__name__}")
+    of_type("estimate_cfo", r, SampleBuffer)
     offset, = _offsets(r.samples[np.newaxis], lag, plateau, r.sample_rate)
     if offset is None:
         raise EstimationError("autocorrelation over the plateau has zero magnitude")
@@ -94,7 +93,7 @@ def estimate_cfo_rows(rows: np.ndarray, lag: int, plateau: tuple[int, int],
 
 def correct_cfo(r: SampleBuffer, delta_f_hz: float) -> SampleBuffer:
     """De-rotate: out[n] = in[n] * exp(-j*2*pi*delta_f_hz*n*Ts)."""
-    return apply_cfo(r, -delta_f_hz)
+    return apply_cfo(of_type("correct_cfo", r, SampleBuffer), -delta_f_hz)
 
 
 def span_within(first: int, last: int, lag: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, shown
+from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, of_type, shown
 from .errors import ConfigError
 from .preamble import generate_preamble
 
@@ -26,6 +26,14 @@ MAX_ABS_SNR_DB = 300
 # A phase of 2**52 cycles has no fractional part left in float64.
 MAX_ROTATION_CYCLES = 2.0 ** 52
 UNIT_TAP = ((0, 1 + 0j),)  # no multipath
+# Seeds hashed at once by seeded_generators: bounds its uint32 arrays.
+SEED_CHUNK = 1024
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_SEEDS = 2**128  # seeds of four words or fewer, which SeedSequence zero-pads to its pool
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,13 @@ def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
         raise ConfigError(f"cfo_hz {shown(cfo_hz)} turns {cycles:.3g} cycles over {length} samples "
                           f"at {sample_rate} Hz; float64 keeps no phase past 2**52")
     n = np.arange(length)
-    return np.exp(2j * np.pi * cfo_hz * n / sample_rate)
+    try:  # raises where the product overflows: in float64, or in the type of a narrower cfo_hz
+        with np.errstate(over="raise", invalid="raise"):
+            phase = 2j * np.pi * cfo_hz * n
+    except FloatingPointError:
+        raise ConfigError(f"cfo_hz {shown(cfo_hz)} over {length} samples overflows 2*pi*cfo_hz*n, "
+                          f"formed before the division by the sample rate {sample_rate} Hz") from None
+    return np.exp(phase / sample_rate)
 
 
 def _rotate(x: np.ndarray, cfo_hz: float, sample_rate: float) -> np.ndarray:
@@ -97,6 +111,7 @@ def _delay_sum(x: np.ndarray, taps) -> np.ndarray:
 
 def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
     """Rotate by exp(+j*2*pi*cfo_hz*n*Ts); magnitudes are preserved."""
+    of_type("apply_cfo", signal, SampleBuffer)
     return SampleBuffer(_rotate(signal.samples, cfo_hz, signal.sample_rate), signal.sample_rate)
 
 
@@ -119,7 +134,7 @@ _slot: tuple = (None, None, None, 0.0)
 
 
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
-             seed: int = 0) -> SampleBuffer:
+             seed: int | np.random.Generator = 0) -> SampleBuffer:
     """Run one frame through the configured channel.
 
     The output is ``timing_offset`` lead samples, the impaired frame, then
@@ -130,9 +145,12 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     stream of N real draws followed by N imaginary ones. Each scaled row is
     added to its part of the frame, which gives the bits of
     ``frame + scale * (re + 1j * im)``. Deterministic for a fixed (input,
-    config, tail_len, seed). A non-integer or negative seed or ``tail_len``,
-    a ``tail_len`` over MAX_GENERATED_SAMPLES, or an SNR on a zero-power
-    frame raises ConfigError.
+    config, tail_len, seed). As in ``default_rng``, a Generator given as
+    ``seed`` is drawn from as it is (:func:`seeded_generators` gives one in
+    ``default_rng(s)``'s state). A negative seed, a seed that is neither an
+    integer nor a Generator, a non-integer or negative ``tail_len``, a
+    ``tail_len`` over MAX_GENERATED_SAMPLES, or an SNR on a zero-power frame
+    raises ConfigError; a preamble or config of the wrong type, TypeError.
 
     Only the noise differs between the trials of a Monte Carlo run, so for
     ``preamble is generate_preamble()`` the noiseless frame comes from the
@@ -144,10 +162,13 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     or without the slot.
     """
     global _slot
-    seed = as_int("seed", seed)
+    of_type("transmit", preamble, SampleBuffer)
+    of_type("transmit", cfg, ChannelConfig)
+    if not isinstance(seed, np.random.Generator):
+        seed = as_int("seed", seed)
+        if seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {shown(seed)}")
     tail_len = as_int("tail_len", tail_len, (0, MAX_GENERATED_SAMPLES))
-    if seed < 0:
-        raise ConfigError(f"seed cannot be negative, got {shown(seed)}")
     if preamble is not generate_preamble():
         out, power = _received(preamble, cfg, tail_len)
     else:
@@ -170,6 +191,66 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
         np.add(frame.real, noise[0], out=out.real)
         np.add(frame.imag, noise[1], out=out.imag)
     return SampleBuffer(out, preamble.sample_rate)
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, its hash constant stepping from ``const``."""
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return step
+
+
+def _pcg64_states(seeds: list[int]) -> list[dict]:
+    """The PCG64 ``{"state", "inc"}`` that ``default_rng(s)`` starts in, for each s < 2**128.
+
+    SeedSequence's ``mix_entropy`` over the 4-word pool, then its
+    ``generate_state(4, uint64)``, run on one uint32 row per pool word, so
+    every seed is hashed at once; then PCG64's two seeding steps in Python ints.
+    """
+    words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds), "<u4")
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words.reshape(-1, 4).T.astype(np.uint32)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
+        states.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & (2**128 - 1),
+                       "inc": inc})
+    return states
+
+
+def seeded_generators(seeds: range):
+    """Yield, for each seed s of ``seeds`` (non-negative ints), a Generator in
+    the state that ``np.random.default_rng(s)`` starts in.
+
+    The states of ``SEED_CHUNK`` seeds are computed at once (see
+    :func:`_pcg64_states`) and set on one reused Generator, so a consumer
+    draws from each before asking for the next. A seed of 2**128 or more,
+    which SeedSequence hashes as more than its pool, gets ``default_rng(s)``.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, len(seeds), SEED_CHUNK):
+        chunk = seeds[start:start + SEED_CHUNK]
+        states = iter(_pcg64_states([s for s in chunk if s < _POOL_SEEDS]))
+        for s in chunk:
+            if s >= _POOL_SEEDS:
+                yield np.random.default_rng(s)
+                continue
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": next(states),
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def load_taps(path) -> tuple[tuple[int, complex], ...]:

@@ -123,6 +123,14 @@ def as_int(name: str, value, bounds: tuple[int, int] | None = None) -> int:
     return value
 
 
+def of_type(taker: str, value, cls):
+    """``value`` if it is a ``cls``; TypeError "<taker> takes a <cls>, got <type>"
+    otherwise, as the error rule allows for a free function's argument."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{taker} takes a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def as_positive(name: str, value) -> int:
     """``value`` as an int: ConfigError when it is not an integer, SizingError below 1."""
     value = as_int(name, value)

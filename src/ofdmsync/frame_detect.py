@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BLOCK_LEN, MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_positive, as_real,
-                   as_samples, shown)
+                   as_samples, of_type, shown)
 from .errors import ConfigError, SizingError
 
 METRIC_MODES = ("exact", "l1_approx")
@@ -235,7 +235,7 @@ def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[Frame
     :func:`detect_blocks` of the one buffer, in bounded memory. A buffer too
     short to hold even one correlation window yields no events.
     """
-    return detect_blocks([r], cfg)
+    return detect_blocks([r], of_type("detect_frames", cfg, FrameDetectConfig))
 
 
 def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
@@ -317,7 +317,7 @@ def detect_blocks(blocks, cfg: FrameDetectConfig = FrameDetectConfig(),
     An error raised while producing a block leaves it called on a prefix of
     the steps.
     """
-    detector = StreamingFrameDetector(cfg)
+    detector = StreamingFrameDetector(of_type("detect_blocks", cfg, FrameDetectConfig))
     detector._on_step = on_step
     events = []
     for block in blocks:

@@ -21,9 +21,9 @@ import numpy as np
 # run_trials no longer calls them; bench/spans.py still traces them under
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
-from .channel import ChannelConfig, parse_snr, resolve_taps, transmit
+from .channel import ChannelConfig, parse_snr, resolve_taps, seeded_generators, transmit
 from .core import (BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, all_finite,
-                   as_int, as_samples, shown)
+                   as_int, as_samples, of_type, shown)
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
 from .iqfile import write_table
@@ -203,6 +203,7 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBu
     The gaps are silent at the transmitter; they pick up noise in the
     channel like the rest of the stream.
     """
+    of_type("preamble_train", preamble, SampleBuffer)
     count = as_int("count", count, (1, MAX_GENERATED_SAMPLES))
     gap_len = as_int("gap_len", gap_len, (0, MAX_GENERATED_SAMPLES))
     total = count * (len(preamble) + gap_len)
@@ -217,7 +218,9 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     """Run the plan and return statistics per requested stage.
 
     Trial i transmits the preamble through ``plan.channel``, the same config
-    object in every trial, with seed ``base_seed + i``. Trials run in blocks
+    object in every trial, with the noise of seed ``base_seed + i``: given
+    an SNR, a Generator from :func:`~ofdmsync.channel.seeded_generators` in
+    the state of ``default_rng(base_seed + i)``. Trials run in blocks
     of ``max(1, BLOCK_LEN // N)``, N the length of one trial buffer: each
     buffer is copied into one block workspace, allocated once per run, and
     each requested stage's block function (built once per run from the plan)
@@ -230,12 +233,15 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     (``bench/test_bench.py`` asks for ``n_trials`` to ``transmit`` and
     ``2 * n_trials + 1`` to ``generate_preamble``).
     """
+    of_type("run_trials", plan, TrialPlan)
     pre = generate_preamble()
     blocks = {stage: _STAGE_TABLE[stage].build(plan) for stage in plan.stages}
     outcomes: dict[str, list[float | None]] = {stage: [] for stage in plan.stages}
     rows = None  # the block workspace
-    for i in range(plan.n_trials):
-        rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=plan.base_seed + i)
+    seeds = range(plan.base_seed, plan.base_seed + plan.n_trials)
+    # a noiseless channel draws nothing, so its trials skip the seeding
+    for i, seed in enumerate(seeds if plan.channel.snr_db is None else seeded_generators(seeds)):
+        rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=seed)
         if rows is None:
             rows = np.empty((max(1, BLOCK_LEN // len(rx)), len(rx)), np.complex128)
         k = i % len(rows)

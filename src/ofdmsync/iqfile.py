@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, SampleBuffer, all_finite
+from .core import BLOCK_LEN, DEFAULT_SAMPLE_RATE, SampleBuffer, all_finite, of_type
 from .errors import IqFormatError
 
 _SAMPLE_BYTES = 8  # two float32 per complex sample
@@ -48,7 +48,7 @@ def write_iq(buf: SampleBuffer, destination) -> int:
     float32, since :func:`read_iq` would reject the file.
     """
     with np.errstate(over="ignore"):
-        words = buf.samples.astype("<c8")
+        words = of_type("write_iq", buf, SampleBuffer).samples.astype("<c8")
     _require_finite(words.view("<f4"), f"writing {destination} as float32")
     data = words.tobytes()
     Path(destination).write_bytes(data)
@@ -109,7 +109,7 @@ def write_rows(f, columns) -> int:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     for start in range(0, n_rows, ROWS_PER_WRITE):
         block = [c[start:start + ROWS_PER_WRITE].tolist() for c in columns]
-        f.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
+        f.write("\n".join(map(",".join, zip(*(map(str, c) for c in block)))) + "\n")
     return n_rows
 
 
@@ -122,5 +122,5 @@ def write_table(destination, header: str, columns) -> int:
 
 def write_csv(buf: SampleBuffer, destination) -> int:
     """Write ``index,re,im`` rows (full float precision); returns row count."""
-    x = buf.samples
+    x = of_type("write_csv", buf, SampleBuffer).samples
     return write_table(destination, "index,re,im", (np.arange(len(x)), x.real, x.imag))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_int_pair, as_samples, shown
+from .core import as_int_pair, as_samples, of_type, shown
 from .errors import ConfigError, SizingError
 from .preamble import (GUARD_LEN, LONG_SYMBOL_LEN, PREAMBLE_LEN, SHORT_PERIOD, STS_LEN,
                        generate_preamble)
@@ -107,7 +107,7 @@ def estimate_timing(r, cfg: TimeSyncConfig = TimeSyncConfig()) -> TimingEstimate
     correlated; each output is the same dot product over the same memory as
     in the full correlation, so the result is bit-identical to it.
     """
-    template = training_template(cfg.template)
+    template = training_template(of_type("estimate_timing", cfg, TimeSyncConfig).template)
     x = as_samples(r)
     n_out = _output_length(x, template)
     start, length = cfg.search_window or default_search_window(cfg.template)

@@ -1,6 +1,8 @@
 import sys
 import threading
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, apply_cfo,
                       generate_preamble, load_taps, transmit)
 from ofdmsync import channel as channel_module
-from ofdmsync.channel import BUILTIN_PROFILES, UNIT_TAP, profile_path, resolve_taps
+from ofdmsync.channel import (BUILTIN_PROFILES, SEED_CHUNK, UNIT_TAP, profile_path, resolve_taps,
+                              seeded_generators)
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 
 from conftest import random_buffer
@@ -420,6 +423,53 @@ def test_transmit_rejects_a_negative_seed(preamble, snr_db):
     # noiseless too, so a bad seed never depends on the SNR to show
     with pytest.raises(ConfigError, match="seed cannot be negative"):
         transmit(preamble, ChannelConfig(snr_db=snr_db), seed=-1)
+
+
+def test_transmit_draws_from_a_generator_as_it_is(preamble):
+    # default_rng's own rule: a Generator is used as it is, so one in
+    # default_rng(9)'s state gives the bits of seed=9; any other seed that is
+    # no integer stays a config error
+    cfg = ChannelConfig(snr_db=5.0, cfo_hz=30e3)
+    want = transmit(preamble, cfg, 40, seed=9).samples
+    assert same_bits(transmit(preamble, cfg, 40, seed=np.random.default_rng(9)).samples, want)
+    rng, = seeded_generators(range(9, 10))
+    assert same_bits(transmit(preamble, cfg, 40, seed=rng).samples, want)
+    for bad in (np.random.PCG64(9), np.random.SeedSequence(9), np.random.RandomState(9), None):
+        with pytest.raises(ConfigError, match="^seed must be an integer, got "):
+            transmit(preamble, cfg, seed=bad)
+
+
+# --- seeded_generators ----------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(edge=st.sampled_from([0, 2**32, 2**64, 2**128]), shift=st.integers(-30, 30),
+       count=st.integers(0, 30), chunk=st.integers(1, 8), n=st.integers(0, 40))
+@example(edge=2**128, shift=-3, count=6, chunk=4, n=5)
+def test_seeded_generators_start_in_default_rngs_state(edge, shift, count, chunk, n):
+    # The helper re-implements numpy's SeedSequence hash and PCG64 seeding: a
+    # numpy that changes either fails here rather than moving report bytes.
+    # Seeds run on both sides of a pool word's end, and small chunks put the
+    # chunk edges among them.
+    first = max(0, edge + shift)
+    seeds = range(first, first + count)
+    with warnings.catch_warnings(), mock.patch.object(channel_module, "SEED_CHUNK", chunk):
+        warnings.simplefilter("error")  # the uint32 arithmetic wraps without a warning
+        got = [(rng.bit_generator.state, rng.standard_normal((2, n)))
+               for rng in seeded_generators(seeds)]
+    assert len(got) == count
+    for seed, (state, draw) in zip(seeds, got):
+        want = np.random.default_rng(seed)
+        assert state == want.bit_generator.state
+        assert np.array_equal(draw, want.standard_normal((2, n)))
+
+
+@pytest.mark.parametrize("edge", [2**32, 2**128])
+def test_seeded_generators_across_whole_chunks(edge):
+    seeds = range(edge - SEED_CHUNK - 2, edge + 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [rng.bit_generator.state for rng in seeded_generators(seeds)]
+    assert got == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
 
 
 @pytest.mark.parametrize("gain", [complex("nan"), float("inf"), complex(0.5, float("-inf"))])

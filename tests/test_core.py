@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,27 @@ def test_a_cfo_is_one_finite_real_number_wherever_it_enters():
     for bad, text in ((10**308, "an int of 1024 bits"), (np.float32(3e38), "np.float32(3e+38)")):
         with pytest.raises(ConfigError, match=f"^cfo_hz {re.escape(text)} turns .* 2[*][*]52$"):
             apply_cfo(buffer, bad)
+
+
+def test_a_cfo_whose_phase_overflows_before_the_division_names_itself():
+    # Far past the CLI's sample-rate bound, 2*pi*cfo_hz*n overflows while the
+    # cycle count stays under 2**52. The rotation says so, naming the offset
+    # and the rate, with no numpy warning; a narrower type overflows sooner.
+    buffer = SampleBuffer(np.ones(400), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, bad, text in ((apply_cfo, 1e308, "1e+308"), (correct_cfo, 1e308, "-1e+308"),
+                                (apply_cfo, np.float32(3e38), "np.float32(3e+38)"),
+                                (apply_cfo, 10**308, "an int of 1024 bits")):
+            with pytest.raises(ConfigError, match=f"^cfo_hz {re.escape(text)} over 400 samples "
+                                                  r"overflows 2[*]pi[*]cfo_hz[*]n, formed before "
+                                                  r"the division by the sample rate 1e\+300 Hz$"):
+                call(buffer, bad)
+        # short of the overflow, the rotation keeps the bits of its one expression
+        n = np.arange(400)
+        want = np.exp(2j * np.pi * 1e304 * n / 1e300)
+        got = apply_cfo(buffer, 1e304).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_as_positive_is_every_lag_and_window_rule():

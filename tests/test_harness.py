@@ -418,7 +418,7 @@ def test_every_trial_gets_the_plan_channel_and_its_own_seed(monkeypatch):
     transmit = harness.transmit
 
     def recording(preamble, cfg, tail_len=0, *, seed=0):
-        calls.append((cfg, seed))
+        calls.append((cfg, seed.bit_generator.state))
         return transmit(preamble, cfg, tail_len, seed=seed)
 
     monkeypatch.setattr(harness, "transmit", recording)
@@ -426,7 +426,23 @@ def test_every_trial_gets_the_plan_channel_and_its_own_seed(monkeypatch):
                      stages=("cfo",), base_seed=40)
     run_trials(plan)
     assert all(cfg is plan.channel for cfg, _ in calls)
-    assert [seed for _, seed in calls] == list(range(40, 46))
+    # trial i's seed is a Generator in default_rng(base_seed + i)'s state
+    assert [state for _, state in calls] == [
+        np.random.default_rng(seed).bit_generator.state for seed in range(40, 46)]
+
+
+@pytest.mark.parametrize("base_seed", [2**32 - 3, 2**64 - 3, 2**128 - 3])
+def test_seeds_past_a_pool_word_equal_the_per_trial_reference(base_seed):
+    # the reference passes int seeds to transmit; run_trials passes the
+    # Generators of seeded_generators, which hands seeds of 2**128 and up to
+    # default_rng
+    plan = TrialPlan(n_trials=6, stages=harness.STAGES, base_seed=base_seed,
+                     channel=ChannelConfig(snr_db=8.0, cfo_hz=100e3, timing_offset=30,
+                                           taps=resolve_taps("etsi_c")))
+    got = run_trials(plan)
+    for stage, (values, indices, failures) in per_trial_reference(plan).items():
+        assert (got[stage].values, got[stage].trial_indices, got[stage].failures) == (
+            values, indices, failures)
 
 
 # --- preamble_train ---------------------------------------------------------------

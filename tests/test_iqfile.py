@@ -161,11 +161,15 @@ def test_write_table_matches_one_string_reference(tmp_path, rng, n_rows):
     values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     flags = values > 0
     names = ["frame", "cfo"] * (n_rows // 2) + ["time_lts"] * (n_rows % 2)
+    narrow = rng.standard_normal(n_rows).astype(np.float32)
     path = tmp_path / "t.csv"
-    assert write_table(path, "n,value,flag,name",
-                       (np.arange(n_rows), values, flags, names)) == n_rows
-    reference = ["n,value,flag,name"] + [
-        f"{i},{float(v)!r},{int(f)},{name}" for i, (v, f, name) in enumerate(zip(values, flags, names))]
+    # numpy columns, and Python lists of ints, floats and bools
+    assert write_table(path, "n,value,flag,name,narrow,n,value,flag",
+                       (np.arange(n_rows), values, flags, names, narrow,
+                        list(range(n_rows)), values.tolist(), flags.tolist())) == n_rows
+    reference = ["n,value,flag,name,narrow,n,value,flag"] + [
+        f"{i},{float(v)!r},{int(f)},{name},{float(w)!r},{i},{float(v)!r},{int(f)}"
+        for i, (v, f, name, w) in enumerate(zip(values, flags, names, narrow))]
     assert path.read_text() == "\n".join(reference) + "\n"
 
 

@@ -1,10 +1,12 @@
 import ast
 import contextlib
 import math
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, OfdmSyncErro
                       StreamingFrameDetector, TimeSyncConfig, TrialPlan, apply_cfo,
                       autocorrelation, correct_cfo, cross_correlate, detect_frames, estimate_cfo,
                       estimate_timing, generate_preamble, inverse_dft, plateau_from_event,
-                      preamble_train, transmit, variance)
+                      preamble_train, run_trials, transmit, variance, write_csv, write_iq)
 
 
 def _referenced_names(path: Path) -> set[str]:
@@ -115,10 +117,23 @@ _NUMBER_CALLS = [
     ("transmit tail_len", lambda v: transmit(_BUFFER, ChannelConfig(), v), True),
     ("preamble_train", lambda v: preamble_train(_BUFFER, v, 0), True),
 ]
+# names that take a SampleBuffer or a config object, given anything else
+_OBJECT_CALLS = [
+    ("apply_cfo buffer", lambda v: apply_cfo(v, 0.0), True),
+    ("correct_cfo buffer", lambda v: correct_cfo(v, 0.0), True),
+    ("transmit preamble", lambda v: transmit(v, ChannelConfig()), True),
+    ("transmit config", lambda v: transmit(_BUFFER, v), True),
+    ("preamble_train preamble", lambda v: preamble_train(v, 1, 0), True),
+    ("write_iq", lambda v: write_iq(v, os.devnull), True),
+    ("write_csv", lambda v: write_csv(v, os.devnull), True),
+    ("run_trials", run_trials, True),
+    ("detect_frames config", lambda v: detect_frames(_BUFFER, v), True),
+    ("estimate_timing config", lambda v: estimate_timing(_BUFFER, v), True),
+]
 
 
 @settings(max_examples=400, deadline=None)
-@given(call=st.sampled_from(_ARRAY_CALLS + _NUMBER_CALLS), drawn=_HOSTILE)
+@given(call=st.sampled_from(_ARRAY_CALLS + _NUMBER_CALLS + _OBJECT_CALLS), drawn=_HOSTILE)
 def test_hostile_arguments_raise_only_the_documented_errors(call, drawn):
     # the library-level twin of test_fuzzed_arguments_keep_the_exit_code_contract:
     # a bad value ends in an OfdmSyncError, or in a TypeError where the README
@@ -139,3 +154,22 @@ def test_hostile_arguments_raise_only_the_documented_errors(call, drawn):
             pass
         except Exception as exc:  # noqa: BLE001 - the assertion names it
             raise AssertionError(f"{name}({drawn!r}) raised {exc!r}") from exc
+
+
+@pytest.mark.parametrize("value", [np.ones(400, complex), None])
+def test_a_wrong_type_is_a_type_error_naming_the_class_taken(value):
+    got = type(value).__name__
+    for taker, call, taken in (
+            ("apply_cfo", lambda: apply_cfo(value, 0.0), "SampleBuffer"),
+            ("correct_cfo", lambda: correct_cfo(value, 0.0), "SampleBuffer"),
+            ("transmit", lambda: transmit(value, ChannelConfig()), "SampleBuffer"),
+            ("preamble_train", lambda: preamble_train(value, 1, 0), "SampleBuffer"),
+            ("write_iq", lambda: write_iq(value, os.devnull), "SampleBuffer"),
+            ("write_csv", lambda: write_csv(value, os.devnull), "SampleBuffer"),
+            ("estimate_cfo", lambda: estimate_cfo(value, 16, (0, 50)), "SampleBuffer"),
+            ("transmit", lambda: transmit(_BUFFER, value), "ChannelConfig"),
+            ("run_trials", lambda: run_trials(value), "TrialPlan"),
+            ("detect_frames", lambda: detect_frames(_BUFFER, value), "FrameDetectConfig"),
+            ("estimate_timing", lambda: estimate_timing(_BUFFER, value), "TimeSyncConfig")):
+        with pytest.raises(TypeError, match=f"^{taker} takes a {taken}, got {got}$"):
+            call()
