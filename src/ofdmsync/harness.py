@@ -84,12 +84,16 @@ def _cfo(plan: TrialPlan) -> Callable[[np.ndarray], list[float | None]]:
     aided so the estimator is measured on every trial, including SNRs where frame
     detection gives up.
 
-    The span is :func:`~ofdmsync.cfo.span_within` of the short training's
-    samples, and :func:`~ofdmsync.cfo.estimate_cfo_rows` takes a whole block
-    in one pass, at the preamble's sample rate.
+    The span is :func:`~ofdmsync.cfo.span_within` of the samples where every
+    path carries the short training: from the latest path's first sample
+    (``timing_offset`` + largest tap delay) to the earliest path's last.
+    Earlier samples carry only some of the paths, so they do not repeat at the
+    lag, and their products bias the estimate. Later ones carry the long
+    training's guard on the earliest path. :func:`~ofdmsync.cfo.estimate_cfo_rows`
+    takes a whole block in one pass, at the preamble's sample rate.
     """
     lag, offset = FrameDetectConfig.lag, plan.channel.timing_offset
-    span = span_within(offset, offset + STS_LEN - 1, lag)
+    span = span_within(offset + plan.channel.taps[-1][0], offset + STS_LEN - 1, lag)
     return lambda rows: estimate_cfo_rows(rows, lag, span, DEFAULT_SAMPLE_RATE)
 
 

@@ -30,25 +30,27 @@ MULTIPATH_FOUR_STAGE = {
     "frame": (2, 225.27017651260078),
     "time_sts": (0, 41.57749999999999),
     "time_lts": (0, 0.029899999999999993),
-    "cfo": (0, 10452457.03330435),
+    "cfo": (0, 13760512.851825243),
 }
 
 # sha256 over the emit_report files (sorted by name; name, NUL, bytes, NUL)
 # for the plan above and for a noiseless single-tap plan, written down before
 # the per-trial path was optimised: every report byte must stay the same.
 # Re-pinned once, when window sums took one fixed addition order: the cfo
-# values moved by at most 9 ULP, every frame and timing byte stayed.
-REPORT_SHA256_FOUR_STAGE = "e14075775f2d82cbb510dc76ba511a57401c71dac7fdf7316fae2d8b718ae675"
+# values moved by at most 9 ULP, every frame and timing byte stayed. The
+# multipath digests (and MULTIPATH_FOUR_STAGE's cfo) were re-pinned when the
+# aided cfo span came to start at the latest path; only cfo bytes moved.
+REPORT_SHA256_FOUR_STAGE = "2a32582e88788be0df8100f90b7a1c9991defd4a8c29bb59b509ea80c719048a"
 REPORT_SHA256_CLEAN = "ebace244cd1c7784f593ff8893e28e8795b0b98b7af074f92da60e09b1bf2352"
 # The four-stage plan above at 0 dB, where no trial has a frame event: the frame
 # stage's first block is scanned again whole after its short first pass, and
 # every later block whole at once. Written down before that pass existed.
-REPORT_SHA256_FOUR_STAGE_0DB = "76af72e4a2a32abe22de14b6f684e1da73e49169ee7dcf49b484e5862da043a1"
+REPORT_SHA256_FOUR_STAGE_0DB = "c09e989cc87cc51bfcc53005a0c25cb216456bd98ac55cd92507e99e34a1319d"
 # Two etsi_a plans, written down before the stages became one table: the
 # four-stage plan above on etsi_a, and a stage subset in a non-canonical order
 # (cfo, time_lts, frame; 12 dB, -50 kHz, offset 7, base_seed 5).
-REPORT_SHA256_ETSI_A = "cd4a8e35d04b6f10bd2dc4f0524490015caca884381db0dbcc8e4cbd539c8f3e"
-REPORT_SHA256_ETSI_A_SUBSET = "a73657f928f8c309efef3a5fdf815ee306604e96e45fc8a5f60854f44063fac1"
+REPORT_SHA256_ETSI_A = "0242d8ed3a1cdaf24eb669f573c0eedf3794d50cd04009363b3ae2145abd5df0"
+REPORT_SHA256_ETSI_A_SUBSET = "3df1f9ffff4217b4acc8d7d7569c26d5ecba3456237dcdfab50d58bd965a3d16"
 
 
 def two_pass_variance(values):
@@ -133,6 +135,19 @@ def test_noiseless_trials_with_offset_and_cfo():
     assert res["cfo"].variance == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("taps", ["etsi_a", "etsi_c"])
+@pytest.mark.parametrize("cfo_hz", [100e3, -250e3])
+def test_noiseless_multipath_cfo_measures_the_estimator(taps, cfo_hz):
+    # the aided span starts at the latest path, where every path carries the
+    # short training; from the first path on it was off by -87.7 Hz (etsi_a)
+    # and -329.7 Hz (etsi_c)
+    plan = TrialPlan(n_trials=3, stages=("cfo",),
+                     channel=ChannelConfig(cfo_hz=cfo_hz, timing_offset=30,
+                                           taps=resolve_taps(taps)))
+    for value in run_trials(plan)["cfo"].values:
+        assert abs(value - cfo_hz) < 1.0
+
+
 def test_trials_deterministic():
     plan = TrialPlan(n_trials=25, channel=ChannelConfig(snr_db=5.0),
                      stages=("time_sts", "cfo"), base_seed=11)
@@ -200,6 +215,10 @@ def per_trial_reference(plan):
     """stage -> (values, trial indices, failures), one trial at a time."""
     out = {stage: ([], [], 0) for stage in plan.stages}
     offset = plan.channel.timing_offset
+    # the cfo span: from the latest path's first sample to 2 * lag - 2 before
+    # the earliest path's last short-training sample, never empty
+    first = offset + plan.channel.taps[-1][0]
+    span = (first, max(offset + 129, first + 1))
     for i in range(plan.n_trials):
         rx = transmit(generate_preamble(), plan.channel, tail_len=plan.gap_len,
                       seed=plan.base_seed + i)
@@ -211,7 +230,7 @@ def per_trial_reference(plan):
                     value = float(events[0].start_index)
             elif stage == "cfo":
                 try:
-                    value = estimate_cfo(rx, 16, (offset, offset + 129)).delta_f_hz
+                    value = estimate_cfo(rx, 16, span).delta_f_hz
                 except EstimationError:
                     pass
             else:
