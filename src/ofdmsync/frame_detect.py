@@ -284,9 +284,14 @@ def _first_events(rows: np.ndarray, cfg: FrameDetectConfig) -> list[FrameEvent |
     context = cfg.lag + cfg.window - 1
 
     def cut(n, numerator, p_squared, metric):
-        # the straddling indices of the rows this step reaches
-        for at in range(n - n % row_len + row_len - context, n + len(metric), row_len):
-            metric[max(at - n, 0):at - n + context] = 0
+        # Metric index i straddles two rows when i % row_len >= row_len - context.
+        # at: the step's first index that starts a straddle; the straddle before
+        # it may reach into the step, and the last may run past its end.
+        at = (row_len - context - n) % row_len
+        metric[:max(at + context - row_len, 0)] = 0
+        whole = max((len(metric) - at) // row_len, 0)  # rows of the step from at on
+        metric[at:at + whole * row_len].reshape(whole, row_len)[:, :context] = 0
+        metric[at + whole * row_len:at + whole * row_len + context] = 0
 
     first: list[FrameEvent | None] = [None] * n_rows
     for event in detect_blocks([rows.reshape(-1)], cfg, cut):

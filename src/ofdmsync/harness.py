@@ -30,6 +30,12 @@ from .iqfile import write_table
 from .preamble import PREAMBLE_LEN, STS_LEN, generate_preamble
 from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, estimate_timing
 
+# Samples per block of trial buffers: as many whole buffers as fit, at least
+# one. The frame and cfo stages pay a fixed cost per block (detector set-up,
+# kernel steps, run scans, numpy calls); four kernel steps' worth of samples
+# cut it to about a quarter of one step's, in a 512 KiB workspace.
+TRIAL_BLOCK_LEN = 4 * BLOCK_LEN
+
 # What run_trials, TrialPlan and emit_report know of one stage:
 # - build: plan -> the stage's block function, which maps rows (a 2-D block
 #   of trial buffers) to one value per row, None where the trial failed;
@@ -43,24 +49,29 @@ def _frame(plan: TrialPlan) -> Callable[[np.ndarray], list[float | None]]:
 
     A block's first events come from
     :func:`~ofdmsync.frame_detect.first_events`, with the bits of
-    ``detect_frames`` on each trial. Its first pass reads each buffer only
-    through the short training of the latest path: the first
-    ``timing_offset + STS_LEN + (largest tap delay) + 1`` metric outputs,
-    which run one past that training's last sample. A buffer's first event
-    from that pass stands when it has settled there
+    ``detect_frames`` on each trial. Its short first pass reads each buffer
+    only through the short training of the latest path: the samples that
+    give the first ``prefix = timing_offset + STS_LEN + (largest tap delay) +
+    1`` metric outputs, which run one past that training's last sample. A
+    buffer's first event from that pass stands when it has settled there
     (:func:`~ofdmsync.frame_detect.settles`); the other buffers are scanned
-    whole. A block takes the short pass only when every buffer of the block
-    before it settled there, and the first block takes it; otherwise it
-    scans every buffer whole. Where few buffers settle (etsi_c below about
-    8 dB), the blocks after the first so scan whole once instead of twice.
+    whole. That costs less than one whole scan of the block when more than
+    S / N of the buffers settle, S the ``prefix + lag + window - 1`` samples
+    the short pass reads of each buffer and N the buffer length (243 / 771 at
+    a 30-sample offset on etsi_c). So the first block takes the short pass,
+    and each later block takes it when more than that share of the block
+    before it settled in the prefix, whichever pass scanned it; otherwise it
+    scans every buffer whole.
     """
     prefix = plan.channel.timing_offset + STS_LEN + plan.channel.taps[-1][0] + 1
+    short_len = prefix + FrameDetectConfig.lag + FrameDetectConfig.window - 1
     short = True  # whether the next block takes the short pass
 
     def block(rows):
         nonlocal short
         events = first_events(rows, prefix=prefix if short else None)
-        short = all(settles(event, prefix) for event in events)
+        settled = sum(settles(event, prefix) for event in events)
+        short = settled * rows.shape[1] > short_len * len(rows)
         return [None if event is None else float(event.start_index) for event in events]
     return block
 
@@ -224,12 +235,14 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     Trial i transmits the preamble through ``plan.channel``, the same config
     object in every trial, with the noise of seed ``base_seed + i``: given
     an SNR, a Generator from :func:`~ofdmsync.channel.seeded_generators` in
-    the state of ``default_rng(base_seed + i)``. Trials run in blocks
-    of ``max(1, BLOCK_LEN // N)``, N the length of one trial buffer: each
+    the state of ``default_rng(base_seed + i)``. Trials run in blocks of
+    ``max(1, TRIAL_BLOCK_LEN // N)`` buffers, N the length of one trial
+    buffer (42 buffers of 771 samples at a 30-sample offset on etsi_c): each
     buffer is copied into one block workspace, allocated once per run, and
     each requested stage's block function (built once per run from the plan)
     gives a value for every row of the block. A None counts as a failure for
-    that stage, and the statistics cover the successes only.
+    that stage, and the statistics cover the successes only. Every value
+    depends on its own row alone, so the block length moves no report byte.
 
     The channel call stays per trial, and the timing stages call
     ``estimate_timing`` per row, which cuts its template from
@@ -247,7 +260,7 @@ def run_trials(plan: TrialPlan) -> dict[str, TrialStatistics]:
     for i, seed in enumerate(seeds if plan.channel.snr_db is None else seeded_generators(seeds)):
         rx = transmit(pre, plan.channel, tail_len=plan.gap_len, seed=seed)
         if rows is None:
-            rows = np.empty((max(1, BLOCK_LEN // len(rx)), len(rx)), np.complex128)
+            rows = np.empty((max(1, TRIAL_BLOCK_LEN // len(rx)), len(rx)), np.complex128)
         k = i % len(rows)
         rows[k] = rx.samples
         if k + 1 < len(rows) and i + 1 < plan.n_trials:

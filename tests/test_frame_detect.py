@@ -454,6 +454,46 @@ def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, s
     assert first_events(rows, prefix=prefix) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 30), pick=st.integers(0, 29), steps=st.integers(2, 3),
+       extra=st.integers(0, 400), seed=st.integers(0, 2**32 - 1),
+       edge=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+       bursts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                 st.integers(1, 300)), max_size=12))
+# the edge burst runs from row 4 into row 5 across the second step's start
+@example(m=5, pick=0, steps=2, extra=0, seed=1, edge=(120, 150), bursts=[])
+def test_first_events_over_steps_that_start_inside_a_straddle(preamble, m, pick, steps, extra,
+                                                              seed, edge, bursts):
+    # A first pass over p samples of each row, with BLOCK_LEN = m * p - e and
+    # 0 < e < lag + window - 1: the second kernel step starts e samples before
+    # row m, inside the indices that straddle rows m - 1 and m, and the pass
+    # spans two or three steps. A 16-periodic burst runs from the end of row
+    # m - 1's pass into the start of row m's, so only zeroing the straddle on
+    # both sides of the step edge keeps their runs apart; more bursts sit
+    # anywhere in the rows.
+    cfg = FrameDetectConfig()
+    context = cfg.lag + cfg.window - 1
+    fits = [e for e in range(1, context) if (BLOCK_LEN + e) % m == 0]
+    p = (BLOCK_LEN + fits[pick % len(fits)]) // m
+    n_rows = steps * m + 1
+    gen = np.random.default_rng(seed)
+    rows = 0.3 * (gen.standard_normal((n_rows, p + extra))
+                  + 1j * gen.standard_normal((n_rows, p + extra)))
+    period = preamble.samples[:16]
+    for row, at, length in bursts:
+        piece = rows[row % n_rows, at % (p + extra):][:length]
+        piece[:] = np.tile(period, length // 16 + 1)[:len(piece)]
+    before, after = edge
+    burst = np.tile(period, (before + after) // 16 + 1)
+    rows[m - 1, p - before:p] = burst[:before]
+    rows[m, :after] = burst[before:before + after]
+    short = rows[:, :p]
+    assert first_events(short) == [next(iter(detect_frames(row)), None) for row in short]
+    want = [next(iter(detect_frames(row)), None) for row in rows]
+    assert first_events(rows, prefix=p - context) == want
+    assert first_events(rows) == want
+
+
 @pytest.mark.parametrize("cut", [-2, -1, 0, 1, 40])
 def test_a_prefix_event_stands_only_when_the_prefix_gives_the_output_that_closes_it(cut):
     # Row 0 holds a run that ends at output 199; row 1 the same run 40 samples

@@ -14,7 +14,7 @@ from ofdmsync import (ChannelConfig, ConfigError, EstimationError, TimeSyncConfi
                       variance)
 from ofdmsync.channel import UNIT_TAP, resolve_taps
 from ofdmsync.cli import main
-from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
+from ofdmsync.core import MAX_GENERATED_SAMPLES
 from ofdmsync.time_sync import default_search_window
 from ofdmsync.iqfile import ROWS_PER_WRITE
 
@@ -254,15 +254,17 @@ def per_trial_reference(plan):
        cfo_hz=st.floats(-300e3, 300e3),
        stages=st.lists(st.sampled_from(harness.STAGES), min_size=1, max_size=4, unique=True),
        size=st.sampled_from(["1", "B-1", "B+1", "3B"]), base_seed=st.integers(0, 2**31))
-# one trial buffer longer than a kernel step: each block is one row over two steps
+# trial buffers longer than a kernel step: blocks of three rows over four steps
 @example(snr_db=10.0, taps="etsi_c", offset=30, gap_len=9000, cfo_hz=100e3,
          stages=["frame", "cfo"], size="3B", base_seed=7)
 # The frame stage's short first pass reads each row's first PREFIX = offset + 160
-# + (largest tap delay) + 32 samples. The first block's rows 0, 1, 6 and 9 have no
-# event settled there and are scanned whole; the second block, all settled, is
-# scanned whole after them, and the third takes the short pass again.
-@example(snr_db=8.0, taps="etsi_c", offset=30, gap_len=400, cfo_hz=100e3,
-         stages=list(harness.STAGES), size="3B", base_seed=63)
+# + (largest tap delay) + 32 samples: 243 of 771 here, so it costs less than a
+# whole scan when more than 243 / 771 of a block's rows settle, 14 of 42. The
+# first block takes it over both kernel steps that its 42 * 243 samples fill, and
+# 12 rows settle; the second block is scanned whole and 17 settle, so the third
+# takes the short pass again.
+@example(snr_db=7.0, taps="etsi_c", offset=30, gap_len=400, cfo_hz=100e3,
+         stages=list(harness.STAGES), size="3B", base_seed=188)
 # Paths every 16 samples keep the metric 16-periodic past the short training, and a
 # faint last path sets the prefix: the noiseless run ends at output 347, which
 # with the last path at delay 188 is the last output but one that PREFIX gives,
@@ -272,7 +274,12 @@ def per_trial_reference(plan):
          gap_len=400, cfo_hz=0.0, stages=["frame"], size="B+1", base_seed=0)
 @example(snr_db=None, taps=((0, 1), (16, 1), (32, 1), (48, 1), (186, 1e-3)), offset=0,
          gap_len=400, cfo_hz=0.0, stages=["frame"], size="B+1", base_seed=0)
-# a prefix longer than a kernel step, in blocks of one row
+# A short first pass over two kernel steps, the second starting inside a straddle:
+# 249 samples of each of 42 rows, and 8192 = 33 * 249 - 25 lies in the 31 indices
+# that straddle rows 32 and 33.
+@example(snr_db=10.0, taps="etsi_c", offset=36, gap_len=400, cfo_hz=100e3,
+         stages=list(harness.STAGES), size="B+1", base_seed=3)
+# a prefix longer than a kernel step, in blocks of three rows
 @example(snr_db=10.0, taps="etsi_c", offset=9000, gap_len=400, cfo_hz=100e3,
          stages=list(harness.STAGES), size="B+1", base_seed=3)
 def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_len, cfo_hz,
@@ -283,7 +290,7 @@ def test_block_stages_equal_the_per_trial_reference(snr_db, taps, offset, gap_le
     max_delay = channel.taps[-1][0]
     if "time_lts" in stages:
         gap_len = max(gap_len, 127 - max_delay)
-    block = max(1, BLOCK_LEN // (offset + 320 + gap_len + max_delay))
+    block = max(1, harness.TRIAL_BLOCK_LEN // (offset + 320 + gap_len + max_delay))
     n_trials = {"1": 1, "B-1": max(1, block - 1), "B+1": block + 1, "3B": 3 * block}[size]
     plan = TrialPlan(n_trials=n_trials, channel=channel, stages=tuple(stages),
                      base_seed=base_seed, gap_len=gap_len)
