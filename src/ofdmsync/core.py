@@ -20,7 +20,9 @@ MAX_GENERATED_SAMPLES = 2**24
 # metric in a workspace it allocates once, so no per-call temporary has to
 # stay under glibc's 128 KiB mmap threshold. 8192 halves the fixed cost per
 # sample of 4096; 16384 ran detect --in on 10M samples about 10% slower than
-# 8192 and raised its peak RSS over 4096 by 1.8 MB instead of 1.0.
+# 8192 and raised its peak RSS over 4096 by 1.8 MB instead of 1.0. Monte Carlo
+# trials are not a stream: run_trials cuts them into blocks of
+# harness.TRIAL_BLOCK_LEN samples, four of these.
 BLOCK_LEN = 1 << 13
 
 
