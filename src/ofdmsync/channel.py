@@ -116,21 +116,29 @@ def apply_cfo(signal: SampleBuffer, cfo_hz: float) -> SampleBuffer:
 
 
 def _received(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int
-              ) -> tuple[np.ndarray, float]:
-    """The noiseless received frame and the preamble's average power (taken
-    first, so its temporaries are freed before the frame's are made)."""
-    power = preamble.average_power
+              ) -> tuple[np.ndarray, np.float64 | None]:
+    """The noiseless received frame, and the scale of each noise part:
+    ``sqrt(power / 10**(snr_db / 10) / 2)`` with ``power`` the preamble's
+    average power (taken first, so its temporaries are freed before the
+    frame's are made), or None when noiseless. An SNR on a zero-power
+    preamble raises ConfigError."""
+    scale = None
+    if cfg.snr_db is not None:
+        power = preamble.average_power
+        if power == 0.0:
+            raise ConfigError("cannot set an SNR on a zero-power signal")
+        scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)
     padded = np.concatenate([
         np.zeros(cfg.timing_offset, np.complex128),
         preamble.samples,
         np.zeros(tail_len, np.complex128),
     ])
-    return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), power
+    return _rotate(_delay_sum(padded, cfg.taps), cfg.cfo_hz, preamble.sample_rate), scale
 
 
-# (cfg, tail_len, frame, power) of the last generate_preamble() input, replaced
-# by one assignment, so concurrent callers never see half of it; see transmit.
-_slot: tuple = (None, None, None, 0.0)
+# (cfg, tail_len, frame, noise scale) of the last generate_preamble() input,
+# replaced by one assignment, so concurrent callers never see half of it; see transmit.
+_slot: tuple = (None, None, None, None)
 
 
 def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
@@ -153,13 +161,13 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
     raises ConfigError; a preamble or config of the wrong type, TypeError.
 
     Only the noise differs between the trials of a Monte Carlo run, so for
-    ``preamble is generate_preamble()`` the noiseless frame comes from the
-    module's one slot while ``cfg`` is the object it was built from and
-    ``tail_len`` is the same; a miss rebuilds it and replaces the slot. The
-    config is frozen and the slot holds it, so its id cannot be reused while
-    it does. Every other input is rebuilt on every call. A noiseless call
-    returns a copy, never the slot's array. Outputs are the same bits with
-    or without the slot.
+    ``preamble is generate_preamble()`` the noiseless frame and the noise
+    scale, built together, come from the module's one slot while ``cfg`` is
+    the object they were built from and ``tail_len`` is the same; a miss
+    rebuilds both and replaces the slot. The config is frozen and the slot
+    holds it, so its id cannot be reused while it does. Every other input is
+    rebuilt on every call. A noiseless call returns a copy, never the slot's
+    array. Outputs are the same bits with or without the slot.
     """
     global _slot
     of_type("transmit", preamble, SampleBuffer)
@@ -170,21 +178,18 @@ def transmit(preamble: SampleBuffer, cfg: ChannelConfig, tail_len: int = 0, *,
             raise ConfigError(f"seed cannot be negative, got {shown(seed)}")
     tail_len = as_int("tail_len", tail_len, (0, MAX_GENERATED_SAMPLES))
     if preamble is not generate_preamble():
-        out, power = _received(preamble, cfg, tail_len)
+        out, scale = _received(preamble, cfg, tail_len)
     else:
         slot = _slot
         if slot[0] is cfg and slot[1] == tail_len:
-            out, power = slot[2], slot[3]
+            out, scale = slot[2], slot[3]
         else:
-            out, power = _received(preamble, cfg, tail_len)
+            out, scale = _received(preamble, cfg, tail_len)
             out.flags.writeable = False
-            _slot = (cfg, tail_len, out, power)
-        if cfg.snr_db is None:
+            _slot = (cfg, tail_len, out, scale)
+        if scale is None:
             out = out.copy()
-    if cfg.snr_db is not None:
-        if power == 0.0:
-            raise ConfigError("cannot set an SNR on a zero-power signal")
-        scale = np.sqrt(power / 10 ** (cfg.snr_db / 10) / 2)
+    if scale is not None:
         noise = np.random.default_rng(seed).standard_normal((2, len(out)))
         noise *= scale
         frame, out = out, np.empty(len(out), np.complex128)
@@ -204,12 +209,14 @@ def _hashmix(const: int, mult: int):
     return step
 
 
-def _pcg64_states(seeds: list[int]) -> list[dict]:
-    """The PCG64 ``{"state", "inc"}`` that ``default_rng(s)`` starts in, for each s < 2**128.
+def _pcg64_states(seeds: list[int]):
+    """Yield, for each s < 2**128, the PCG64 state dict that ``default_rng(s)``
+    starts in, as ``bit_generator.state`` takes it.
 
     SeedSequence's ``mix_entropy`` over the 4-word pool, then its
     ``generate_state(4, uint64)``, run on one uint32 row per pool word, so
-    every seed is hashed at once; then PCG64's two seeding steps in Python ints.
+    every seed is hashed at once; then PCG64's two seeding steps in Python
+    ints, one seed's as its dict is asked for.
     """
     words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds), "<u4")
     hashmix = _hashmix(_INIT_A, _MULT_A)
@@ -223,33 +230,34 @@ def _pcg64_states(seeds: list[int]) -> list[dict]:
     halves = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
     seed_hi, seed_lo, inc_hi, inc_lo = (
         (halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
-    states = []
+    del words, pool, mixed, halves  # the lists of ints are all that the chunk's seeds need
     for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
-        states.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & (2**128 - 1),
-                       "inc": inc})
-    return states
+        yield {"bit_generator": "PCG64",
+               "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & (2**128 - 1),
+                         "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def seeded_generators(seeds: range):
     """Yield, for each seed s of ``seeds`` (non-negative ints), a Generator in
     the state that ``np.random.default_rng(s)`` starts in.
 
-    The states of ``SEED_CHUNK`` seeds are computed at once (see
+    The states of ``SEED_CHUNK`` seeds are hashed at once (see
     :func:`_pcg64_states`) and set on one reused Generator, so a consumer
     draws from each before asking for the next. A seed of 2**128 or more,
     which SeedSequence hashes as more than its pool, gets ``default_rng(s)``.
     """
     rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
     for start in range(0, len(seeds), SEED_CHUNK):
         chunk = seeds[start:start + SEED_CHUNK]
-        states = iter(_pcg64_states([s for s in chunk if s < _POOL_SEEDS]))
+        states = _pcg64_states([s for s in chunk if s < _POOL_SEEDS])
         for s in chunk:
             if s >= _POOL_SEEDS:
                 yield np.random.default_rng(s)
                 continue
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": next(states),
-                                       "has_uint32": 0, "uinteger": 0}
+            bit_generator.state = next(states)
             yield rng
 
 
@@ -285,7 +293,13 @@ def profile_path(name: str) -> Path:
 
 
 def resolve_taps(spec: str) -> tuple[tuple[int, complex], ...]:
-    """Interpret a CLI/plan tap reference: a file path or a built-in name."""
+    """Interpret a CLI/plan tap reference: a file path or a built-in name.
+
+    An empty reference is a ConfigError, not the current directory read as a file.
+    """
+    if spec == "":
+        raise ConfigError(f"a tap reference (plan key taps, flag --taps) must be a file path "
+                          f"or a built-in name {BUILTIN_PROFILES}, got an empty one")
     if spec in BUILTIN_PROFILES:
         return load_taps(profile_path(spec))
     return load_taps(spec)

@@ -24,6 +24,7 @@ MAX_GENERATED_SAMPLES = 2**24
 # trials are not a stream: run_trials cuts them into blocks of
 # harness.TRIAL_BLOCK_LEN samples, four of these.
 BLOCK_LEN = 1 << 13
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +44,11 @@ class SampleBuffer:
         if not all_finite(samples):
             raise ConfigError("sample buffer contains non-finite values")
         rate = as_real("sample rate", self.sample_rate, "be positive and finite", lambda r: r > 0)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(rate))
+        # set only what the gates changed: a trial's buffer arrives as it is stored
+        if samples is not self.samples:
+            object.__setattr__(self, "samples", samples)
+        if type(rate) is not float:
+            object.__setattr__(self, "sample_rate", float(rate))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -65,11 +69,15 @@ class SampleBuffer:
 def as_samples(signal) -> np.ndarray:
     """A SampleBuffer's samples, or any array-like as a 1-D complex128 array.
 
-    What numpy cannot convert (bytes, a ragged sequence, an int past
-    float64's range) is a ConfigError naming the value.
+    A 1-D complex128 ndarray is returned as it is, the same object; any other
+    input is converted, without a copy where numpy can. What numpy cannot
+    convert (bytes, a ragged sequence, an int past float64's range) is a
+    ConfigError naming the value.
     """
     if isinstance(signal, SampleBuffer):
         return signal.samples
+    if type(signal) is np.ndarray and signal.dtype is _COMPLEX128 and signal.ndim == 1:
+        return signal
     try:
         return np.asarray(signal, dtype=np.complex128).reshape(-1)
     except (TypeError, ValueError, OverflowError):

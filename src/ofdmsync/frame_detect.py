@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,12 @@ class FrameDetectConfig:
             raise ConfigError(f"metric_mode must be one of {METRIC_MODES}")
 
 
-@dataclass(frozen=True)
-class FrameEvent:
-    """One maximal above-threshold run: inclusive sample bounds and peak metric."""
+class FrameEvent(NamedTuple):
+    """One maximal above-threshold run: inclusive sample bounds and peak metric.
+
+    An immutable record, as a tuple is, and so equal to a plain tuple of the
+    same values.
+    """
 
     start_index: int
     end_index: int

@@ -183,16 +183,20 @@ def variance(values) -> float:
     data = as_samples(values)
     if data.size == 0:
         raise ConfigError("variance of an empty sequence is undefined")
-    if not all_finite(data) or data.imag.any():
+    if data.imag.any():
         raise ConfigError(f"variance needs finite real values, got {shown(values)}")
     # a contiguous copy: the bits of np.var(np.asarray(values, np.float64))
-    return float(np.var(data.real.copy()))
+    return _variance(data.real.copy(), values)
 
 
-def _histogram(values: list[float]) -> list[tuple[float, int]]:
-    if not values:
-        return []
-    data = np.asarray(values, dtype=np.float64)
+def _variance(data: np.ndarray, values) -> float:
+    """np.var of a non-empty float64 array, ConfigError naming ``values`` if one is not finite."""
+    if not all_finite(data):
+        raise ConfigError(f"variance needs finite real values, got {shown(values)}")
+    return float(np.var(data))
+
+
+def _histogram(data: np.ndarray) -> list[tuple[float, int]]:
     try:
         counts, edges = np.histogram(data, bins="auto")
     except ValueError:  # values a few ULPs apart: no finite bin width fits between them
@@ -202,13 +206,18 @@ def _histogram(values: list[float]) -> list[tuple[float, int]]:
 
 
 def _statistics(outcomes: list[float | None]) -> TrialStatistics:
-    """Statistics of one stage's values in trial order, None for a failed trial."""
+    """Statistics of one stage's values in trial order, None for a failed trial.
+
+    The values become one float64 array, which gives the mean, the variance
+    and the histogram.
+    """
     indices = [trial for trial, value in enumerate(outcomes) if value is not None]
     values = [outcomes[trial] for trial in indices]
     if not values:
         return TrialStatistics([], [], float("nan"), float("nan"), [], len(outcomes))
-    return TrialStatistics(values, indices, float(np.mean(values)), variance(values),
-                           _histogram(values), len(outcomes) - len(values))
+    data = np.array(values, np.float64)
+    return TrialStatistics(values, indices, float(data.mean()), _variance(data, values),
+                           _histogram(data), len(outcomes) - len(values))
 
 
 def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBuffer:

@@ -95,5 +95,5 @@ def generate_preamble() -> SampleBuffer:
     raw = np.concatenate([generate_sts().samples, generate_lts().samples])
     rms = np.sqrt(np.mean(np.abs(raw) ** 2))
     samples = raw / rms
-    samples.flags.writeable = False  # the buffer's samples view it, read-only too
+    samples.flags.writeable = False  # the buffer holds this array, so its samples are read-only
     return SampleBuffer(samples, DEFAULT_SAMPLE_RATE)

@@ -11,6 +11,7 @@ of the preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +46,12 @@ class TimeSyncConfig:
             object.__setattr__(self, "search_window", (start, length))
 
 
-@dataclass(frozen=True)
-class TimingEstimate:
-    """Argmax result: boundary sample index and the peak magnitude there."""
+class TimingEstimate(NamedTuple):
+    """Argmax result: boundary sample index and the peak magnitude there.
+
+    An immutable record, as a tuple is, and so equal to a plain tuple of the
+    same values.
+    """
 
     n_xc_max: int
     peak_magnitude: float

@@ -182,7 +182,7 @@ _channels = st.tuples(
     st.sampled_from([0.0, -0.0, 123e3, np.float32(123e3), -250e3]),
     _taps,
     st.integers(0, 40),   # timing_offset
-    st.sampled_from([None, 7.5]),   # snr_db
+    st.sampled_from([None, 7.5, -3.0]),   # snr_db
     st.integers(0, 40),   # tail_len
 )
 _calls = st.lists(st.tuples(
@@ -292,6 +292,23 @@ def test_the_preamble_hits_the_slot(preamble, monkeypatch):
     for seed in range(3):
         transmit(preamble, cfg, tail_len=40, seed=seed)
     assert built == [(preamble, cfg)]
+
+
+def test_alternating_noisy_channels_take_their_own_noise_scale(preamble, monkeypatch):
+    # The slot holds the noise scale with the frame. Two configs with the same
+    # frame and different SNRs alternate: each switch is a miss that rebuilds
+    # both, each repeat a hit, and every output has its own config's bits.
+    built = []
+    received = channel_module._received
+    monkeypatch.setattr(channel_module, "_received",
+                        lambda *args: built.append(args[1]) or received(*args))
+    loud = ChannelConfig(cfo_hz=20e3, snr_db=25.0, taps=resolve_taps("etsi_a"), timing_offset=6)
+    quiet = replace(loud, snr_db=-4.0)
+    calls = [loud, loud, quiet, quiet, loud, quiet, loud, loud]
+    for seed, cfg in enumerate(calls):
+        got = transmit(preamble, cfg, tail_len=40, seed=seed).samples
+        assert same_bits(got, stage_by_stage(preamble, cfg, 40, seed)[1])
+    assert built == [loud, quiet, loud, quiet, loud]
 
 
 def test_noiseless_output_from_the_slot_is_a_writable_copy(preamble):

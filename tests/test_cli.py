@@ -374,6 +374,7 @@ NAN_IQ = np.where(np.arange(800) == 301, np.nan, 1.0).astype("<f4")
 ZERO_IQ = np.zeros(800, "<f4")
 HUGE_TAP = b"0 1e39 0\n"
 NAN_TAP = b"0 1 0\n3 nan 0\n"
+EMPTY_TAPS_PLAN = b"n_trials = 3\ntaps =\n"
 
 
 @pytest.mark.parametrize("argv, words, expected", [
@@ -400,12 +401,14 @@ NAN_TAP = b"0 1 0\n3 nan 0\n"
     (["channel", "--in=", "--out", "o.iq"], None, 2),
     (["detect", "--lag", "99999999999999999999"], None, 2),
     (["cfo", "--lag", "99999999999999999999"], None, 2),
+    (["channel", "--taps", "", "--out", "o.iq"], None, 2),
+    (["trials", "--config", "IN", "--out", "report"], EMPTY_TAPS_PLAN, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
         "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
         "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
-        "cfo-huge-lag"])
+        "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -424,13 +427,17 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     elif words is ZERO_IQ:
         assert "cannot set an SNR on a zero-power signal" in proc.stderr
         assert not (tmp_path / "o.iq").exists()
-    if "" in argv or "--in=" in argv:  # an empty path is not taken as no --in
+    if "--in" in argv and "" in argv or "--in=" in argv:  # an empty path is not taken as no --in
         assert "argument --in: expected a file path, got an empty one" in proc.stderr
         assert proc.stdout == "" and not (tmp_path / "o.iq").exists()
     if words is NAN_TAP:
         assert "tap gain at delay 3 must be finite" in proc.stderr
         assert "sample buffer" not in proc.stderr
         assert not (tmp_path / "nan.iq").exists()
+    if "--taps" in argv and "" in argv or words is EMPTY_TAPS_PLAN:  # not read as the directory
+        assert "tap reference (plan key taps, flag --taps)" in proc.stderr
+        assert "got an empty one" in proc.stderr and "Is a directory" not in proc.stderr
+        assert not (tmp_path / "o.iq").exists() and not (tmp_path / "report").exists()
     if "99999999999999999999" in argv:  # no workspace is sized from it
         assert "lag must lie in [1, 16777216], got 99999999999999999999" in proc.stderr
 

@@ -38,6 +38,17 @@ def test_sample_buffer_rejects_a_non_finite_part_of_a_strided_view():
         SampleBuffer(samples[1::2])
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 1),
+                                 complex(1, -np.inf)])
+def test_sample_buffer_rejects_a_non_finite_part_of_an_array_it_keeps(bad):
+    # a 1-D complex128 array passes the gate as it is, and is still checked
+    samples = np.ones(12, np.complex128)
+    assert SampleBuffer(samples).samples is samples
+    samples[5] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        SampleBuffer(samples)
+
+
 @pytest.mark.parametrize("rate, shown", [
     (0, "0"), (-1.0, "-1.0"), (float("inf"), "inf"), (float("nan"), "nan"), (None, "None"),
     ("x", "'x'"), (1j, "1j"), (10**5000, "an int of 16610 bits")],
@@ -95,10 +106,18 @@ def test_samples_numpy_cannot_convert_are_a_config_error(value, text):
 
 def test_as_samples_converts_without_a_copy_where_it_can():
     samples = np.arange(6, dtype=np.complex128)
-    assert np.shares_memory(as_samples(samples), samples)
+    assert as_samples(samples) is samples
+    assert as_samples(samples[::2]).base is samples
     assert np.shares_memory(as_samples(SampleBuffer(samples)), samples)
     assert as_samples([1, 2j]).tolist() == [1, 2j]
     assert as_samples(np.ones((2, 3), np.float32)).shape == (6,)
+    square = samples.reshape(2, 3)
+    flat = as_samples(square)
+    assert flat.shape == (6,) and flat.dtype == np.complex128 and np.shares_memory(flat, square)
+    # another byte order or an ndarray subclass is converted, not passed on
+    swapped = as_samples(samples.astype(">c16"))
+    assert swapped.dtype == np.complex128 and swapped.tolist() == samples.tolist()
+    assert type(as_samples(np.ma.masked_array(samples))) is np.ndarray
 
 
 def test_as_real_returns_the_value_itself():

@@ -574,6 +574,7 @@ def test_streaming_matches_batch(preamble, chunk_len):
         got += detector.process(stream[i:i + chunk_len])
     got += detector.flush()
     assert got == batch
+    assert {type(event) for event in got + batch} == {FrameEvent}
 
 
 # Complex values whose magnitudes are integers (np.abs rounds through hypot

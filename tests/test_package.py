@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ofdmsync
 from ofdmsync import (ChannelConfig, FrameDetectConfig, FrameEvent, OfdmSyncError, SampleBuffer,
-                      StreamingFrameDetector, TimeSyncConfig, TrialPlan, apply_cfo,
+                      StreamingFrameDetector, TimeSyncConfig, TimingEstimate, TrialPlan, apply_cfo,
                       autocorrelation, correct_cfo, cross_correlate, detect_frames, estimate_cfo,
                       estimate_timing, generate_preamble, inverse_dft, plateau_from_event,
                       preamble_train, run_trials, transmit, variance, write_csv, write_iq)
@@ -173,3 +173,21 @@ def test_a_wrong_type_is_a_type_error_naming_the_class_taken(value):
             ("estimate_timing", lambda: estimate_timing(_BUFFER, value), "TimeSyncConfig")):
         with pytest.raises(TypeError, match=f"^{taker} takes a {taken}, got {got}$"):
             call()
+
+
+@pytest.mark.parametrize("record, fields, values, text", [
+    (FrameEvent, ("start_index", "end_index", "peak_metric"), (3, 40, 0.75),
+     "FrameEvent(start_index=3, end_index=40, peak_metric=0.75)"),
+    (TimingEstimate, ("n_xc_max", "peak_magnitude"), (320, 1.5),
+     "TimingEstimate(n_xc_max=320, peak_magnitude=1.5)")])
+def test_result_records_keep_their_fields_repr_and_immutability(record, fields, values, text):
+    made = record(*values)
+    assert made == record(**dict(zip(fields, values)))
+    assert [getattr(made, name) for name in fields] == list(values)
+    assert repr(made) == text
+    # the records are tuples: equal to a plain tuple of the same values
+    assert made == values and hash(made) == hash(values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(made, name, 0)
+    assert [getattr(made, name) for name in fields] == list(values)
