@@ -15,7 +15,7 @@ from .errors import (ConfigError, EstimationError, IqFormatError, OfdmSyncError,
 from .frame_detect import (FrameDetectConfig, FrameEvent, StreamingFrameDetector,
                            autocorrelation, detect_frames)
 from .harness import (TrialPlan, TrialStatistics, emit_report, load_plan,
-                      preamble_train, run_trials, variance)
+                      preamble_train, run_trials)
 from .iqfile import read_iq, write_csv, write_iq
 from .preamble import (LONG_TRAINING_FREQ, SHORT_TRAINING_FREQ, generate_lts,
                        generate_preamble, generate_sts, inverse_dft)
@@ -33,6 +33,5 @@ __all__ = [
     "estimate_timing", "generate_lts", "generate_preamble", "generate_sts",
     "inverse_dft", "load_plan", "load_taps", "plateau_from_event",
     "preamble_train", "profile_path", "read_iq", "run_trials",
-    "training_template", "transmit", "variance", "write_csv",
-    "write_iq",
+    "training_template", "transmit", "write_csv", "write_iq",
 ]

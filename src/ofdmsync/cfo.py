@@ -9,6 +9,7 @@ unambiguous for |f| < 625 kHz; beyond that it wraps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,17 @@ def _offsets(rows: np.ndarray, lag: int, plateau: tuple[int, int], sample_rate: 
     sums = np.empty_like(segments)  # row r's plateau values land in sums[r, :stop - start]
     _correlate(segments.reshape(-1), lag, lag, sums.reshape(-1)[:sums.size - 2 * lag + 1])
     means = sums[:, :stop - start].mean(axis=1)
-    phases = np.angle(means)
+    phases = angles(means)
     sample_period = 1.0 / sample_rate
     hz = -phases / (2 * np.pi * lag * sample_period)
     return [None if mean == 0 else offset
             for mean, offset in zip(means.tolist(), zip(hz.tolist(), phases.tolist()))]
+
+
+def angles(z: np.ndarray) -> np.ndarray:
+    """``np.angle`` of a 1-D complex array, by libm's ``math.atan2``: numpy's
+    vectorised arctan2 moves the last bit with the CPU's SIMD level."""
+    return np.fromiter(map(math.atan2, z.imag.tolist(), z.real.tolist()), np.float64, len(z))
 
 
 def estimate_cfo(r: SampleBuffer, lag: int, plateau: tuple[int, int]) -> CfoEstimate:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cfo import correct_cfo, estimate_cfo, plateau_from_event
+from .cfo import angles, correct_cfo, estimate_cfo, plateau_from_event
 from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
 from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError
@@ -98,9 +98,10 @@ class _GeneratorFlag(argparse.Action):
 
 
 def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
-                    read_with_in: tuple[str, ...] = ()) -> None:
+                    read_with_in: tuple[str, ...] = (), snr_note: str = "") -> None:
     """``--in`` and the flags of the generated input, of which those named in
-    ``read_with_in`` also act on a file's samples."""
+    ``read_with_in`` also act on a file's samples; ``snr_note`` ends the
+    ``--snr-db`` help."""
     sub.set_defaults(generator_flags=())
 
     def add(flag, **kwargs):
@@ -110,15 +111,15 @@ def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
     sub.add_argument("--in", dest="infile", type=_path, default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
     if with_rate:  # only the commands whose output depends on the rate take it
-        sub.add_argument("--sample-rate", default=DEFAULT_SAMPLE_RATE,
+        sub.add_argument("--sample-rate", default=None,
                          type=_in_range(float, MIN_SAMPLE_RATE, MAX_SAMPLE_RATE, " Hz"),
-                         help="sample rate in Hz for file input (default %(default)s)")
+                         help=f"sample rate in Hz of the --in file (default {DEFAULT_SAMPLE_RATE})")
     add("--gap-len", type=_in_range(), default=TrialPlan.gap_len, metavar="N",
         help="idle samples after each generated frame (default %(default)s)")
     add("--seed", type=int, default=DEFAULT_SEED,
         help="RNG seed (default %(default)s, fixed, not entropy)")
     add("--snr-db", type=_parse_snr, default=ChannelConfig.snr_db, metavar="DB|none",
-        help="channel SNR in dB, or 'none' for noiseless (default)")
+        help="channel SNR in dB, or 'none' for noiseless (default)" + snr_note)
     add("--cfo-hz", type=float, default=ChannelConfig.cfo_hz,
         help="carrier frequency offset in Hz (default %(default)s)")
     add("--taps", default=None, metavar="FILE|NAME",
@@ -153,7 +154,7 @@ def cmd_preamble(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    source = (read_iq(args.infile, args.sample_rate) if args.infile
+    source = (read_iq(args.infile, args.sample_rate or DEFAULT_SAMPLE_RATE) if args.infile
               else generate_preamble())
     out = transmit(source, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
     _write_output(out, args.out, args.format)
@@ -213,14 +214,14 @@ def cmd_timesync(args) -> int:
 
 
 def cmd_cfo(args) -> int:
-    buf = _input_buffer(args, args.sample_rate)
+    buf = _input_buffer(args, args.sample_rate or DEFAULT_SAMPLE_RATE)
     events = detect_frames(buf, FrameDetectConfig(lag=args.lag))
     if args.trace:
         R = (autocorrelation(buf, args.lag, args.lag) if len(buf) >= 2 * args.lag
              else np.zeros(0, complex))
         # hypot, not np.abs: the array abs may differ from it in the last bit
         write_table(args.trace, "n,r_abs,r_phase",
-                    (np.arange(len(R)), np.hypot(R.real, R.imag), np.angle(R)))
+                    (np.arange(len(R)), np.hypot(R.real, R.imag), angles(R)))
     if not events:
         print("no frame detected; cannot estimate the offset")
         return EXIT_NOT_DETECTED
@@ -266,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("detect", help="run frame detection")
-    _add_input_args(p, with_rate=False)
+    _add_input_args(p, with_rate=False, snr_note=(
+        "; with --frames N above 1, against the whole train's average power, gaps included, "
+        "so each frame sees 10*log10((320 + --gap-len) / 320) dB more (13.52 dB for 10 dB and the "
+        "default gap)"))
     p.add_argument("--frames", action=_GeneratorFlag, type=_in_range(low=1), default=1,
                    help="number of repeated frames when generating input (default %(default)s)")
     p.add_argument("--lag", type=int, default=FrameDetectConfig.lag,
@@ -316,6 +320,9 @@ def main(argv=None) -> int:
             flags = ", ".join(dict.fromkeys(args.generator_flags))
             raise ConfigError(f"--in reads the samples from a file; these flags set up "
                               f"generated samples and cannot be used with it: {flags}")
+        if getattr(args, "sample_rate", None) is not None and not args.infile:
+            raise ConfigError("--sample-rate gives the rate of the samples that --in reads; "
+                              "without --in it has no effect")
         return args.func(args)
     except (OfdmSyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -242,8 +242,8 @@ def detect_frames(r, cfg: FrameDetectConfig = FrameDetectConfig()) -> list[Frame
     return detect_blocks([r], of_type("detect_frames", cfg, FrameDetectConfig))
 
 
-def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
-                 prefix: int | None = None) -> list[FrameEvent | None]:
+def first_events(rows: np.ndarray,
+                 cfg: FrameDetectConfig = FrameDetectConfig()) -> list[FrameEvent | None]:
     """The first event :func:`detect_frames` reports for each row of ``rows``, or None.
 
     ``rows`` is a 2-D array of equal-length buffers, which :func:`detect_blocks`
@@ -252,38 +252,7 @@ def first_events(rows: np.ndarray, cfg: FrameDetectConfig = FrameDetectConfig(),
     sets them to 0, so no run crosses from one row into the next. Every other
     metric value depends only on its own row's samples, so it has the bits
     of that row's own pass. Events index their own row.
-
-    With a ``prefix``, a first pass takes a contiguous copy of the samples
-    that give each row's first ``prefix`` metric outputs, and a row's first
-    event from it stands when it :func:`settles` there. The other rows (no
-    event, or one whose run the end of the prefix may have cut) are then
-    taken whole, so the events are those of the whole rows either way.
     """
-    if prefix is not None:
-        first = _first_events(rows[:, :prefix + cfg.lag + cfg.window - 1], cfg)
-        rescan = [row for row, event in enumerate(first) if not settles(event, prefix)]
-        if rescan:
-            for row, event in zip(rescan, _first_events(rows[rescan], cfg)):
-                first[row] = event
-        return first
-    return _first_events(rows, cfg)
-
-
-def settles(event: FrameEvent | None, prefix: int | None) -> bool:
-    """Whether ``event``, the first event of a row or of the samples that
-    give the row's first ``prefix`` metric outputs, has settled in that
-    prefix: the output after the event's end, which closes its run, is one
-    of those outputs.
-
-    Every output up to that one has the same bits in the prefix and in the
-    whole row, so both then have the same runs up to it and the same first
-    event; when one pass's first event has not settled, neither has the
-    other's. None (no event, or no prefix) never settles.
-    """
-    return event is not None and prefix is not None and event.end_index + 1 < prefix
-
-
-def _first_events(rows: np.ndarray, cfg: FrameDetectConfig) -> list[FrameEvent | None]:
     n_rows, row_len = rows.shape
     context = cfg.lag + cfg.window - 1
 

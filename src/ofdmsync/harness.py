@@ -23,9 +23,9 @@ import numpy as np
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
 from .channel import ChannelConfig, parse_snr, resolve_taps, seeded_generators, transmit
 from .core import (BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, all_finite,
-                   as_int, as_samples, of_type, shown)
+                   as_int, of_type, shown)
 from .errors import ConfigError
-from .frame_detect import FrameDetectConfig, detect_frames, first_events, settles  # noqa: F401
+from .frame_detect import FrameDetectConfig, FrameEvent, detect_frames, first_events  # noqa: F401
 from .iqfile import write_table
 from .preamble import PREAMBLE_LEN, STS_LEN, generate_preamble
 from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, estimate_timing
@@ -35,6 +35,8 @@ from .time_sync import TEMPLATE_LEN, TimeSyncConfig, default_search_window, esti
 # kernel steps, run scans, numpy calls); four kernel steps' worth of samples
 # cut it to about a quarter of one step's, in a 512 KiB workspace.
 TRIAL_BLOCK_LEN = 4 * BLOCK_LEN
+# the samples past a metric output's own that the frame detector's windows read
+_CONTEXT = FrameDetectConfig.lag + FrameDetectConfig.window - 1
 
 # What run_trials, TrialPlan and emit_report know of one stage:
 # - build: plan -> the stage's block function, which maps rows (a 2-D block
@@ -47,33 +49,54 @@ _Stage = namedtuple("_Stage", "build least_gap columns")
 def _frame(plan: TrialPlan) -> Callable[[np.ndarray], list[float | None]]:
     """frame -> start index of the first detection run, if any.
 
-    A block's first events come from
-    :func:`~ofdmsync.frame_detect.first_events`, with the bits of
-    ``detect_frames`` on each trial. Its short first pass reads each buffer
-    only through the short training of the latest path: the samples that
-    give the first ``prefix = timing_offset + STS_LEN + (largest tap delay) +
-    1`` metric outputs, which run one past that training's last sample. A
-    buffer's first event from that pass stands when it has settled there
-    (:func:`~ofdmsync.frame_detect.settles`); the other buffers are scanned
-    whole. That costs less than one whole scan of the block when more than
-    S / N of the buffers settle, S the ``prefix + lag + window - 1`` samples
-    the short pass reads of each buffer and N the buffer length (243 / 771 at
-    a 30-sample offset on etsi_c). So the first block takes the short pass,
-    and each later block takes it when more than that share of the block
-    before it settled in the prefix, whichever pass scanned it; otherwise it
-    scans every buffer whole.
+    A block's first events come from :func:`_first_events`. Its short first
+    pass reads each buffer through the samples that give the first ``prefix
+    = timing_offset + STS_LEN + (largest tap delay) + 1`` metric outputs,
+    one past the latest path's short training. It costs less than one whole
+    scan of the block when more than S / N of the buffers settle
+    (:func:`_settled`), S the ``prefix + lag + window - 1`` samples it reads
+    of each buffer and N the buffer length (243 / 771 at a 30-sample offset
+    on etsi_c). So the first block takes it, and each later block takes it
+    when more than that share of the block before it settled in the prefix,
+    whichever pass scanned it; otherwise every buffer is scanned whole.
     """
     prefix = plan.channel.timing_offset + STS_LEN + plan.channel.taps[-1][0] + 1
-    short_len = prefix + FrameDetectConfig.lag + FrameDetectConfig.window - 1
     short = True  # whether the next block takes the short pass
 
     def block(rows):
         nonlocal short
-        events = first_events(rows, prefix=prefix if short else None)
-        settled = sum(settles(event, prefix) for event in events)
-        short = settled * rows.shape[1] > short_len * len(rows)
+        events = _first_events(rows, prefix if short else None)
+        settled = sum(_settled(event, prefix) for event in events)
+        short = settled * rows.shape[1] > (prefix + _CONTEXT) * len(rows)
         return [None if event is None else float(event.start_index) for event in events]
     return block
+
+
+def _first_events(rows: np.ndarray, prefix: int | None) -> list[FrameEvent | None]:
+    """:func:`~ofdmsync.frame_detect.first_events` of ``rows``. Given a
+    ``prefix``, a first pass takes a contiguous copy of the samples that give
+    each row's first ``prefix`` metric outputs; a row's first event from it
+    stands when it has :func:`_settled` there, and the other rows are then
+    scanned whole, so the events are those of the whole rows either way.
+    """
+    if prefix is None:
+        return first_events(rows)
+    first = first_events(rows[:, :prefix + _CONTEXT])
+    rescan = [row for row, event in enumerate(first) if not _settled(event, prefix)]
+    for row, event in zip(rescan, first_events(rows[rescan]) if rescan else ()):
+        first[row] = event
+    return first
+
+
+def _settled(event: FrameEvent | None, prefix: int) -> bool:
+    """Whether ``event``, a row's first event from the whole row or from the
+    samples that give its first ``prefix`` metric outputs, has settled there:
+    the output after its end, which closes its run, is one of those outputs.
+    Every output up to that one has the same bits in both passes, so both
+    then have the same first event; when one pass's event has not settled,
+    neither has the other's. None (no event) never settles.
+    """
+    return event is not None and event.end_index + 1 < prefix
 
 
 def _timing(template: str) -> _Stage:
@@ -178,24 +201,6 @@ class TrialStatistics:
     failures: int
 
 
-def variance(values) -> float:
-    """Population variance (denominator N) of finite real values."""
-    data = as_samples(values)
-    if data.size == 0:
-        raise ConfigError("variance of an empty sequence is undefined")
-    if data.imag.any():
-        raise ConfigError(f"variance needs finite real values, got {shown(values)}")
-    # a contiguous copy: the bits of np.var(np.asarray(values, np.float64))
-    return _variance(data.real.copy(), values)
-
-
-def _variance(data: np.ndarray, values) -> float:
-    """np.var of a non-empty float64 array, ConfigError naming ``values`` if one is not finite."""
-    if not all_finite(data):
-        raise ConfigError(f"variance needs finite real values, got {shown(values)}")
-    return float(np.var(data))
-
-
 def _histogram(data: np.ndarray) -> list[tuple[float, int]]:
     try:
         counts, edges = np.histogram(data, bins="auto")
@@ -208,15 +213,18 @@ def _histogram(data: np.ndarray) -> list[tuple[float, int]]:
 def _statistics(outcomes: list[float | None]) -> TrialStatistics:
     """Statistics of one stage's values in trial order, None for a failed trial.
 
-    The values become one float64 array, which gives the mean, the variance
-    and the histogram.
+    The values become one float64 array, which gives the mean, the
+    population variance (denominator N) and the histogram. A value that is
+    not finite is a ConfigError that names the values.
     """
     indices = [trial for trial, value in enumerate(outcomes) if value is not None]
     values = [outcomes[trial] for trial in indices]
     if not values:
         return TrialStatistics([], [], float("nan"), float("nan"), [], len(outcomes))
     data = np.array(values, np.float64)
-    return TrialStatistics(values, indices, float(data.mean()), _variance(data, values),
+    if not all_finite(data):
+        raise ConfigError(f"variance needs finite real values, got {shown(values)}")
+    return TrialStatistics(values, indices, float(data.mean()), float(np.var(data)),
                            _histogram(data), len(outcomes) - len(values))
 
 
@@ -225,7 +233,10 @@ def preamble_train(preamble: SampleBuffer, count: int, gap_len: int) -> SampleBu
     mirroring a transmitter that repeats the preamble back-to-back.
 
     The gaps are silent at the transmitter; they pick up noise in the
-    channel like the rest of the stream.
+    channel like the rest of the stream. An SNR that ``transmit`` (and so
+    ``detect --frames``) sets on the train is against its average power,
+    gaps included: each frame sees ``10 * log10(1 + gap_len / len(preamble))``
+    dB more.
     """
     of_type("preamble_train", preamble, SampleBuffer)
     count = as_int("count", count, (1, MAX_GENERATED_SAMPLES))

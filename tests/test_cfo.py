@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,10 +104,11 @@ def test_rows_give_none_on_zero_rows_and_estimate_cfo_bits_elsewhere(preamble):
 
 def reference_cfo(x, lag, plateau, sample_rate):
     """(delta_f_hz, phase_rad, mean) from the mean of :func:`autocorrelation` over
-    ``plateau``, one buffer at a time: no code shared with the estimators' row pass."""
+    ``plateau``, one buffer at a time: no code shared with the estimators' row pass.
+    The phase is libm's atan2, as the estimators take it."""
     start, stop = plateau
     mean = autocorrelation(x[start:stop - 1 + 2 * lag], lag, lag).mean()
-    phase = np.angle(mean)
+    phase = math.atan2(mean.imag, mean.real)
     return -phase / (2 * np.pi * lag * (1.0 / sample_rate)), phase, mean
 
 

@@ -403,12 +403,15 @@ EMPTY_TAPS_PLAN = b"n_trials = 3\ntaps =\n"
     (["cfo", "--lag", "99999999999999999999"], None, 2),
     (["channel", "--taps", "", "--out", "o.iq"], None, 2),
     (["trials", "--config", "IN", "--out", "report"], EMPTY_TAPS_PLAN, 2),
+    (["cfo", "--cfo-hz", "100e3", "--snr-db", "30", "--sample-rate", "10e6"], None, 2),
+    (["channel", "--sample-rate", "10e6", "--out", "o.iq"], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
         "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
         "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
-        "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps"])
+        "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps", "cfo-rate-without-in",
+        "channel-rate-without-in"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -440,6 +443,10 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
         assert not (tmp_path / "o.iq").exists() and not (tmp_path / "report").exists()
     if "99999999999999999999" in argv:  # no workspace is sized from it
         assert "lag must lie in [1, 16777216], got 99999999999999999999" in proc.stderr
+    if argv[0] in ("cfo", "channel") and "--sample-rate" in argv and "--in" not in argv:
+        # the rate of a generated frame is fixed, so the flag would change nothing
+        assert "--sample-rate gives the rate of the samples that --in reads" in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "o.iq").exists()
 
 
 def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import ofdmsync
 
+from ofdmsync import harness
 from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent, SampleBuffer,
                       SizingError, autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
-                                   detect_blocks, first_events, settles, sliding_sum)
+                                   detect_blocks, first_events, sliding_sum)
 
 from conftest import random_buffer
 from metric_reference import compute_metrics
@@ -440,8 +441,9 @@ def test_first_events_keep_runs_that_touch_a_row_boundary_apart(preamble):
 def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, seed, bursts,
                                                     prefix):
     # Noise with periodic bursts anywhere in the block, so runs open and close
-    # near row ends, near the kernel's step boundaries and near the end of a
-    # first pass over each row's first ``prefix`` metric outputs.
+    # near row ends, near the kernel's step boundaries and near the end of the
+    # trial harness's short first pass over each row's first ``prefix``
+    # metric outputs.
     gen = np.random.default_rng(seed)
     flat = 0.3 * (gen.standard_normal(n_rows * row_len) + 1j * gen.standard_normal(n_rows * row_len))
     period = preamble.samples[:16]
@@ -451,7 +453,7 @@ def test_first_events_equal_each_rows_detect_frames(preamble, n_rows, row_len, s
     rows = flat.reshape(n_rows, row_len)
     want = [next(iter(detect_frames(row)), None) for row in rows]
     assert first_events(rows) == want
-    assert first_events(rows, prefix=prefix) == want
+    assert harness._first_events(rows, prefix) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,7 +492,7 @@ def test_first_events_over_steps_that_start_inside_a_straddle(preamble, m, pick,
     short = rows[:, :p]
     assert first_events(short) == [next(iter(detect_frames(row)), None) for row in short]
     want = [next(iter(detect_frames(row)), None) for row in rows]
-    assert first_events(rows, prefix=p - context) == want
+    assert harness._first_events(rows, p - context) == want
     assert first_events(rows) == want
 
 
@@ -508,9 +510,8 @@ def test_a_prefix_event_stands_only_when_the_prefix_gives_the_output_that_closes
     want = [next(iter(detect_frames(row, cfg)), None) for row in rows]
     assert want[0].end_index == 199 and want[1].end_index == 239 and want[2] is None
     prefix = 201 + cut
-    assert [settles(event, prefix) for event in want] == [cut >= 0, cut >= 40, False]
-    assert not settles(want[0], None)
-    assert first_events(rows, cfg, prefix) == want
+    assert [harness._settled(event, prefix) for event in want] == [cut >= 0, cut >= 40, False]
+    assert harness._first_events(rows, prefix) == want
     samples = prefix + cfg.lag + cfg.window - 1  # the samples that give PREFIX outputs
     assert first_events(rows[:, :samples], cfg)[0].end_index == min(199, 200 + cut)
 
