@@ -10,6 +10,7 @@ reproduced by any plotting tool.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
@@ -201,9 +202,42 @@ class TrialStatistics:
     failures: int
 
 
+def _quartile(a: float, b: float, t: float) -> float:
+    # numpy's linear interpolation between neighbouring order statistics
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _histogram(data: np.ndarray) -> list[tuple[float, int]]:
+    """(bin center, count) pairs of ``data``, in equal bins over its range.
+
+    The bin count is that of numpy 2.4.6's ``bins="auto"``
+    (``_hist_bin_auto``), computed here so that it does not depend on the
+    numpy version and needs no ``np.percentile``. For n values over a range
+    ptp > 0, the bin width is the Freedman-Diaconis width ``2 * IQR *
+    n**(-1/3)``, raised to at least ``ptp / sqrt(n) / 2`` and capped at
+    Sturges' ``ptp / (log2(n) + 1)``. The quartiles interpolate linearly
+    between order statistics, as ``np.percentile`` does. The count is
+    ``ceil(ptp / width)``. A zero range gets one bin, widened by 0.5 on each
+    side. ``np.histogram`` then places the edges and counts the values.
+    Values too close together for any finite bin width get one bin.
+    """
+    n = data.size
+    lo, hi = data.min(), data.max()
+    ptp = float(hi - lo)
+    if ptp:
+        i, j = (n - 1) // 4, 3 * (n - 1) // 4
+        kth = [i, i + 1, j, j + 1]
+        a, b, c, d = np.partition(data, kth)[kth].tolist()
+        iqr = _quartile(c, d, 3 * (n - 1) % 4 / 4) - _quartile(a, b, (n - 1) % 4 / 4)
+        # math.log2, not np.log2: numpy's AVX-512 loop differs from libm in the
+        # last bit at some n (the first is 1621)
+        width = min(max(2.0 * iqr * n ** (-1 / 3), ptp / math.sqrt(n) / 2),
+                    ptp / (math.log2(n) + 1.0))
+    else:
+        lo, hi, width = lo - 0.5, hi + 0.5, 0.0
     try:
-        counts, edges = np.histogram(data, bins="auto")
+        counts, edges = np.histogram(data, bins=math.ceil(ptp / width) if width else 1,
+                                     range=(lo, hi))
     except ValueError:  # values a few ULPs apart: no finite bin width fits between them
         counts, edges = np.histogram(data, bins=1)
     centers = (edges[:-1] + edges[1:]) / 2

@@ -28,7 +28,10 @@ from .errors import IqFormatError
 
 _SAMPLE_BYTES = 8  # two float32 per complex sample
 # Rows formatted per write: bounds the text held in memory on long traces.
-ROWS_PER_WRITE = 1 << 16
+# A batch of rows of at most ~100 characters then stays under glibc's
+# 128 KiB mmap threshold, so its text is not mapped and unmapped afresh (and
+# page-faulted in) on every write.
+ROWS_PER_WRITE = 1 << 10
 
 
 def _require_finite(words: np.ndarray, source, first_sample: int = 0) -> None:

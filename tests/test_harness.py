@@ -418,6 +418,93 @@ def test_trials_at_the_top_snr_report_a_one_bin_cfo_histogram(tmp_path, capsys):
     assert rows[1] == f"{(min(values) + max(values)) / 2!r},50"
 
 
+# (center, count) lists from np.histogram(data, bins="auto") on numpy 2.4.6,
+# written down once; the bins no longer follow the installed numpy's rule.
+@pytest.mark.parametrize("data, want", [
+    # Freedman-Diaconis width (Sturges' would give 4 bins, the sqrt(n) floor 6)
+    ([0.0, 3.0, 5.0, 6.0, 7.0, 9.0, 20.0],
+     [(2.0, 2), (6.0, 3), (10.0, 1), (14.0, 0), (18.0, 1)]),
+    # Sturges' width
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+     [(0.9, 2), (2.7, 2), (4.5, 2), (6.300000000000001, 2), (8.1, 2)]),
+    # an IQR of 0, like time_lts: the sqrt(n) floor
+    ([318.0] + [320.0] * 9 + [321.0, 330.0],
+     [(318.8571428571429, 1), (320.57142857142856, 10), (322.28571428571433, 0), (324.0, 0),
+      (325.71428571428567, 0), (327.42857142857144, 0), (329.1428571428571, 1)]),
+    # a zero range: one bin [v - 0.5, v + 0.5]
+    ([7.25, 7.25, 7.25], [(7.25, 3)]),
+    # n = 1..5, one per (n - 1) % 4; the quartiles interpolate at a different
+    # quarter in each, and the Freedman-Diaconis width wins at n = 4 and 5
+    ([3.0], [(3.0, 1)]),
+    ([1.0, 4.0], [(1.75, 1), (3.25, 1)]),
+    ([0.0, 0.3, 1.0], [(0.16666666666666666, 2), (0.5, 0), (0.8333333333333333, 1)]),
+    ([0.0, 0.5, 0.5, 1.0], [(0.125, 1), (0.375, 0), (0.625, 2), (0.875, 1)]),
+    ([0.0, 0.4, 0.5, 0.6, 1.0],
+     [(0.1, 1), (0.30000000000000004, 0), (0.5, 3), (0.7000000000000001, 0), (0.9, 1)]),
+    # the lower quartile at t = 3/4 is b - (b - a) * (1 - t); a + (b - a) * t
+    # rounds it lower, and the IQR two ULPs wider gives 4 bins
+    ([8.4, 4.8, 3.4, 1.2, 6.0, 9.8, 5.3, 5.9],
+     [(2.06, 1), (3.7800000000000002, 1), (5.5, 4), (7.220000000000001, 0),
+      (8.940000000000001, 2)]),
+], ids=["fd", "sturges", "sqrt-floor", "zero-range", "n1", "n2", "n3", "n4", "n5", "lerp-form"])
+def test_histogram_bins_follow_the_written_rule(data, want):
+    assert harness._histogram(np.array(data)) == want
+
+
+def _auto_histogram(data):
+    try:
+        counts, edges = np.histogram(data, bins="auto")
+    except ValueError:
+        counts, edges = np.histogram(data, bins=1)
+    return [(float(c), int(n)) for c, n in zip((edges[:-1] + edges[1:]) / 2, counts)]
+
+
+_VALUES = st.one_of(st.floats(-1e12, 1e12), st.sampled_from([-2.0, 0.0, 0.5, 3.0]))
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="the rule was written from numpy 2.4.6's bins='auto' and was not "
+                           "checked against older releases, some of which lack the sqrt(n) floor")
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(
+    st.lists(_VALUES, min_size=1, max_size=80),
+    # values a few ULPs apart, where no finite bin width may fit
+    st.builds(lambda base, steps: [base + k * math.ulp(base) for k in steps],
+              st.floats(-1e6, 1e6), st.lists(st.integers(0, 3), min_size=1, max_size=40))))
+def test_histogram_equals_numpys_auto_bins(data):
+    data = np.array(data)
+    assert harness._histogram(data) == _auto_histogram(data)
+
+
+# Prints the modules that one four-stage report adds to a process that has
+# already imported ofdmsync and set up a preamble and a generator.
+_NEW_MODULES = """
+import sys, tempfile
+import numpy as np
+import ofdmsync
+from ofdmsync.channel import resolve_taps
+ofdmsync.generate_preamble()
+np.random.default_rng(0)
+before = set(sys.modules)
+channel = ofdmsync.ChannelConfig(snr_db=10.0, cfo_hz=100e3, timing_offset=30,
+                                 taps=resolve_taps("etsi_c"))
+plan = ofdmsync.TrialPlan(n_trials=20, channel=channel,
+                          stages=("frame", "time_sts", "time_lts", "cfo"))
+with tempfile.TemporaryDirectory() as out:
+    ofdmsync.emit_report(ofdmsync.run_trials(plan), out, plan)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_monte_carlo_report_imports_no_module():
+    # numpy.ma, once loaded by np.histogram(bins="auto") through np.percentile,
+    # cost every report about 1 MB of peak RSS; no stage uses it
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
 def test_frame_stage_counts_failures_when_nothing_detected():
     # at 0 dB the exact metric plateaus near 0.25, below the 0.5 threshold
     plan = TrialPlan(n_trials=20, channel=ChannelConfig(snr_db=0.0),
