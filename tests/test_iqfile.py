@@ -156,8 +156,12 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(back, buf.samples)  # repr() round-trips float64
 
 
-@pytest.mark.parametrize("n_rows", [0, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1])
+# Rows either side of the first batch boundary, and of a later one after
+# many full batches (1 << 16 is a whole number of batches).
+@pytest.mark.parametrize("n_rows", [0, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
+                                    (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
 def test_write_table_matches_one_string_reference(tmp_path, rng, n_rows):
+    assert (1 << 16) % ROWS_PER_WRITE == 0
     values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     flags = values > 0
     names = ["frame", "cfo"] * (n_rows // 2) + ["time_lts"] * (n_rows % 2)
