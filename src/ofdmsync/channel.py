@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, of_type, shown
+from .core import (MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, config_lines, of_type,
+                   shown)
 from .errors import ConfigError
 from .preamble import generate_preamble
 
@@ -268,10 +269,7 @@ def load_taps(path) -> tuple[tuple[int, complex], ...]:
     """
     path = Path(path)
     taps = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, line, body in config_lines(path):
         fields = body.split()
         if len(fields) != 3:
             raise ConfigError(f"{path}:{lineno}: expected 'delay gain_re gain_im', got {line!r}")

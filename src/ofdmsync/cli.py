@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -165,6 +166,11 @@ def cmd_channel(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    # the trace file is opened for writing before the samples are read
+    if (args.infile and args.trace and os.path.exists(args.trace)
+            and os.path.samefile(args.infile, args.trace)):
+        raise ConfigError(f"--trace {args.trace} names the --in file; writing the trace "
+                          f"would overwrite the samples before they are read")
     cfg = FrameDetectConfig(lag=args.lag, threshold=args.threshold,
                             min_plateau=args.min_plateau, metric_mode=args.metric_mode)
     if args.infile:

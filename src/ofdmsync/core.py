@@ -6,6 +6,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -171,3 +172,19 @@ def all_finite(values: np.ndarray) -> bool:
             return all_finite(values.real) and all_finite(values.imag)
         values = values.view(values.real.dtype)
     return values.size == 0 or (math.isfinite(values.min()) and math.isfinite(values.max()))
+
+
+def config_lines(path: Path):
+    """(line number, line, body) of each line of a plan or tap file whose
+    body, the text before any ``#``, is not blank.
+
+    A file that is not UTF-8 text is a ConfigError that names it.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, line, body

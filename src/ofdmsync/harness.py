@@ -24,7 +24,7 @@ import numpy as np
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
 from .channel import ChannelConfig, parse_snr, resolve_taps, seeded_generators, transmit
 from .core import (BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, all_finite,
-                   as_int, of_type, shown)
+                   as_int, config_lines, of_type, shown)
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, FrameEvent, detect_frames, first_events  # noqa: F401
 from .iqfile import write_table
@@ -370,10 +370,7 @@ def load_plan(path) -> TrialPlan:
     if not path.is_file():
         raise ConfigError(f"plan file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, line, body in config_lines(path):
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))

@@ -376,6 +376,13 @@ ZERO_IQ = np.zeros(800, "<f4")
 HUGE_TAP = b"0 1e39 0\n"
 NAN_TAP = b"0 1 0\n3 nan 0\n"
 EMPTY_TAPS_PLAN = b"n_trials = 3\ntaps =\n"
+# An 820-sample capture whose frame starts at sample 97, and a plan and a tap
+# file whose second line is not UTF-8.
+FRAME_IQ = ofdmsync.transmit(ofdmsync.generate_preamble(),
+                             ChannelConfig(snr_db=20, timing_offset=97),
+                             tail_len=403).samples.astype("<c8").view("<f4")
+NON_UTF8_PLAN = b"n_trials = 3\n\xff\n"
+NON_UTF8_TAPS = b"0 1 0\n\xff\n"
 
 
 @pytest.mark.parametrize("argv, words, expected", [
@@ -406,13 +413,16 @@ EMPTY_TAPS_PLAN = b"n_trials = 3\ntaps =\n"
     (["trials", "--config", "IN", "--out", "report"], EMPTY_TAPS_PLAN, 2),
     (["cfo", "--cfo-hz", "100e3", "--snr-db", "30", "--sample-rate", "10e6"], None, 2),
     (["channel", "--sample-rate", "10e6", "--out", "o.iq"], None, 2),
+    (["detect", "--in", "IN", "--trace", "IN"], FRAME_IQ, 2),
+    (["trials", "--config", "IN", "--out", "report"], NON_UTF8_PLAN, 2),
+    (["channel", "--taps", "IN", "--out", "o.iq"], NON_UTF8_TAPS, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
         "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
         "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
         "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps", "cfo-rate-without-in",
-        "channel-rate-without-in"])
+        "channel-rate-without-in", "detect-trace-onto-in", "non-utf8-plan", "non-utf8-taps"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -448,6 +458,12 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
         # the rate of a generated frame is fixed, so the flag would change nothing
         assert "--sample-rate gives the rate of the samples that --in reads" in proc.stderr
         assert proc.stdout == "" and not (tmp_path / "o.iq").exists()
+    if words is FRAME_IQ:  # refused before the trace truncates the samples
+        assert "--trace IN names the --in file" in proc.stderr
+        assert (tmp_path / "IN").read_bytes() == bytes(words) and proc.stdout == ""
+    if words is NON_UTF8_PLAN or words is NON_UTF8_TAPS:
+        assert "IN: not UTF-8 text (invalid start byte at byte " in proc.stderr
+        assert not (tmp_path / "o.iq").exists() and not (tmp_path / "report").exists()
 
 
 def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from ofdmsync import harness
 from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent, SampleBuffer,
                       SizingError, autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.core import MAX_GENERATED_SAMPLES
-from ofdmsync.frame_detect import (BLOCK_LEN, METRIC_MODES, StreamingFrameDetector,
-                                   detect_blocks, first_events, sliding_sum)
+from ofdmsync.frame_detect import (_ONE_TREE_MAX, BLOCK_LEN, METRIC_MODES,
+                                   StreamingFrameDetector, detect_blocks, first_events,
+                                   sliding_sum)
 
 from conftest import random_buffer
 from metric_reference import compute_metrics
@@ -242,6 +244,21 @@ def reference_metrics(x, cfg):
     return sums, numerator, p_squared, numerator / (p_squared + 1e-30)
 
 
+def at_the_one_tree_bound(test):
+    """@examples of one kernel step of _ONE_TREE_MAX lag products, the most
+    that the one-tree layout takes, one more, and a full step, for odd,
+    power-of-two and other windows, both metric modes, and |x| near 1, 1e155
+    (R overflows) and 1e-160 (P is subnormal, P^2 zero)."""
+    for window in (1, 2, 10, 16, 48, 64):
+        for products in (_ONE_TREE_MAX, _ONE_TREE_MAX + 1, BLOCK_LEN + window - 1):
+            for metric_mode in METRIC_MODES:
+                for exponent in (0.0, 155.0, -160.0):
+                    test = example(lag=16, window=window, extra=products - window + 1,
+                                   metric_mode=metric_mode, exponent=exponent, seed=window,
+                                   zeros=[])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(lag=st.integers(1, 64), window=st.integers(1, 64), extra=st.integers(1, 300),
        metric_mode=st.sampled_from(METRIC_MODES), exponent=st.floats(-150, 150),
@@ -264,6 +281,7 @@ def reference_metrics(x, cfg):
 @example(lag=16, window=64, extra=80, metric_mode="l1_approx", exponent=155.0, seed=9,
          zeros=[(40, 30)])
 @example(lag=16, window=48, extra=80, metric_mode="exact", exponent=-160.0, seed=10, zeros=[])
+@at_the_one_tree_bound
 def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_mode, exponent,
                                                      seed, zeros):
     gen = np.random.default_rng(seed)
@@ -276,6 +294,22 @@ def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_m
         sums, *want = reference_metrics(x, cfg)
         got = compute_metrics(x, cfg)
         assert autocorrelation(x, lag, window).tobytes() == sums.tobytes()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("products", [_ONE_TREE_MAX, _ONE_TREE_MAX + 1])
+def test_a_stream_near_overflow_warns_on_neither_kernel_layout(products):
+    # |x| = 1.1e77, so P^2 is 1.46e308 and |R|^2 at most that: every square
+    # stays finite, and no sum of the one-tree layout, whose straddling sums
+    # add lag products to powers, may raise a warning the two-tree one does not
+    cfg = FrameDetectConfig()
+    x = 1.1e77 * np.exp(2j * np.pi * np.random.default_rng(products).random(products + cfg.lag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compute_metrics(x, cfg)
+        _, *want = reference_metrics(x, cfg)
+    assert np.all(got[1] > 1e308) and np.isfinite(got[2]).all()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
