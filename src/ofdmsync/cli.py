@@ -135,11 +135,14 @@ def _channel_config(args) -> ChannelConfig:
                          timing_offset=args.timing_offset)
 
 
+def _transmitted(args, frame: SampleBuffer | None = None) -> SampleBuffer:
+    """``frame``, or the preamble, through the channel, gap and seed that the flags set."""
+    frame = generate_preamble() if frame is None else frame
+    return transmit(frame, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
+
+
 def _input_buffer(args, sample_rate: float) -> SampleBuffer:
-    if args.infile:
-        return read_iq(args.infile, sample_rate)
-    pre = generate_preamble()
-    return transmit(pre, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
+    return read_iq(args.infile, sample_rate) if args.infile else _transmitted(args)
 
 
 def _write_output(buf: SampleBuffer, path, fmt: str) -> None:
@@ -155,9 +158,8 @@ def cmd_preamble(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    source = (read_iq(args.infile, args.sample_rate or DEFAULT_SAMPLE_RATE) if args.infile
-              else generate_preamble())
-    out = transmit(source, _channel_config(args), tail_len=args.gap_len, seed=args.seed)
+    source = read_iq(args.infile, args.sample_rate or DEFAULT_SAMPLE_RATE) if args.infile else None
+    out = _transmitted(args, source)
     _write_output(out, args.out, args.format)
     snr = "noiseless" if args.snr_db is None else f"{args.snr_db} dB"
     print(f"wrote {len(out)} impaired samples to {args.out} "
@@ -176,10 +178,9 @@ def cmd_detect(args) -> int:
     if args.infile:
         blocks = iq_blocks(args.infile)
     else:
-        pre = generate_preamble()
-        frame = pre if args.frames == 1 else preamble_train(pre, args.frames, args.gap_len)
-        blocks = [transmit(frame, _channel_config(args), tail_len=args.gap_len,
-                           seed=args.seed).samples]
+        train = (None if args.frames == 1
+                 else preamble_train(generate_preamble(), args.frames, args.gap_len))
+        blocks = [_transmitted(args, train).samples]
     # streamed in bounded memory; an error in any block leaves no events to print
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as f:
         trace = None
@@ -220,6 +221,9 @@ def cmd_timesync(args) -> int:
 
 
 def cmd_cfo(args) -> int:
+    if args.format is not None and not args.out:
+        raise ConfigError("--format sets the format of the file that --out writes; "
+                          "without --out it has no effect")
     buf = _input_buffer(args, args.sample_rate or DEFAULT_SAMPLE_RATE)
     events = detect_frames(buf, FrameDetectConfig(lag=args.lag))
     if args.trace:
@@ -237,7 +241,7 @@ def cmd_cfo(args) -> int:
           f"plateau [{est.plateau_span[0]}, {est.plateau_span[1]}))")
     if args.out:
         corrected = correct_cfo(buf, est.delta_f_hz)
-        _write_output(corrected, args.out, args.format)
+        _write_output(corrected, args.out, args.format or "iq")
         print(f"wrote {len(corrected)} corrected samples to {args.out}")
     return EXIT_OK
 
@@ -306,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="autocorrelation lag (default %(default)s)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the offset-corrected samples here")
-    p.add_argument("--format", choices=("iq", "csv"), default="iq")
+    p.add_argument("--format", choices=("iq", "csv"), default=None,
+                   help="format of the --out file (default iq)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write autocorrelation magnitude/phase trace CSV")
     p.set_defaults(func=cmd_cfo)

@@ -73,25 +73,14 @@ class FrameEvent(NamedTuple):
     peak_metric: float
 
 
-def sliding_sum(values: np.ndarray, window: int, out=None) -> np.ndarray:
-    """Moving sum over ``window`` entries, each added in one fixed tree order.
-
-    The order is :func:`_tree_plan`'s: each output depends only on its own
-    entries, so any chunking gives the same bits. The sums go into ``out``
-    when given. The pairwise passes run in ``values`` itself, which they
-    overwrite.
-    """
-    values = np.asarray(values)
-    window = as_positive("window", window)
-    if len(values) < window:
-        raise SizingError(f"need at least {shown(window)} values, got {len(values)}")
-    if out is None:
-        out = np.empty(len(values) - window + 1, values.dtype)
-    return _tree_sums(values, window, out)
-
-
 def _tree_sums(values: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
-    """Run :func:`_tree_plan`'s steps: ``values``' window sums into ``out``."""
+    """Moving sums over ``window`` of ``values``' entries, of which there are at
+    least ``window``, into ``out``.
+
+    Each sum adds its entries in :func:`_tree_plan`'s one fixed order, so it
+    depends only on its own entries and any chunking gives the same bits.
+    The pairwise passes run in ``values`` itself, which they overwrite.
+    """
     copy, steps = _tree_plan(window)
     if copy is not None:
         out[...] = values[copy]
@@ -163,12 +152,16 @@ def _lag_products(x, lag: int, conj=None, out=None) -> np.ndarray:
 
 
 def _correlate(x, lag: int, window: int, out=None, scratch=(None, None)) -> np.ndarray:
-    """The window sums of x[n] * conj(x[n + lag]).
+    """The window sums of x[n] * conj(x[n + lag]), into ``out`` when given.
 
-    ``scratch``, two complex arrays of ``len(x) - lag`` entries, takes the
-    conjugates and then the products instead of new arrays.
+    The caller has checked that ``len(x) >= lag + window``. ``scratch``, two
+    complex arrays of ``len(x) - lag`` entries, takes the conjugates and then
+    the products instead of new arrays.
     """
-    return sliding_sum(_lag_products(x, lag, *scratch), window, out)
+    products = _lag_products(x, lag, *scratch)
+    if out is None:
+        out = np.empty(len(products) - window + 1, products.dtype)
+    return _tree_sums(products, window, out)
 
 
 def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
@@ -181,12 +174,12 @@ def _metric_kernel(x: np.ndarray, cfg: FrameDetectConfig, arena: np.ndarray):
     sized for a full step, holds either. The kernel carves its arrays out of
     it. Every numpy call writes into one of them, so the kernel allocates
     nothing the size of ``x``. The window sums are :func:`_tree_sums`, as
-    :func:`sliding_sum`'s are, and unless a metric value is not finite, the
-    Python functions the kernel calls are it and :func:`_lag_products`: the
-    rest of a step is a fixed run of numpy calls. The bits are those of
-    ``autocorrelation(x) / window``, ``sliding_sum(abs(x[lag:])**2, window)
-    / window`` and so on. The returned arrays are views into ``arena``;
-    ``top`` is NaN when any metric value is.
+    :func:`autocorrelation`'s are, and unless a metric value is not finite,
+    the Python functions the kernel calls are it and :func:`_lag_products`:
+    the rest of a step is a fixed run of numpy calls. The bits are those of
+    ``autocorrelation(x) / window``, of ``_tree_sums`` of ``abs(x[lag:])**2``
+    divided by ``window``, and so on. The returned arrays are views into
+    ``arena``; ``top`` is NaN when any metric value is.
 
     A step of more than ``_ONE_TREE_MAX`` lag products sums them and the
     powers in two trees. Its arrays are the conjugates (whose float view

@@ -416,17 +416,21 @@ NON_UTF8_TAPS = b"0 1 0\n\xff\n"
     (["detect", "--in", "IN", "--trace", "IN"], FRAME_IQ, 2),
     (["trials", "--config", "IN", "--out", "report"], NON_UTF8_PLAN, 2),
     (["channel", "--taps", "IN", "--out", "o.iq"], NON_UTF8_TAPS, 2),
+    (["cfo", "--format", "csv"], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
         "detect-in-snr", "cfo-in-seed", "timesync-in-gap", "detect-empty-in",
         "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
         "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps", "cfo-rate-without-in",
-        "channel-rate-without-in", "detect-trace-onto-in", "non-utf8-plan", "non-utf8-taps"])
+        "channel-rate-without-in", "detect-trace-onto-in", "non-utf8-plan", "non-utf8-taps",
+        "cfo-format-without-out"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
-    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    # the child does not inherit pytest's filterwarnings; a numpy RuntimeWarning fails it
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == expected, proc.stderr
@@ -464,6 +468,9 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is NON_UTF8_PLAN or words is NON_UTF8_TAPS:
         assert "IN: not UTF-8 text (invalid start byte at byte " in proc.stderr
         assert not (tmp_path / "o.iq").exists() and not (tmp_path / "report").exists()
+    if argv[0] == "cfo" and "--format" in argv:  # refused before the frame is generated
+        assert "--format sets the format of the file that --out writes" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):
@@ -558,7 +565,8 @@ def test_trials_negative_base_seed_exits_two_before_any_trial(tmp_path, capsys, 
 def test_trials_lts_window_past_the_buffer_exits_two_before_any_trial(tmp_path):
     cfg = tmp_path / "plan.cfg"
     cfg.write_text("n_trials = 3\nstages = time_lts\ngap_len = 0\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(ofdmsync.__file__).parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
     proc = subprocess.run([sys.executable, "-m", "ofdmsync.cli", "trials", "--config", str(cfg),
                            "--out", "r"], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr

@@ -17,8 +17,8 @@ from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, FrameEvent,
                       SizingError, autocorrelation, detect_frames, preamble_train, transmit)
 from ofdmsync.core import MAX_GENERATED_SAMPLES
 from ofdmsync.frame_detect import (_ONE_TREE_MAX, BLOCK_LEN, METRIC_MODES,
-                                   StreamingFrameDetector, detect_blocks, first_events,
-                                   sliding_sum)
+                                   StreamingFrameDetector, _metric_kernel, _tree_sums,
+                                   detect_blocks, first_events)
 
 from conftest import random_buffer
 from metric_reference import compute_metrics
@@ -92,23 +92,15 @@ def test_sliding_matches_direct_summation(rng):
 
 def test_sliding_sum_window_errors():
     with pytest.raises(SizingError):
-        sliding_sum(np.ones(4), 5)
-    with pytest.raises(SizingError):
         autocorrelation(np.ones(20), 16, 16)
     for lag, window, message in ((0, 16, "lag must be positive, got 0"),
                                  (-5, 16, "lag must be positive, got -5"),
                                  (16, 0, "window must be positive, got 0")):
         with pytest.raises(SizingError, match=f"^{re.escape(message)}$"):
             autocorrelation(np.ones(64), lag, window)
-    with pytest.raises(SizingError, match="^window must be positive, got 0$"):
-        sliding_sum(np.ones(40), 0)
     with pytest.raises(ConfigError, match="lag must be an integer"):
         autocorrelation(np.ones(64), 16.0, 16)
-    with pytest.raises(ConfigError, match="window must be an integer"):
-        sliding_sum(np.ones(40), 16.0)
     # an int too long for Python to write is shown by its bit count
-    with pytest.raises(SizingError, match="need at least an int of 16610 bits values"):
-        sliding_sum(np.ones(40), 10**5000)
     with pytest.raises(SizingError, match="lag[+]window=an int of 16610 bits$"):
         autocorrelation(np.ones(40), 10**5000, 16)
     with pytest.raises(SizingError, match="^lag must be positive, got an int of 16610 bits$"):
@@ -225,7 +217,8 @@ def test_sliding_sum_equals_the_reference_tree_order():
                     values[gen.integers(0, length, 3)] = (np.inf, -np.inf, np.nan)
                 with np.errstate(invalid="ignore"):
                     want = reference_sliding_sum(values, window)
-                    got = sliding_sum(values.copy(), window)
+                    got = _tree_sums(values.copy(), window,
+                                     np.empty(length - window + 1, values.dtype))
                 assert got.dtype == values.dtype
                 np.testing.assert_array_equal(got, want, err_msg=f"{window}, {length}")
 
@@ -296,6 +289,30 @@ def test_kernel_bits_equal_the_reference_arithmetic(lag, window, extra, metric_m
         assert autocorrelation(x, lag, window).tobytes() == sums.tobytes()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("window", [16, 48])
+@pytest.mark.parametrize("n", [300, 3000])
+def test_kernel_scales_subnormal_window_sums_as_the_reference_divides(n, window):
+    # |x| near 1e-160: the n lag products and powers are subnormal, and |R|^2
+    # and P^2 underflow to 0, so only R and P themselves show how they were
+    # scaled. The kernel returns neither: read them from the arena, where R
+    # starts at 3n (one tree) or 2n (two trees), and P at 4n in the one-tree
+    # layout (the two-tree layout overwrites P with its square)
+    cfg = FrameDetectConfig(window=window)
+    gen = np.random.default_rng(n + window)
+    x = 1e-160 * (gen.standard_normal(n + cfg.lag) + 1j * gen.standard_normal(n + cfg.lag))
+    k = n - window + 1
+    arena = np.empty(4 * n + 3 * k, complex)
+    _metric_kernel(x, cfg, arena)
+    one_tree = n <= _ONE_TREE_MAX
+    R = arena[3 * n:3 * n + k] if one_tree else arena[2 * n:2 * n + k]
+    products = np.multiply(x[:n], np.conj(x[cfg.lag:]))
+    assert R.tobytes() == (reference_sliding_sum(products, window) / window).tobytes()
+    if one_tree:
+        want = reference_sliding_sum(np.abs(x[cfg.lag:]) ** 2, window) / window
+        assert np.all(want < np.finfo(float).tiny)
+        assert arena[4 * n:4 * n + k].real.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("products", [_ONE_TREE_MAX, _ONE_TREE_MAX + 1])
