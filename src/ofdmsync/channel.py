@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, config_lines, of_type,
-                   shown)
+from .core import (MAX_GENERATED_SAMPLES, SampleBuffer, as_int, as_real, config_lines, config_value,
+                   of_type, read_float, read_size, shown)
 from .errors import ConfigError
 from .preamble import generate_preamble
 
@@ -72,13 +72,6 @@ class ChannelConfig:
         object.__setattr__(self, "timing_offset", as_int(
             "timing_offset", self.timing_offset, (0, MAX_GENERATED_SAMPLES)))
         object.__setattr__(self, "taps", taps)
-
-
-def parse_snr(text: str) -> float | None:
-    """An SNR as the CLI and plan files write it: a number in dB, or 'none' or
-    'noiseless' (any case) for ``None``. Raises ValueError otherwise."""
-    text = text.lower()
-    return None if text in ("none", "noiseless") else float(text)
 
 
 def _rotation(length: int, cfo_hz: float, sample_rate: float) -> np.ndarray:
@@ -265,18 +258,18 @@ def seeded_generators(seeds: range):
 def load_taps(path) -> tuple[tuple[int, complex], ...]:
     """Read a tap profile: one ``delay_samples gain_re gain_im`` per line.
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored. The fields are read as the
+    ``timing_offset`` and ``cfo_hz`` plan keys are, and a malformed one is a
+    ConfigError "<path>:<line>: tap delay|gain <message>".
     """
     path = Path(path)
     taps = []
-    for lineno, line, body in config_lines(path):
+    for where, line, body in config_lines(path):
         fields = body.split()
         if len(fields) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 'delay gain_re gain_im', got {line!r}")
-        try:
-            delay, re, im = int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{where}: expected 'delay gain_re gain_im', got {line!r}")
+        delay = config_value(where, "tap delay", read_size, fields[0])
+        re, im = (config_value(where, "tap gain", read_float, text) for text in fields[1:])
         taps.append((delay, complex(re, im)))
     if not taps:
         raise ConfigError(f"{path}: no taps defined")
@@ -298,6 +291,4 @@ def resolve_taps(spec: str) -> tuple[tuple[int, complex], ...]:
     if spec == "":
         raise ConfigError(f"a tap reference (plan key taps, flag --taps) must be a file path "
                           f"or a built-in name {BUILTIN_PROFILES}, got an empty one")
-    if spec in BUILTIN_PROFILES:
-        return load_taps(profile_path(spec))
-    return load_taps(spec)
+    return load_taps(profile_path(spec) if spec in BUILTIN_PROFILES else spec)

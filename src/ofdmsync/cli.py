@@ -8,7 +8,9 @@ usage/config error, 3 I/O error.
 
 All randomness flows from ``--seed``; when the flag is absent a fixed
 default of 0 is used (never wall-clock entropy), so repeated invocations
-are byte-identical.
+are byte-identical. A flag that sets a plan key's parameter reads its text
+with the key's reader (:data:`~ofdmsync.harness.PLAN_READERS`), and the
+other numeric flags with the same family of readers from ``core``.
 """
 
 from __future__ import annotations
@@ -22,22 +24,17 @@ import numpy as np
 
 from . import __version__
 from .cfo import angles, correct_cfo, estimate_cfo, plateau_from_event
-from .channel import UNIT_TAP, ChannelConfig, parse_snr, resolve_taps, transmit
-from .core import DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer
+from .channel import ChannelConfig, transmit
+from .core import (DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, number_reader,
+                   read_float, read_int)
 from .errors import ConfigError, EstimationError, IqFormatError, OfdmSyncError
 from .frame_detect import (METRIC_MODES, FrameDetectConfig, autocorrelation, detect_blocks,
                            detect_frames)
-from .harness import TrialPlan, emit_report, load_plan, preamble_train, run_trials
+from .harness import PLAN_READERS, TrialPlan, emit_report, load_plan, preamble_train, run_trials
 from .iqfile import iq_blocks, read_iq, write_csv, write_iq, write_rows, write_table
 from .preamble import generate_preamble
 from .time_sync import (TEMPLATES, TimeSyncConfig, cross_correlate, default_expected_peak,
                         default_search_window, estimate_timing, training_template)
-
-DEFAULT_SEED = 0
-# Sample rates a file may be read at. Outside this range the 1/rate and
-# f*n/rate terms of the CFO rotations overflow float64.
-MIN_SAMPLE_RATE = 1.0
-MAX_SAMPLE_RATE = 1e15
 
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
@@ -52,26 +49,14 @@ _EXIT_CODES = {
 }
 
 
-def _parse_snr(text: str) -> float | None:
-    try:
-        return parse_snr(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}")
-
-
-def _in_range(parse=int, low=0, high=MAX_GENERATED_SAMPLES, unit=""):
-    """argparse type: ``parse(text)``, int or float, in [low, high] ``unit``; by default a size."""
-    kind, spec = ("a number", "g") if parse is float else ("an integer", "d")
-
+def _flag(read):
+    """argparse type of the reader ``read``: argparse shows its ValueError's
+    message after "argument --flag:", as load_plan shows it after the key."""
     def check(text: str):
         try:
-            value = parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(
-                f"must lie in [{low:{spec}}, {high:{spec}}]{unit}, got {value}")
-        return value
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return check
 
 
@@ -82,11 +67,8 @@ def _path(text: str) -> str:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        start, length = text.split(":")
-        return int(start), int(length)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected START:LEN, got {text!r}")
+    start, _, length = text.partition(":")
+    return read_int(start), read_int(length)
 
 
 class _GeneratorFlag(argparse.Action):
@@ -105,33 +87,32 @@ def _add_input_args(sub: argparse.ArgumentParser, *, with_rate: bool,
     ``--snr-db`` help."""
     sub.set_defaults(generator_flags=())
 
-    def add(flag, **kwargs):
+    def add(flag, key, **kwargs):  # key: the plan key whose reader the flag takes
         action = "store" if flag in read_with_in else _GeneratorFlag
-        sub.add_argument(flag, action=action, **kwargs)
+        sub.add_argument(flag, action=action, type=_flag(PLAN_READERS[key]), **kwargs)
 
     sub.add_argument("--in", dest="infile", type=_path, default=None, metavar="FILE",
                      help="read IQ samples from FILE instead of generating a frame")
     if with_rate:  # only the commands whose output depends on the rate take it
-        sub.add_argument("--sample-rate", default=None,
-                         type=_in_range(float, MIN_SAMPLE_RATE, MAX_SAMPLE_RATE, " Hz"),
+        # outside [1, 1e15] Hz the 1/rate and f*n/rate terms of the CFO rotations overflow float64
+        sub.add_argument("--sample-rate", type=_flag(number_reader(float, (1.0, 1e15))),
                          help=f"sample rate in Hz of the --in file (default {DEFAULT_SAMPLE_RATE})")
-    add("--gap-len", type=_in_range(), default=TrialPlan.gap_len, metavar="N",
+    add("--gap-len", "gap_len", default=TrialPlan.gap_len, metavar="N",
         help="idle samples after each generated frame (default %(default)s)")
-    add("--seed", type=int, default=DEFAULT_SEED,
+    add("--seed", "base_seed", default=TrialPlan.base_seed,
         help="RNG seed (default %(default)s, fixed, not entropy)")
-    add("--snr-db", type=_parse_snr, default=ChannelConfig.snr_db, metavar="DB|none",
+    add("--snr-db", "snr_db", default=ChannelConfig.snr_db, metavar="DB|none",
         help="channel SNR in dB, or 'none' for noiseless (default)" + snr_note)
-    add("--cfo-hz", type=float, default=ChannelConfig.cfo_hz,
+    add("--cfo-hz", "cfo_hz", default=ChannelConfig.cfo_hz,
         help="carrier frequency offset in Hz (default %(default)s)")
-    add("--taps", default=None, metavar="FILE|NAME",
-        help="tap profile file, or built-in name (etsi_a, etsi_c)")
-    add("--timing-offset", type=_in_range(), default=ChannelConfig.timing_offset, metavar="N",
+    add("--taps", "taps", default=ChannelConfig.taps, metavar="FILE|NAME",
+        help="tap profile file, or built-in name (etsi_a, etsi_c); default a single unit tap")
+    add("--timing-offset", "timing_offset", default=ChannelConfig.timing_offset, metavar="N",
         help="lead samples before the frame (default %(default)s)")
 
 
 def _channel_config(args) -> ChannelConfig:
-    taps = UNIT_TAP if args.taps is None else resolve_taps(args.taps)
-    return ChannelConfig(cfo_hz=args.cfo_hz, snr_db=args.snr_db, taps=taps,
+    return ChannelConfig(cfo_hz=args.cfo_hz, snr_db=args.snr_db, taps=args.taps,
                          timing_offset=args.timing_offset)
 
 
@@ -265,14 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preamble", help="generate the 320-sample training preamble")
-    p.add_argument("--out", default="preamble.iq", help="output file (default %(default)s)")
+    p.add_argument("--out", type=_path, default="preamble.iq",
+                   help="output file (default %(default)s)")
     p.add_argument("--format", choices=("iq", "csv"), default="iq")
     p.set_defaults(func=cmd_preamble)
 
     p = sub.add_parser("channel", help="impair a frame (or an IQ file) through the channel")
     _add_input_args(p, with_rate=True, read_with_in=(
         "--gap-len", "--seed", "--snr-db", "--cfo-hz", "--taps", "--timing-offset"))
-    p.add_argument("--out", default="channel.iq", help="output file (default %(default)s)")
+    p.add_argument("--out", type=_path, default="channel.iq",
+                   help="output file (default %(default)s)")
     p.add_argument("--format", choices=("iq", "csv"), default="iq")
     p.set_defaults(func=cmd_channel)
 
@@ -281,52 +264,52 @@ def build_parser() -> argparse.ArgumentParser:
         "; with --frames N above 1, against the whole train's average power, gaps included, "
         "so each frame sees 10*log10((320 + --gap-len) / 320) dB more (13.52 dB for 10 dB and the "
         "default gap)"))
-    p.add_argument("--frames", action=_GeneratorFlag, type=_in_range(low=1), default=1,
+    p.add_argument("--frames", action=_GeneratorFlag, default=1,
+                   type=_flag(number_reader(int, (1, MAX_GENERATED_SAMPLES))),
                    help="number of repeated frames when generating input (default %(default)s)")
-    p.add_argument("--lag", type=int, default=FrameDetectConfig.lag,
+    p.add_argument("--lag", type=_flag(read_int), default=FrameDetectConfig.lag,
                    help="autocorrelation lag (default %(default)s)")
-    p.add_argument("--threshold", type=float, default=FrameDetectConfig.threshold,
+    p.add_argument("--threshold", type=_flag(read_float), default=FrameDetectConfig.threshold,
                    help="detection threshold (default %(default)s)")
-    p.add_argument("--min-plateau", type=int, default=FrameDetectConfig.min_plateau,
+    p.add_argument("--min-plateau", type=_flag(read_int), default=FrameDetectConfig.min_plateau,
                    help="required above-threshold run length (default %(default)s)")
     p.add_argument("--metric-mode", choices=METRIC_MODES, default=FrameDetectConfig.metric_mode)
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write per-sample metric trace CSV")
+    p.add_argument("--trace", type=_path, metavar="FILE", help="write per-sample metric trace CSV")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("timesync", help="estimate symbol timing by cross-correlation")
     _add_input_args(p, with_rate=False, read_with_in=("--timing-offset",))
     p.add_argument("--template", choices=TEMPLATES, default=TimeSyncConfig.template)
-    p.add_argument("--window", type=_parse_window, default=None, metavar="START:LEN",
+    p.add_argument("--window", type=_flag(_parse_window), default=None, metavar="START:LEN",
                    help="argmax search window over alignment indices of the buffer "
                    "(default: around the landmark of a frame at --timing-offset)")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write |correlation| trace CSV")
+    p.add_argument("--trace", type=_path, metavar="FILE", help="write |correlation| trace CSV")
     p.set_defaults(func=cmd_timesync)
 
     p = sub.add_parser("cfo", help="estimate (and optionally correct) the frequency offset")
     _add_input_args(p, with_rate=True)
-    p.add_argument("--lag", type=int, default=FrameDetectConfig.lag,
+    p.add_argument("--lag", type=_flag(read_int), default=FrameDetectConfig.lag,
                    help="autocorrelation lag (default %(default)s)")
-    p.add_argument("--out", default=None, metavar="FILE",
+    p.add_argument("--out", type=_path, metavar="FILE",
                    help="write the offset-corrected samples here")
-    p.add_argument("--format", choices=("iq", "csv"), default=None,
-                   help="format of the --out file (default iq)")
-    p.add_argument("--trace", default=None, metavar="FILE",
+    p.add_argument("--format", choices=("iq", "csv"), help="format of the --out file (default iq)")
+    p.add_argument("--trace", type=_path, metavar="FILE",
                    help="write autocorrelation magnitude/phase trace CSV")
     p.set_defaults(func=cmd_cfo)
 
     p = sub.add_parser("trials", help="run a Monte Carlo trial plan and write CSV reports")
-    p.add_argument("--config", required=True, help="plan file (key = value lines)")
-    p.add_argument("--out", default="report", help="output directory (default %(default)s)")
+    p.add_argument("--config", type=_path, required=True, help="plan file (key = value lines)")
+    p.add_argument("--out", type=_path, default="report",
+                   help="output directory (default %(default)s)")
     p.set_defaults(func=cmd_trials)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # an OSError from reading a --taps file ends here, not in argparse
+        args = build_parser().parse_args(argv)
         if getattr(args, "infile", None) and args.generator_flags:
             flags = ", ".join(dict.fromkeys(args.generator_flags))
             raise ConfigError(f"--in reads the samples from a file; these flags set up "

@@ -1,4 +1,6 @@
-"""Complex baseband sample container used by every stage of the pipeline."""
+"""Complex baseband sample container used by every stage of the pipeline,
+and the gates that values from outside pass: checks of values, and the
+readers that plan keys, CLI flags and tap files turn their text with."""
 
 from __future__ import annotations
 
@@ -159,6 +161,42 @@ def as_int_pair(name: str, value) -> tuple[int, int]:
     return as_int(f"{name} bound", first), as_int(f"{name} bound", second)
 
 
+def number_reader(parse=int, bounds: tuple | None = None):
+    """The reader of a parameter's text: ``parse(text)``, int or float, in the
+    closed ``bounds`` when given.
+
+    Plan keys, flags and tap fields read their text through these readers.
+    A ValueError's message follows the parameter's name: "must be an
+    integer, got '1e3'", "must lie in [0, 16777216], got -1".
+    """
+    kind, spec = ("a number", "g") if parse is float else ("an integer", "d")
+    # formatted once, so that a bound the message cannot show fails here, not in a user's error
+    span = bounds and f"[{bounds[0]:{spec}}, {bounds[1]:{spec}}]"
+
+    def read(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ValueError(f"must be {kind}, got {shown(text)}") from None
+        if span and not bounds[0] <= value <= bounds[1]:
+            raise ValueError(f"must lie in {span}, got {shown(value)}")
+        return value
+    return read
+
+
+read_int, read_float = number_reader(int), number_reader(float)
+read_size = number_reader(int, (0, MAX_GENERATED_SAMPLES))
+
+
+def read_snr(text: str) -> float | None:
+    """An SNR's text: a number in dB, or 'none' or 'noiseless' (any case) for
+    None; a ValueError worded as :func:`number_reader`'s otherwise."""
+    try:
+        return None if text.lower() in ("none", "noiseless") else float(text)
+    except ValueError:
+        raise ValueError(f"must be a number or 'none', got {shown(text)}") from None
+
+
 def all_finite(values: np.ndarray) -> bool:
     """Whether no entry of a float or complex array, nor part of one, is NaN or infinite.
 
@@ -175,8 +213,8 @@ def all_finite(values: np.ndarray) -> bool:
 
 
 def config_lines(path: Path):
-    """(line number, line, body) of each line of a plan or tap file whose
-    body, the text before any ``#``, is not blank.
+    """("<path>:<line number>", line, body) of each line of a plan or tap
+    file whose body, the text before any ``#``, is not blank.
 
     A file that is not UTF-8 text is a ConfigError that names it.
     """
@@ -187,4 +225,17 @@ def config_lines(path: Path):
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
-            yield lineno, line, body
+            yield f"{path}:{lineno}", line, body
+
+
+def config_value(where: str, name: str, read, text: str):
+    """``read(text)`` for the parameter ``name`` at ``where``, a line of :func:`config_lines`.
+
+    A reader's ValueError becomes ConfigError "<where>: <name> <message>";
+    a ConfigError, a whole sentence of its own, gets "<where>: " alone.
+    """
+    try:
+        return read(text)
+    except ValueError as exc:
+        name = "" if isinstance(exc, ConfigError) else f"{name} "
+        raise ConfigError(f"{where}: {name}{exc}") from exc

@@ -22,9 +22,10 @@ import numpy as np
 # run_trials no longer calls them; bench/spans.py still traces them under
 # these names, and bench/test_bench.py requires each traced name to exist.
 from .cfo import estimate_cfo, estimate_cfo_rows, span_within  # noqa: F401
-from .channel import ChannelConfig, parse_snr, resolve_taps, seeded_generators, transmit
+from .channel import ChannelConfig, resolve_taps, seeded_generators, transmit
 from .core import (BLOCK_LEN, DEFAULT_SAMPLE_RATE, MAX_GENERATED_SAMPLES, SampleBuffer, all_finite,
-                   as_int, config_lines, of_type, shown)
+                   as_int, config_lines, config_value, of_type, read_float, read_int, read_size,
+                   read_snr, shown)
 from .errors import ConfigError
 from .frame_detect import FrameDetectConfig, FrameEvent, detect_frames, first_events  # noqa: F401
 from .iqfile import write_table
@@ -351,6 +352,16 @@ def emit_report(results: dict[str, TrialStatistics], out_dir, plan: TrialPlan) -
     return [out / name for name, _, _ in tables]
 
 
+# The reader of each plan key's text, in the order the unknown-key message
+# lists them; the CLI's flags of the same parameters read theirs from here.
+PLAN_READERS = {
+    "n_trials": read_int, "base_seed": read_int,
+    "stages": lambda text: tuple(s.strip() for s in text.split(",")),
+    "snr_db": read_snr, "cfo_hz": read_float, "timing_offset": read_size,
+    "taps": resolve_taps, "gap_len": read_size,
+}
+
+
 def load_plan(path) -> TrialPlan:
     """Parse a ``key = value`` plan file ('#' comments allowed).
 
@@ -359,36 +370,30 @@ def load_plan(path) -> TrialPlan:
     relative to the plan file), gap_len (idle samples after the frame; they
     carry the channel noise). A key left out keeps its config's default
     (:class:`TrialPlan`, :class:`~ofdmsync.channel.ChannelConfig`).
+
+    Each value is read by its key's entry in :data:`PLAN_READERS`, the reader
+    that the key's flag takes too, so text that a flag rejects with
+    "argument --flag: <message>" is a ConfigError "<path>:<line>: <key>
+    <message>" here. The values then build the configs, which check them.
     """
     path = Path(path)
-    parsers = {  # each key's parser, in the order the unknown-key message lists them
-        "n_trials": int, "base_seed": int,
-        "stages": lambda text: tuple(s.strip() for s in text.split(",")),
-        "snr_db": parse_snr, "cfo_hz": float, "timing_offset": int,
-        "taps": lambda text: _plan_taps(text, path.parent), "gap_len": int,
-    }
     if not path.is_file():
         raise ConfigError(f"plan file not found: {path}")
-    raw: dict[str, str] = {}
-    for lineno, line, body in config_lines(path):
+    given = {}
+    for where, line, body in config_lines(path):
         if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in parsers:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys: {tuple(parsers)}")
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
+        if key not in PLAN_READERS:
+            raise ConfigError(f"{where}: unknown key {key!r}; valid keys: {tuple(PLAN_READERS)}")
+        if key in given:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        if key == "taps" and (path.parent / value).is_file():
+            value = str(path.parent / value)  # a tap file named relative to the plan
+        given[key] = config_value(where, key, PLAN_READERS[key], value)
 
     try:
-        given = {key: parse(raw[key]) for key, parse in parsers.items() if key in raw}
         channel = {f.name: given.pop(f.name) for f in fields(ChannelConfig) if f.name in given}
         return TrialPlan(channel=ChannelConfig(**channel), **given)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _plan_taps(value: str, base_dir: Path):
-    local = base_dir / value  # an absolute value is its own path
-    return resolve_taps(local if local.is_file() else value)

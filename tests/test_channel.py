@@ -510,6 +510,15 @@ def test_load_taps_rejects_garbage(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError):
         load_taps(path)
+    # each field is read as the plan keys are, and its message names the line and the field
+    for line, message in (("1.5 0.5 0", "tap delay must be an integer, got '1.5'"),
+                          ("-1 0.5 0", "tap delay must lie in [0, 16777216], got -1"),
+                          ("3 x 0", "tap gain must be a number, got 'x'"),
+                          ("3 0.5 none", "tap gain must be a number, got 'none'")):
+        path.write_text(f"0 1 0\n{line}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_taps(path)
+        assert str(excinfo.value) == f"{path}:2: {message}"
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROFILES)

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofdmsync
-from ofdmsync import (ChannelConfig, FrameDetectConfig, TimeSyncConfig, TrialPlan, cli,
-                      frame_detect, read_iq, run_trials)
+from ofdmsync import (ChannelConfig, ConfigError, FrameDetectConfig, TimeSyncConfig, TrialPlan,
+                      cli, frame_detect, load_plan, read_iq, run_trials)
 from ofdmsync.channel import resolve_taps
 from ofdmsync.cli import main
 from ofdmsync.core import BLOCK_LEN, MAX_GENERATED_SAMPLES
+from ofdmsync.harness import PLAN_READERS
 
 from metric_reference import compute_metrics
 
@@ -48,8 +50,59 @@ def test_parsed_defaults_build_the_default_configs():
                              metric_mode=args.metric_mode) == FrameDetectConfig()
     assert cli._channel_config(args) == ChannelConfig()
     assert args.gap_len == TrialPlan().gap_len
+    assert args.seed == TrialPlan().base_seed
     assert TimeSyncConfig(template=parser.parse_args(["timesync"]).template) == TimeSyncConfig()
     assert FrameDetectConfig(lag=parser.parse_args(["cfo"]).lag) == FrameDetectConfig()
+
+
+_SIZE = {"1e3": "must be an integer, got '1e3'", "x": "must be an integer, got 'x'",
+         "-1": "must lie in [0, 16777216], got -1",
+         str(10**15): "must lie in [0, 16777216], got 1000000000000000",
+         "none": "must be an integer, got 'none'"}
+
+
+# Each plan key that has a flag: the flag, texts that both read to one value,
+# and texts that both reject, with the message that follows "<plan>:<line>:
+# <key>" and "argument <flag>:". A tap reference's message is a whole
+# sentence, so the plan shows it after "<plan>:<line>:" alone.
+@pytest.mark.parametrize("key, flag, good, bad", [
+    ("gap_len", "--gap-len", ("127", "400", str(2**24)), _SIZE),
+    ("base_seed", "--seed", ("0", "7", str(10**15)),
+     {text: f"must be an integer, got '{text}'" for text in ("1e3", "x", "1.5", "none")}),
+    ("snr_db", "--snr-db", ("none", "Noiseless", "-1", "10", "1e1"),
+     {"x": "must be a number or 'none', got 'x'", "": "must be a number or 'none', got ''"}),
+    ("cfo_hz", "--cfo-hz", ("1e3", "-1", str(10**15)),
+     {text: f"must be a number, got '{text}'" for text in ("x", "none", "")}),
+    ("taps", "--taps", ("etsi_a", "etsi_c"),
+     {"": "a tap reference (plan key taps, flag --taps) must be a file path or a built-in "
+          "name ('etsi_a', 'etsi_c'), got an empty one"}),
+    ("timing_offset", "--timing-offset", ("0", "30", str(2**24)), _SIZE),
+], ids=["gap_len", "base_seed", "snr_db", "cfo_hz", "taps", "timing_offset"])
+def test_plan_keys_and_their_flags_read_text_alike(tmp_path, capsys, key, flag, good, bad):
+    plan = tmp_path / "plan.cfg"
+    parser = cli.build_parser()
+    dest = flag[2:].replace("-", "_")
+    for text in good:
+        plan.write_text(f"{key} = {text}\n")
+        loaded = load_plan(plan)
+        value = getattr(loaded.channel if hasattr(ChannelConfig, key) else loaded, key)
+        assert getattr(parser.parse_args(["channel", f"{flag}={text}"]), dest) == value, text
+    for text, message in bad.items():
+        plan.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_plan(plan)
+        lead = "" if key == "taps" else f"{key} "
+        assert str(excinfo.value) == f"{plan}:1: {lead}{message}"
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(["channel", f"{flag}={text}"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_every_plan_key_with_a_flag_is_read_alike():
+    # a new plan key either gets a row above or is one that no flag sets
+    covered = {"gap_len", "base_seed", "snr_db", "cfo_hz", "taps", "timing_offset"}
+    assert set(PLAN_READERS) - covered == {"n_trials", "stages"}
 
 
 def test_lag_and_window_defaults_are_the_configs():
@@ -383,6 +436,7 @@ FRAME_IQ = ofdmsync.transmit(ofdmsync.generate_preamble(),
                              tail_len=403).samples.astype("<c8").view("<f4")
 NON_UTF8_PLAN = b"n_trials = 3\n\xff\n"
 NON_UTF8_TAPS = b"0 1 0\n\xff\n"
+SMALL_PLAN = b"n_trials = 3\n"
 
 
 @pytest.mark.parametrize("argv, words, expected", [
@@ -417,6 +471,14 @@ NON_UTF8_TAPS = b"0 1 0\n\xff\n"
     (["trials", "--config", "IN", "--out", "report"], NON_UTF8_PLAN, 2),
     (["channel", "--taps", "IN", "--out", "o.iq"], NON_UTF8_TAPS, 2),
     (["cfo", "--format", "csv"], None, 2),
+    (["preamble", "--out="], None, 2),
+    (["channel", "--out="], None, 2),
+    (["cfo", "--out="], None, 2),
+    (["trials", "--config", "IN", "--out="], SMALL_PLAN, 2),
+    (["detect", "--trace="], None, 2),
+    (["timesync", "--trace="], None, 2),
+    (["cfo", "--trace="], None, 2),
+    (["trials", "--config="], None, 2),
 ], ids=["short-timesync", "zero-frames", "negative-gap", "nan-input", "overflowing-snr",
         "huge-offset", "huge-train", "huge-gap", "float32-overflow-output", "zero-power-input",
         "non-finite-tap", "shift-window", "detect-sample-rate", "timesync-sample-rate",
@@ -424,7 +486,9 @@ NON_UTF8_TAPS = b"0 1 0\n\xff\n"
         "timesync-empty-in", "cfo-empty-in", "channel-empty-in", "detect-huge-lag",
         "cfo-huge-lag", "channel-empty-taps", "plan-empty-taps", "cfo-rate-without-in",
         "channel-rate-without-in", "detect-trace-onto-in", "non-utf8-plan", "non-utf8-taps",
-        "cfo-format-without-out"])
+        "cfo-format-without-out", "preamble-empty-out", "channel-empty-out", "cfo-empty-out",
+        "trials-empty-out", "detect-empty-trace", "timesync-empty-trace", "cfo-empty-trace",
+        "trials-empty-config"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if words is not None:
         (tmp_path / "IN").write_bytes(bytes(words))
@@ -435,6 +499,8 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
+    if argv == ["detect", "--frames", "0"]:  # the bound itself, not an error in showing it
+        assert "argument --frames: must lie in [1, 16777216], got 0" in proc.stderr
     if words is NAN_IQ:
         assert "sample 150 is not finite" in proc.stderr
     if words is HUGE_TAP:
@@ -471,6 +537,11 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, words, expected):
     if argv[0] == "cfo" and "--format" in argv:  # refused before the frame is generated
         assert "--format sets the format of the file that --out writes" in proc.stderr
         assert proc.stdout == ""
+    empty = [arg[:-1] for arg in argv if arg in ("--out=", "--trace=", "--config=")]
+    if empty:  # neither the current directory nor "write no file"
+        assert f"argument {empty[0]}: expected a file path, got an empty one" in proc.stderr
+        assert proc.stdout == ""
+        assert [path.name for path in tmp_path.iterdir()] == ([] if words is None else ["IN"])
 
 
 def test_with_in_the_flags_of_generated_samples_are_usage_errors(tmp_path, capsys):
@@ -616,11 +687,20 @@ def _real(draw, low, high, valid=False):
     return repr(draw(st.floats(low, high) if valid else st.floats(low, high) | st.floats()))
 
 
+def _malformed(draw, text: str, real: bool = False) -> str:
+    """``text``, or now and then text that is no number: '1e3' where an int is
+    read, 'x', the empty string, and 'inf' where a float (``real``) is read."""
+    if draw(st.integers(0, 7)):
+        return text
+    return draw(st.sampled_from(("x", "", "inf") if real else ("1e3", "x", "")))
+
+
 def _fuzz_argv(draw, tmp: Path) -> list[str]:
     """A random command line for one receiver stage, with its input files in ``tmp``.
 
     Lengths and counts are either small, which keeps each run cheap, or too
     large to generate, which must be rejected before anything is allocated.
+    Now and then a numeric value is malformed text (:func:`_malformed`).
     Values are joined to their flags with ``=`` so that argparse reads
     ``-1e-05`` as a value, not a flag. A ``--lag`` of 10**20 for ``detect``
     or ``cfo`` comes with every other flag valid, so that the command reaches
@@ -632,6 +712,9 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
 
     def least(value):
         return value if valid else None
+
+    def text(value, real=False):
+        return value if valid else _malformed(draw, value, real)
 
     argv = [sub]
     from_file = draw(st.booleans())
@@ -653,37 +736,38 @@ def _fuzz_argv(draw, tmp: Path) -> list[str]:
         path.write_bytes(words)
         argv.append(f"--in={path}")
         if sub in ("cfo", "channel") and draw(st.booleans()):  # the commands that take a rate
-            argv.append("--sample-rate=" + _real(draw, 1e3, 1e9, valid))
+            argv.append("--sample-rate=" + text(_real(draw, 1e3, 1e9, valid), real=True))
     else:
-        argv.append("--gap-len=" + _size(draw, -3, 1200, (0, -1), least=least(0)))
-        argv.append("--timing-offset=" + _size(draw, -3, 1200, (0, -1), least=least(0)))
+        argv.append("--gap-len=" + text(_size(draw, -3, 1200, (0, -1), least=least(0))))
+        argv.append("--timing-offset=" + text(_size(draw, -3, 1200, (0, -1), least=least(0))))
     if not from_file or sub == "channel":  # the other commands reject these next to --in
         if draw(st.booleans()):
             snr = st.sampled_from(("none", "noiseless")) | st.floats(-30, 60).map(repr)
-            argv.append("--snr-db=" + draw(snr if valid else snr | st.floats().map(repr)))
+            argv.append("--snr-db=" + text(draw(snr if valid else snr | st.floats().map(repr)),
+                                           real=True))
         if draw(st.booleans()):
-            argv.append("--cfo-hz=" + _real(draw, -7e5, 7e5, valid))
+            argv.append("--cfo-hz=" + text(_real(draw, -7e5, 7e5, valid), real=True))
         if draw(st.booleans()):
             taps = ("etsi_a", "etsi_c") if valid else ("etsi_a", "etsi_c", str(tmp / "no.taps"))
             argv.append("--taps=" + draw(st.sampled_from(taps)))
-        argv.append("--seed=" + _number(draw, -2, 2**64, (0, -1), least(0)))
+        argv.append("--seed=" + text(_number(draw, -2, 2**64, (0, -1), least(0))))
     if sub == "detect":
         if not from_file:
             # from MAX // 320 + 1 frames up, even a gapless train is too long
-            argv.append("--frames=" + _size(draw, -1, 4, (0,), least=least(1),
-                                            huge_from=MAX_GENERATED_SAMPLES // 320 + 1))
+            argv.append("--frames=" + text(_size(draw, -1, 4, (0,), least=least(1),
+                                                 huge_from=MAX_GENERATED_SAMPLES // 320 + 1)))
         threshold = (repr(draw(st.floats(0, 1, exclude_min=True, exclude_max=True))) if valid
                      else _real(draw, -0.5, 1.5))
-        argv += ["--lag=" + lag,
-                 "--min-plateau=" + _number(draw, -1, 600, (0, 1, 32, 10**20), least(1)),
-                 "--threshold=" + threshold,
+        argv += ["--lag=" + text(lag),
+                 "--min-plateau=" + text(_number(draw, -1, 600, (0, 1, 32, 10**20), least(1))),
+                 "--threshold=" + text(threshold, real=True),
                  "--metric-mode=" + draw(st.sampled_from(("exact", "l1_approx")))]
     elif sub == "timesync":
         argv.append("--template=" + draw(st.sampled_from(("sts", "lts"))))
         if draw(st.booleans()):
             argv.append(f"--window={_number(draw, -50, 1500)}:{_number(draw, -2, 1500)}")
     elif sub == "cfo":
-        argv.append("--lag=" + lag)
+        argv.append("--lag=" + text(lag))
         if draw(st.booleans()):
             argv.append(f"--out={tmp / 'fixed.iq'}")
     else:
@@ -706,3 +790,7 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(data):
                 code = exc.code
     assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    # a usage error shows the reader's message, not argparse's "invalid <type> value"
+    # nor an error raised while the message was being made
+    usage = re.search(r"error: argument --[\w-]+: (.*)", stderr.getvalue())
+    assert usage is None or usage[1].startswith(("must ", "expected ")), (argv, stderr.getvalue())

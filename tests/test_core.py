@@ -9,7 +9,7 @@ import pytest
 from ofdmsync import (ChannelConfig, ConfigError, SampleBuffer, SizingError,
                       StreamingFrameDetector, apply_cfo, autocorrelation, correct_cfo,
                       cross_correlate, detect_frames, estimate_timing, inverse_dft)
-from ofdmsync.core import all_finite, as_positive, as_real, as_samples
+from ofdmsync.core import all_finite, as_positive, as_real, as_samples, number_reader, read_snr
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
@@ -179,3 +179,20 @@ def test_as_positive_is_every_lag_and_window_rule():
             as_positive("lag", bad)
     with pytest.raises(ConfigError, match="^window must be an integer, got 2.0$"):
         as_positive("window", 2.0)
+
+
+def test_number_readers_word_their_errors_to_follow_a_name():
+    size, rate = number_reader(int, (1, 4)), number_reader(float, (1.0, 1e15))
+    assert (size(" 3 "), rate("2e6"), read_snr("NONE"), read_snr("-3")) == (3, 2e6, None, -3.0)
+    for read, text, message in ((size, "1e3", "must be an integer, got '1e3'"),
+                                (size, "5", "must lie in [1, 4], got 5"),
+                                (rate, "0", "must lie in [1, 1e+15], got 0.0"),
+                                (rate, "nan", "must lie in [1, 1e+15], got nan"),
+                                (rate, "", "must be a number, got ''"),
+                                (read_snr, "x", "must be a number or 'none', got 'x'")):
+        with pytest.raises(ValueError) as excinfo:
+            read(text)
+        assert str(excinfo.value) == message
+    # a bound that its message cannot show fails when the reader is made, not when a value is read
+    with pytest.raises(ValueError):
+        number_reader(int, (1, math.inf))
